@@ -11,7 +11,7 @@ explicit seed carried by a :class:`Scenario`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "ManifoldSplit",
     "SnapshotMatrix",
     "CovarianceEstimate",
-    "DifferenceOperator",
     "steering_vector",
     "build_manifold",
     "split_manifold",
@@ -175,28 +174,6 @@ class CovarianceEstimate:
     snapshot_count: int
 
 
-@dataclass(frozen=True, eq=False)
-class DifferenceOperator:
-    """Stacked forward/backward finite-difference matrix of a given order.
-
-    ``matrix`` has shape 2(N-order) x N: the top block applies the order-th
-    forward difference, the bottom block is its mirror (rows and columns
-    reversed). Either block annihilates polynomial sequences of degree
-    order-1.
-    """
-
-    order: int
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def forward(self) -> np.ndarray:
-        return self.matrix[: self.matrix.shape[0] // 2]
-
-    @property
-    def backward(self) -> np.ndarray:
-        return self.matrix[self.matrix.shape[0] // 2 :]
-
-
 def steering_vector(geometry: ArrayGeometry, doa_deg: float) -> np.ndarray:
     """Phase response of the array to a plane wave from ``doa_deg``.
 
@@ -313,7 +290,7 @@ def sample_covariance(x: np.ndarray) -> CovarianceEstimate:
 
 
 def snm_weighting(manifold: ArrayManifold, x: np.ndarray) -> np.ndarray:
-    """Squared-normalized-mean diagonal weighting over the angle grid.
+    """Squared-normalized-mean weights over the angle grid.
 
     For each row n of A^H X take the modulus of the complex mean over
     snapshots, normalize by the largest row value, and square. Directions
@@ -322,7 +299,8 @@ def snm_weighting(manifold: ArrayManifold, x: np.ndarray) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Real N x N diagonal matrix with entries in [0, 1], max entry 1.
+        Real length-N vector q with entries in [0, 1], max entry 1; the
+        weighting matrix of the paper is diag(q).
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != manifold.matrix.shape[0]:
@@ -331,15 +309,17 @@ def snm_weighting(manifold: ArrayManifold, x: np.ndarray) -> np.ndarray:
     peak = row_means.max()
     if peak == 0.0:
         raise ValueError("all-zero snapshots: SNM normalization undefined")
-    return np.diag((row_means / peak) ** 2)
+    return (row_means / peak) ** 2
 
 
-def difference_operator(order: int, n: int) -> DifferenceOperator:
-    """Order-th finite-difference matrix on sequences of length n.
+def difference_operator(order: int, n: int) -> np.ndarray:
+    """Order-th forward finite-difference matrix, (n - order) x n.
 
-    The forward block row r computes the signed binomial stencil
-    sum_s (-1)^(order-s) C(order, s) v[r+s]; the backward block is the
-    forward block with rows and columns reversed.
+    Row r computes the signed binomial stencil
+    sum_s (-1)^(order-s) C(order, s) v[r+s], so the matrix annihilates
+    polynomial sequences of degree order-1. The backward difference (rows
+    and columns reversed) equals (-1)^order times this matrix, so it adds
+    nothing a norm of the forward difference does not already measure.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -352,8 +332,7 @@ def difference_operator(order: int, n: int) -> DifferenceOperator:
     forward = np.zeros((rows, n))
     for r in range(rows):
         forward[r, r : r + order + 1] = stencil
-    backward = np.flipud(np.fliplr(forward))
-    return DifferenceOperator(order=order, matrix=np.vstack([forward, backward]))
+    return forward
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -17,14 +17,15 @@ MSPR_RELAXED              gamma * ((||A_M^H w||^2 - 1)^2 + ||A_S^H w||^2)
 ========================  ====================================================
 
 A_M / A_S are the mainlobe/sidelobe column blocks of the manifold, D_i the
-stacked order-i finite-difference matrices. Convex kinds go through
-admm_solve; MSPR_RELAXED takes the smooth nonconvex path initialized at the
-closed form.
+stacked forward/backward order-i finite-difference matrices. Convex kinds go
+through admm_solve; MSPR_RELAXED takes the smooth nonconvex path initialized
+at the closed form.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,7 @@ __all__ = [
     "mixed_norm_capon",
     "tvm_capon",
     "mspr_capon",
+    "resolve_split",
     "solve_method",
 ]
 
@@ -239,8 +241,8 @@ def weighted_sparse_capon(
 ) -> WeightVector:
     """min w^H R w + gamma * ||Q A^H w||_1 with the SNM weighting Q built
     from the snapshots x."""
-    q = np.diag(snm_weighting(manifold, x))
-    # Q A^H w = (A Q)^H w since Q is real diagonal
+    q = snm_weighting(manifold, x)
+    # Q A^H w = (A Q)^H w since Q = diag(q) is real
     term = PenaltyTerm(operator=manifold.matrix * q[np.newaxis, :], kind=PenaltyKind.L1, weight=gamma)
     spec = ProblemSpec(_covariance_matrix(r), a, (term,))
     return _wrap(admm_solve(spec, options))
@@ -275,17 +277,18 @@ def tvm_capon(
 
     Each difference order contributes a single L2 norm of the whole stacked
     forward/backward difference of the pattern, so every order is one
-    GROUP_L2 penalty with one group.
+    GROUP_L2 penalty with one group, built from the forward block alone.
     """
     if not 1 <= orders <= 3:
         raise ValueError(f"orders must be in 1..3, got {orders}")
     n = manifold.angles_deg.size
     terms = []
     for i in range(1, orders + 1):
-        d = difference_operator(i, n)
-        # v = D_i A^H w, so the operator is A D_i^T (D_i is real)
+        f = difference_operator(i, n)
+        # D_i = [F; flip(F)] and flip(F) = (-1)^i F, so ||D_i p|| = sqrt(2) ||F p||;
+        # v = F A^H w, so the operator is A F^T (F is real)
         terms.append(
-            PenaltyTerm(operator=manifold.matrix @ d.matrix.T, kind=PenaltyKind.GROUP_L2, weight=gamma)
+            PenaltyTerm(operator=manifold.matrix @ f.T, kind=PenaltyKind.GROUP_L2, weight=math.sqrt(2.0) * gamma)
         )
     terms.append(PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma))
     spec = ProblemSpec(_covariance_matrix(r), a, tuple(terms))
@@ -314,7 +317,9 @@ def mspr_capon(
     return _wrap(smooth_solve(spec, options, w_init=init.weights))
 
 
-def _resolve_split(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> ManifoldSplit:
+def resolve_split(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> ManifoldSplit:
+    """The split a method uses: ``split`` itself, or one re-centred on the
+    same grid angle with the method's own mainlobe half-width ``b``."""
     if method.b is None or method.b == split.b:
         return split
     center_deg = float(manifold.angles_deg[split.center_index])
@@ -347,10 +352,10 @@ def solve_method(
             raise ValueError("WEIGHTED_SPARSE needs the snapshot matrix")
         return weighted_sparse_capon(r, manifold, x, a, method.gamma, options)
     if kind is BeamformerKind.MIXED_NORM:
-        return mixed_norm_capon(r, _resolve_split(method, manifold, split), a, method.gamma, options)
+        return mixed_norm_capon(r, resolve_split(method, manifold, split), a, method.gamma, options)
     if kind is BeamformerKind.TVM_SPARSE:
         orders = 2 if method.tv_orders is None else method.tv_orders
         return tvm_capon(r, manifold, split, a, method.gamma, orders, options)
     if kind is BeamformerKind.MSPR_RELAXED:
-        return mspr_capon(r, _resolve_split(method, manifold, split), a, method.gamma, options)
+        return mspr_capon(r, resolve_split(method, manifold, split), a, method.gamma, options)
     raise AssertionError(kind)

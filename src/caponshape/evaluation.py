@@ -27,7 +27,7 @@ from .arrays import (
     steering_vector,
     synthesize_snapshots,
 )
-from .beamformers import BeamformerSpec, solve_method
+from .beamformers import BeamformerSpec, resolve_split, solve_method
 from .solver import NumericalError, SolverOptions
 
 __all__ = [
@@ -44,7 +44,9 @@ __all__ = [
     "mspr",
     "sidelobe_mean_db",
     "gamma_sweep",
+    "best_point_index",
     "select_gamma",
+    "resolve_auto_gammas",
     "monte_carlo",
 ]
 
@@ -240,17 +242,15 @@ def gamma_sweep(
                 gamma=float(gamma),
                 sinr_db=sinr(result.weights, validation),
                 sidelobe_db=sidelobe_mean_db(result.weights, manifold, split),
-                mspr=mspr(result.weights, _resolve_metric_split(method, manifold, split)),
+                mspr=mspr(result.weights, resolve_split(method, manifold, split)),
             )
         )
     return points
 
 
-def _resolve_metric_split(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit):
-    if method.b is None or method.b == split.b:
-        return split
-    center_deg = float(manifold.angles_deg[split.center_index])
-    return split_manifold(manifold, center_deg, method.b)
+def best_point_index(points) -> int:
+    """Index of the highest-SINR sweep point (the first one on ties)."""
+    return max(range(len(points)), key=lambda i: (points[i].sinr_db, -i))
 
 
 def select_gamma(
@@ -263,8 +263,27 @@ def select_gamma(
 ) -> float:
     """Argmax-SINR gamma over the sweep grid (first hit on ties)."""
     points = gamma_sweep(method, scenario, manifold, b, grid, options)
-    best = max(range(len(points)), key=lambda i: (points[i].sinr_db, -i))
-    return points[best].gamma
+    return points[best_point_index(points)].gamma
+
+
+def resolve_auto_gammas(
+    methods,
+    scenario: Scenario,
+    base_seed: int,
+    manifold: ArrayManifold | None = None,
+    b: int = 15,
+    options: SolverOptions = SolverOptions(),
+) -> tuple:
+    """The methods with every ``gamma: auto`` replaced by the gamma
+    select_gamma picks on the held-out draw (seed base_seed - 1, no
+    mismatch); methods with a fixed gamma pass through unchanged."""
+    held_out = scenario.with_seed(base_seed - 1)
+    return tuple(
+        method.with_gamma(select_gamma(method, held_out, manifold, b, DEFAULT_GAMMA_GRID, options))
+        if method.gamma_is_auto
+        else method
+        for method in methods
+    )
 
 
 def monte_carlo(
@@ -296,14 +315,7 @@ def monte_carlo(
     split = split_manifold(manifold, scenario.presumed_doa_deg, b)
     a = steering_vector(scenario.geometry, scenario.presumed_doa_deg)
 
-    resolved = []
-    for method in methods:
-        if method.gamma_is_auto:
-            tuned = select_gamma(method, scenario.with_seed(base_seed - 1), manifold, b,
-                                 DEFAULT_GAMMA_GRID, options)
-            resolved.append(method.with_gamma(tuned))
-        else:
-            resolved.append(method)
+    resolved = resolve_auto_gammas(methods, scenario, base_seed, manifold, b, options)
 
     true_doa = scenario.presumed_doa_deg + mismatch_deg
     values = [[] for _ in resolved]

@@ -136,6 +136,8 @@ class ProblemSpec:
             raise ValueError(f"quadratic must be square, got shape {r.shape}")
         if a.size != r.shape[0]:
             raise ValueError("constraint vector length does not match the quadratic")
+        if not (np.isfinite(r).all() and np.isfinite(a).all()):
+            raise ValueError("quadratic and constraint vector must be finite")
         if np.linalg.norm(a) == 0:
             raise ValueError("constraint vector must be nonzero")
         object.__setattr__(self, "quadratic", 0.5 * (r + r.conj().T))
@@ -282,14 +284,16 @@ def admm_solve(spec: ProblemSpec, opts: SolverOptions = SolverOptions()) -> Solv
     quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge * np.eye(m)
     lin = 2.0 * (basis.conj().T @ (r_eff @ w0))
 
-    if not terms or m == 0:
-        # pure quadratic: one Hermitian solve
-        try:
-            factor = scipy.linalg.cho_factor(quad) if m else None
-        except scipy.linalg.LinAlgError:
+    # the unpenalized optimum: the answer when no penalty is active, and the
+    # warm start (zero if quad is not factorable) when one is
+    try:
+        z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(quad), -lin) if m else np.zeros(0, dtype=complex)
+    except scipy.linalg.LinAlgError:
+        if not terms:
             return finish(np.zeros(m, dtype=complex), 0, math.inf, math.inf,
                           SolverStatus.NUMERICAL_FAILURE, math.inf, None)
-        z = scipy.linalg.cho_solve(factor, -lin) if m else np.zeros(0, dtype=complex)
+        z = np.zeros(m, dtype=complex)
+    if not terms or m == 0:
         cert = float(np.linalg.norm(quad @ z + lin)) if m else 0.0
         return finish(z, 0, 0.0, 0.0, SolverStatus.CONVERGED, cert, None)
 
@@ -316,11 +320,6 @@ def admm_solve(spec: ProblemSpec, opts: SolverOptions = SolverOptions()) -> Solv
         return finish(np.zeros(m, dtype=complex), 0, math.inf, math.inf,
                       SolverStatus.NUMERICAL_FAILURE, math.inf, None)
 
-    # warm start at the unpenalized optimum
-    try:
-        z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(quad), -lin)
-    except scipy.linalg.LinAlgError:
-        z = np.zeros(m, dtype=complex)
     v = k_mat @ z + c_vec
     u = np.zeros_like(v)
     trace = [] if opts.keep_trace else None

@@ -28,6 +28,7 @@ from caponshape.solver import (
     ProblemSpec,
     SolverOptions,
     SolverStatus,
+    admm_solve,
     eliminate_constraint,
     smooth_gradient,
 )
@@ -115,7 +116,7 @@ def test_weighted_sparse_with_identity_weighting_matches_sparse(covariance, mani
     # one e1 snapshot gives every grid row the same mean modulus, so Q = I
     x = np.zeros((8, 1), dtype=complex)
     x[0, 0] = 1.0
-    npt.assert_allclose(np.diag(snm_weighting(manifold, x)), np.ones(181), atol=1e-12)
+    npt.assert_allclose(snm_weighting(manifold, x), np.ones(181), atol=1e-12)
     w_ws = weighted_sparse_capon(covariance, manifold, x, a0, 0.05).weights
     w_sp = sparse_capon(covariance, manifold, a0, 0.05).weights
     npt.assert_allclose(w_ws, w_sp, atol=1e-10)
@@ -148,18 +149,34 @@ def test_tvm_flat_pattern_has_zero_first_order_tv(manifold):
     w[0] = 1.0
     v = manifold.matrix.conj().T @ w
     d1 = difference_operator(1, 181)
-    assert np.linalg.norm(d1.matrix @ v) <= 1e-10
+    assert np.linalg.norm(d1 @ v) <= 1e-10
 
 
 def test_tvm_capon_flattens_the_pattern(covariance, manifold, split, a0):
     w_cf = capon_closed_form(covariance, a0).weights
     w_tv = tvm_capon(covariance, manifold, split, a0, GAMMAS[BeamformerKind.TVM_SPARSE], 2, BENCHMARK_OPTIONS).weights
-    d1 = difference_operator(1, 181).matrix
+    d1 = difference_operator(1, 181)
 
     def total_variation(w):
         return float(np.linalg.norm(d1 @ (manifold.matrix.conj().T @ w)))
 
     assert total_variation(w_tv) < total_variation(w_cf)
+
+
+def test_tvm_capon_matches_the_stacked_forward_backward_problem(covariance, manifold, split, a0):
+    # reference: each TV term on the stacked [forward; backward] difference
+    # at weight gamma, as the penalty is written; tvm_capon poses it on the
+    # forward block at weight sqrt(2) * gamma
+    gamma = GAMMAS[BeamformerKind.TVM_SPARSE]
+    terms = []
+    for order in (1, 2):
+        f = difference_operator(order, 181)
+        stacked = np.vstack([f, np.flipud(np.fliplr(f))])
+        terms.append(PenaltyTerm(manifold.matrix @ stacked.T, PenaltyKind.GROUP_L2, gamma))
+    terms.append(PenaltyTerm(split.a_side, PenaltyKind.L1, gamma))
+    reference = admm_solve(ProblemSpec(covariance.matrix, a0, tuple(terms)), SolverOptions())
+    out = tvm_capon(covariance, manifold, split, a0, gamma, 2, SolverOptions())
+    assert np.linalg.norm(out.weights - reference.w) <= 1e-5 * np.linalg.norm(reference.w)
 
 
 def test_tvm_capon_validates_orders(covariance, manifold, split, a0):
@@ -173,8 +190,8 @@ def test_convex_kinds_never_increase_their_penalty(covariance, manifold, split, 
     # optimality: moving from the closed form to the penalized optimum cannot
     # raise the penalty (the quadratic is already minimal at the closed form)
     w_cf = capon_closed_form(covariance, a0).weights
-    d_ops = [difference_operator(i, 181).matrix for i in (1, 2)]
-    q = np.diag(snm_weighting(manifold, snapshots.data))
+    d_ops = [difference_operator(i, 181) for i in (1, 2)]
+    q = snm_weighting(manifold, snapshots.data)
 
     def sparse_pen(w):
         return float(np.abs(manifold.matrix.conj().T @ w).sum())
@@ -186,8 +203,9 @@ def test_convex_kinds_never_increase_their_penalty(covariance, manifold, split, 
         return float(np.abs(split.a_main.conj().T @ w).max() + np.abs(split.a_side.conj().T @ w).sum())
 
     def tvm_pen(w):
+        # ||[F; flip(F)] p|| = sqrt(2) ||F p||
         pattern = manifold.matrix.conj().T @ w
-        return float(sum(np.linalg.norm(d @ pattern) for d in d_ops)
+        return float(sum(math.sqrt(2.0) * np.linalg.norm(d @ pattern) for d in d_ops)
                      + np.abs(split.a_side.conj().T @ w).sum())
 
     cases = [

@@ -155,6 +155,23 @@ def test_montecarlo_writes_reports_and_summary(tmp_path):
     assert [row[0] for row in rows[1:]] == ["capon", "sparse", "capon", "sparse"]
 
 
+def test_montecarlo_writes_strict_json_when_every_trial_fails(tmp_path, monkeypatch):
+    def always_fails(*args, **kwargs):
+        raise NumericalError("forced")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    monkeypatch.setattr("caponshape.evaluation.solve_method", always_fails)
+    result = CliRunner().invoke(main, ["montecarlo", "--config", str(write_config(tmp_path))])
+    assert result.exit_code == 0, result.output
+    doc = json.loads((tmp_path / "out" / "sinr_mismatch_0.json").read_text(), parse_constant=reject)
+    for entry in doc["methods"]:
+        assert entry["failures"] == 2
+        assert entry["mean_sinr_db"] is None
+        assert entry["std_db"] is None
+
+
 def test_montecarlo_exit_2_on_zero_trials(tmp_path):
     path = write_config(tmp_path)
     result = CliRunner().invoke(main, ["montecarlo", "--config", str(path), "--trials", "0"])
@@ -177,20 +194,34 @@ def test_sweep_zero_gamma_row_matches_capon(tmp_path):
 
 def test_sweep_warns_when_selection_hits_grid_endpoints(tmp_path):
     # on the packaged scenario's tuning draw the sparse SINR still rises
-    # across this tiny grid, so the best point lands on the last endpoint
+    # across the first tiny grid, so its best point lands on the last
+    # endpoint; on the second grid sparse peaks inside while weighted_sparse
+    # peaks at the top, and the warning names weighted_sparse alone
     doc = json.loads(resources.files("caponshape").joinpath("data/default_config.json").read_text())
-    doc["methods"] = [{"kind": "capon"}, {"kind": "sparse", "gamma": "auto"}]
-    doc["output_dir"] = str(tmp_path / "out")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", "0.001,0.002,0.003"])
-    assert result.exit_code == 0, result.output
-    assert "warning" in result.stderr
-    rows = read_rows(tmp_path / "out" / "gamma_sweep.csv")
-    assert len(rows) == 1 + 1 + 3
-    selected = [row for row in rows[1:] if row[0] == "sparse" and row[5] == "1"]
-    assert len(selected) == 1
-    assert float(selected[0][1]) == 0.003
+    cases = [
+        (["sparse"], "0.001,0.002,0.003", {"sparse": 0.003}),
+        (["sparse", "weighted_sparse"], "0.1,0.31622776601683794,10", {"weighted_sparse": 10.0}),
+    ]
+    for n, (kinds, gammas, on_edge) in enumerate(cases):
+        doc["methods"] = [{"kind": "capon"}] + [{"kind": kind, "gamma": "auto"} for kind in kinds]
+        doc["output_dir"] = str(tmp_path / f"out{n}")
+        path = tmp_path / f"config{n}.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", gammas])
+        assert result.exit_code == 0, result.output
+        warnings = [line for line in result.stderr.splitlines() if line.startswith("warning")]
+        assert len(warnings) == len(on_edge)
+        rows = read_rows(tmp_path / f"out{n}" / "gamma_sweep.csv")
+        assert len(rows) == 1 + 1 + 3 * len(kinds)
+        for kind in kinds:
+            selected = [row for row in rows[1:] if row[0] == kind and row[5] == "1"]
+            assert len(selected) == 1
+            named = [line for line in warnings if line.startswith(f"warning: {kind} ")]
+            if kind in on_edge:
+                assert float(selected[0][1]) == on_edge[kind]
+                assert len(named) == 1
+            else:
+                assert named == []
 
 
 def test_sweep_rejects_bad_gamma_grids(tmp_path):

@@ -85,6 +85,18 @@ def test_problem_spec_validation():
         ProblemSpec(np.eye(2), np.ones(2), (PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_spec_rejects_non_finite_input(bad):
+    r = np.eye(2, dtype=complex)
+    r[0, 1] = bad
+    with pytest.raises(ValueError):
+        ProblemSpec(r, np.ones(2))
+    a = np.ones(2, dtype=complex)
+    a[1] = bad
+    with pytest.raises(ValueError):
+        ProblemSpec(np.eye(2), a)
+
+
 def test_problem_spec_symmetrizes_quadratic():
     spec = ProblemSpec(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
     npt.assert_allclose(spec.quadratic, [[1.0, 1.0], [1.0, 1.0]])
