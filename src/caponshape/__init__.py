@@ -29,6 +29,7 @@ from .beamformers import (
     mixed_norm_capon,
     mspr_capon,
     solve_method,
+    solve_trials,
     sparse_capon,
     tvm_capon,
     weighted_sparse_capon,

@@ -18,15 +18,15 @@ MSPR_RELAXED              gamma * ((||A_M^H w||^2 - 1)^2 + ||A_S^H w||^2)
 
 A_M / A_S are the mainlobe/sidelobe column blocks of the manifold, D_i the
 stacked forward/backward order-i finite-difference matrices. Convex kinds go
-through admm_solve; MSPR_RELAXED takes the smooth nonconvex path initialized
-at the closed form.
+through admm_solve, batched across trials by solve_trials; MSPR_RELAXED takes
+the smooth nonconvex path initialized at the closed form, trial by trial.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,7 @@ __all__ = [
     "mspr_capon",
     "resolve_split",
     "solve_method",
+    "solve_trials",
 ]
 
 
@@ -171,9 +172,7 @@ def _covariance_matrix(r) -> np.ndarray:
     return mat
 
 
-def _wrap(result: SolverResult) -> WeightVector:
-    if result.status is SolverStatus.NUMERICAL_FAILURE:
-        raise NumericalError("solver reported a numerical failure")
+def _weights(result: SolverResult) -> WeightVector:
     return WeightVector(
         weights=result.w,
         constraint_residual=result.constraint_residual,
@@ -226,9 +225,7 @@ def sparse_capon(
     options: SolverOptions = SolverOptions(),
 ) -> WeightVector:
     """min w^H R w + gamma * ||A^H w||_1  s.t.  w^H a = 1."""
-    term = PenaltyTerm(operator=manifold.matrix, kind=PenaltyKind.L1, weight=gamma)
-    spec = ProblemSpec(_covariance_matrix(r), a, (term,))
-    return _wrap(admm_solve(spec, options))
+    return solve_method(BeamformerSpec(BeamformerKind.SPARSE, gamma), r, manifold, None, a, None, options)
 
 
 def weighted_sparse_capon(
@@ -241,11 +238,7 @@ def weighted_sparse_capon(
 ) -> WeightVector:
     """min w^H R w + gamma * ||Q A^H w||_1 with the SNM weighting Q built
     from the snapshots x."""
-    q = snm_weighting(manifold, x)
-    # Q A^H w = (A Q)^H w since Q = diag(q) is real
-    term = PenaltyTerm(operator=manifold.matrix * q[np.newaxis, :], kind=PenaltyKind.L1, weight=gamma)
-    spec = ProblemSpec(_covariance_matrix(r), a, (term,))
-    return _wrap(admm_solve(spec, options))
+    return solve_method(BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, gamma), r, manifold, None, a, x, options)
 
 
 def mixed_norm_capon(
@@ -256,12 +249,7 @@ def mixed_norm_capon(
     options: SolverOptions = SolverOptions(),
 ) -> WeightVector:
     """min w^H R w + gamma * (||A_M^H w||_inf + ||A_S^H w||_1)."""
-    terms = (
-        PenaltyTerm(operator=split.a_main, kind=PenaltyKind.LINF, weight=gamma),
-        PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma),
-    )
-    spec = ProblemSpec(_covariance_matrix(r), a, terms)
-    return _wrap(admm_solve(spec, options))
+    return solve_method(BeamformerSpec(BeamformerKind.MIXED_NORM, gamma), r, None, split, a, None, options)
 
 
 def tvm_capon(
@@ -279,20 +267,8 @@ def tvm_capon(
     forward/backward difference of the pattern, so every order is one
     GROUP_L2 penalty with one group, built from the forward block alone.
     """
-    if not 1 <= orders <= 3:
-        raise ValueError(f"orders must be in 1..3, got {orders}")
-    n = manifold.angles_deg.size
-    terms = []
-    for i in range(1, orders + 1):
-        f = difference_operator(i, n)
-        # D_i = [F; flip(F)] and flip(F) = (-1)^i F, so ||D_i p|| = sqrt(2) ||F p||;
-        # v = F A^H w, so the operator is A F^T (F is real)
-        terms.append(
-            PenaltyTerm(operator=manifold.matrix @ f.T, kind=PenaltyKind.GROUP_L2, weight=math.sqrt(2.0) * gamma)
-        )
-    terms.append(PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma))
-    spec = ProblemSpec(_covariance_matrix(r), a, tuple(terms))
-    return _wrap(admm_solve(spec, options))
+    method = BeamformerSpec(BeamformerKind.TVM_SPARSE, gamma, tv_orders=orders)
+    return solve_method(method, r, manifold, split, a, None, options)
 
 
 def mspr_capon(
@@ -308,13 +284,45 @@ def mspr_capon(
     a stationary point. The sidelobe term is a squared L2 norm and is folded
     into the quadratic by the solver.
     """
+    return solve_method(BeamformerSpec(BeamformerKind.MSPR_RELAXED, gamma), r, None, split, a, None, options)
+
+
+def _mspr(r, a: np.ndarray, split: ManifoldSplit, gamma: float, options: SolverOptions) -> WeightVector:
     terms = (
         PenaltyTerm(operator=split.a_main, kind=PenaltyKind.QUARTIC_UNIT, weight=gamma),
         PenaltyTerm(operator=split.a_side, kind=PenaltyKind.SQUARED_L2, weight=gamma),
     )
     spec = ProblemSpec(_covariance_matrix(r), a, terms)
     init = capon_closed_form(r, a)
-    return _wrap(smooth_solve(spec, options, w_init=init.weights))
+    return _weights(smooth_solve(spec, options, w_init=init.weights))
+
+
+def _convex_terms(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> tuple:
+    """The penalty terms of a method solved by ADMM. WEIGHTED_SPARSE's SNM
+    weights are per trial, so they enter as the column scale of its one term
+    (Q A^H w = (A Q)^H w since Q = diag(q) is real)."""
+    kind, gamma = method.kind, method.gamma
+    if kind in (BeamformerKind.SPARSE, BeamformerKind.WEIGHTED_SPARSE):
+        return (PenaltyTerm(operator=manifold.matrix, kind=PenaltyKind.L1, weight=gamma),)
+    if kind is BeamformerKind.MIXED_NORM:
+        split = resolve_split(method, manifold, split)
+        return (
+            PenaltyTerm(operator=split.a_main, kind=PenaltyKind.LINF, weight=gamma),
+            PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma),
+        )
+    if kind is BeamformerKind.TVM_SPARSE:
+        n = manifold.angles_deg.size
+        terms = []
+        for i in range(1, (2 if method.tv_orders is None else method.tv_orders) + 1):
+            f = difference_operator(i, n)
+            # D_i = [F; flip(F)] and flip(F) = (-1)^i F, so ||D_i p|| = sqrt(2) ||F p||;
+            # v = F A^H w, so the operator is A F^T (F is real)
+            terms.append(
+                PenaltyTerm(operator=manifold.matrix @ f.T, kind=PenaltyKind.GROUP_L2, weight=math.sqrt(2.0) * gamma)
+            )
+        terms.append(PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma))
+        return tuple(terms)
+    raise AssertionError(kind)
 
 
 def resolve_split(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> ManifoldSplit:
@@ -326,6 +334,57 @@ def resolve_split(method: BeamformerSpec, manifold: ArrayManifold, split: Manifo
     return split_manifold(manifold, center_deg, method.b)
 
 
+def solve_trials(
+    method: BeamformerSpec,
+    covariances,
+    manifold: ArrayManifold,
+    split: ManifoldSplit,
+    a: np.ndarray,
+    snm=None,
+    options: SolverOptions = SolverOptions(),
+) -> list:
+    """Solve one BeamformerSpec against each covariance estimate of a batch
+    of trials, returning one WeightVector per trial.
+
+    ``snm`` holds each trial's SNM weight vector (see ``snm_weighting``) and
+    is required only by WEIGHTED_SPARSE; ``method.gamma`` must already be
+    resolved (not auto). The ADMM kinds solve every trial in one batched
+    ``admm_solve``; CAPON and MSPR_RELAXED solve trial by trial. A trial
+    that fails numerically comes back with status NUMERICAL_FAILURE rather
+    than raising, so it fails alone.
+    """
+    kind = method.kind
+    mats = [_covariance_matrix(r) for r in covariances]
+    a = np.asarray(a, dtype=complex).ravel()
+    if kind is BeamformerKind.CAPON:
+        return _each_trial(capon_closed_form, mats, a)
+    if method.gamma is None:
+        raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
+    if kind is BeamformerKind.MSPR_RELAXED:
+        return _each_trial(_mspr, mats, a, resolve_split(method, manifold, split), method.gamma, options)
+    terms = _convex_terms(method, manifold, split)
+    if kind is BeamformerKind.WEIGHTED_SPARSE:
+        if snm is None:
+            raise ValueError("WEIGHTED_SPARSE needs the snapshots (their SNM weights)")
+        specs = [ProblemSpec(r, a, (replace(terms[0], scale=q),)) for r, q in zip(mats, snm, strict=True)]
+    else:
+        specs = [ProblemSpec(r, a, terms) for r in mats]
+    return [_weights(result) for result in admm_solve(specs, options)]
+
+
+def _each_trial(solve, mats: list, a: np.ndarray, *args) -> list:
+    """``solve(r, a, *args)`` for each covariance r; a NumericalError fails
+    that trial alone."""
+    out = []
+    for r in mats:
+        try:
+            out.append(solve(r, a, *args))
+        except NumericalError:
+            out.append(WeightVector(np.full(a.size, np.nan, dtype=complex), math.nan,
+                                    SolverStatus.NUMERICAL_FAILURE, 0, math.nan))
+    return out
+
+
 def solve_method(
     method: BeamformerSpec,
     r,
@@ -335,27 +394,16 @@ def solve_method(
     x: np.ndarray | None = None,
     options: SolverOptions = SolverOptions(),
 ) -> WeightVector:
-    """Dispatch one BeamformerSpec against a covariance estimate.
+    """Solve one BeamformerSpec against one covariance estimate: the
+    one-trial case of ``solve_trials``, raising NumericalError where a batch
+    would report a failed trial.
 
-    ``x`` (the raw snapshots) is required only by WEIGHTED_SPARSE;
-    ``method.gamma`` must already be resolved (not auto).
+    ``x`` (the raw snapshots) is required only by WEIGHTED_SPARSE.
     """
-    kind = method.kind
-    if kind is BeamformerKind.CAPON:
-        return capon_closed_form(r, a)
-    if method.gamma is None:
-        raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
-    if kind is BeamformerKind.SPARSE:
-        return sparse_capon(r, manifold, a, method.gamma, options)
-    if kind is BeamformerKind.WEIGHTED_SPARSE:
-        if x is None:
-            raise ValueError("WEIGHTED_SPARSE needs the snapshot matrix")
-        return weighted_sparse_capon(r, manifold, x, a, method.gamma, options)
-    if kind is BeamformerKind.MIXED_NORM:
-        return mixed_norm_capon(r, resolve_split(method, manifold, split), a, method.gamma, options)
-    if kind is BeamformerKind.TVM_SPARSE:
-        orders = 2 if method.tv_orders is None else method.tv_orders
-        return tvm_capon(r, manifold, split, a, method.gamma, orders, options)
-    if kind is BeamformerKind.MSPR_RELAXED:
-        return mspr_capon(r, resolve_split(method, manifold, split), a, method.gamma, options)
-    raise AssertionError(kind)
+    snm = None
+    if method.kind is BeamformerKind.WEIGHTED_SPARSE and x is not None:
+        snm = [snm_weighting(manifold, x)]
+    out = solve_trials(method, [r], manifold, split, a, snm, options)[0]
+    if out.status is SolverStatus.NUMERICAL_FAILURE:
+        raise NumericalError(f"{method.kind.value} solve failed numerically")
+    return out

@@ -44,7 +44,7 @@ from .evaluation import (
     sinr,
     write_pattern_csv,
 )
-from .solver import NumericalError, SolverOptions
+from .solver import NumericalError, SolverOptions, SolverStatus
 
 __all__ = ["main", "RunConfig", "load_run_config", "BENCHMARK_OPTIONS"]
 
@@ -158,7 +158,10 @@ def _write_json(doc: dict, path: Path) -> None:
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.9g}"
+    """9 significant digits; a non-finite value is an empty field, as it is
+    null in JSON."""
+    x = float(x)
+    return f"{x:.9g}" if math.isfinite(x) else ""
 
 
 def _common_options(f):
@@ -255,12 +258,16 @@ def montecarlo(config_path, out_dir, trials, mismatch_csv, seed):
         raise ValueError(f"trials must be >= 1, got {config.trials}")
     manifold, _, _ = _prepare(config)
     out = _out_path(config)
+    # tuned once here: the held-out draw does not depend on the mismatch
+    methods = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
+                                  manifold, config.b, BENCHMARK_OPTIONS)
 
     summary_rows = []
+    capped = [0] * len(methods)
     for mismatch in config.mismatch_list:
         report = monte_carlo(
             config.scenario,
-            config.methods,
+            methods,
             config.trials,
             config.scenario.seed,
             mismatch,
@@ -269,7 +276,8 @@ def montecarlo(config_path, out_dir, trials, mismatch_csv, seed):
             BENCHMARK_OPTIONS,
         )
         _write_json(report.to_dict(), out / f"sinr_mismatch_{mismatch:g}.json")
-        for entry in report.methods:
+        for j, entry in enumerate(report.methods):
+            capped[j] += entry.statuses.count(SolverStatus.MAX_ITERS)
             summary_rows.append(
                 (
                     entry.method.kind.value,
@@ -285,6 +293,11 @@ def montecarlo(config_path, out_dir, trials, mismatch_csv, seed):
         writer.writerow(["kind", "gamma", "mismatch_deg", "mean_sinr_db", "std_db", "failures"])
         for kind, gamma, mismatch, mean, std, failures in summary_rows:
             writer.writerow([kind, _fmt(gamma), _fmt(mismatch), _fmt(mean), _fmt(std), failures])
+    solves = config.trials * len(config.mismatch_list)
+    for method, count in zip(methods, capped):
+        if count:
+            click.echo(f"warning: {method.kind.value} stopped at its iteration cap on {count} of {solves} solves",
+                       err=True)
 
 
 @main.command()

@@ -23,12 +23,13 @@ from .arrays import (
     Scenario,
     build_manifold,
     sample_covariance,
+    snm_weighting,
     split_manifold,
     steering_vector,
     synthesize_snapshots,
 )
-from .beamformers import BeamformerSpec, resolve_split, solve_method
-from .solver import NumericalError, SolverOptions
+from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method, solve_trials
+from .solver import SolverOptions, SolverStatus
 
 __all__ = [
     "DB_FLOOR",
@@ -73,12 +74,29 @@ class BeamPattern:
 
 @dataclass(frozen=True)
 class MethodSinr:
+    """One method's Monte Carlo result. ``per_trial_db`` holds the SINR of
+    every trial that did not fail; ``statuses`` and ``iterations`` hold the
+    solver outcome of every trial."""
+
     method: BeamformerSpec
     mean_sinr_db: float
     std_db: float
     trials: int
     failures: int
     per_trial_db: tuple = field(repr=False, default=())
+    statuses: tuple = field(repr=False, default=())
+    iterations: tuple = field(repr=False, default=())
+
+    def solver_stats(self) -> dict:
+        """Solver status counts and nearest-rank iteration quantiles over the
+        trials."""
+        stats = {status.value: 0 for status in SolverStatus}
+        for status in self.statuses:
+            stats[status.value] += 1
+        ordered = sorted(self.iterations)
+        for name, q in (("p50", 0.5), ("p90", 0.9), ("max", 1.0)):
+            stats[f"iterations_{name}"] = ordered[max(0, math.ceil(q * len(ordered)) - 1)] if ordered else 0
+        return stats
 
 
 @dataclass(frozen=True)
@@ -99,6 +117,7 @@ class SinrReport:
                     "std_db": entry.std_db,
                     "trials": entry.trials,
                     "failures": entry.failures,
+                    "solver": entry.solver_stats(),
                 }
                 for entry in self.methods
             ],
@@ -303,7 +322,9 @@ def monte_carlo(
     against the presumed direction and is scored against the truth. Methods
     with gamma = auto are tuned once by sweep on a held-out draw (seed
     base_seed - 1, no mismatch) and the tuned value is frozen across trials.
-    Solver failures are excluded from the statistics and counted.
+    All draws are synthesized first; then each method solves them as one
+    batch (``solve_trials``). Solver failures are excluded from the
+    statistics and counted.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -317,37 +338,36 @@ def monte_carlo(
 
     resolved = resolve_auto_gammas(methods, scenario, base_seed, manifold, b, options)
 
-    true_doa = scenario.presumed_doa_deg + mismatch_deg
-    values = [[] for _ in resolved]
-    failures = [0] * len(resolved)
-    for t in range(trials):
-        trial_scenario = scenario.with_soi_doa(true_doa).with_seed(base_seed + t)
-        snapshots = synthesize_snapshots(trial_scenario)
-        r = sample_covariance(snapshots.data)
-        for j, method in enumerate(resolved):
-            try:
-                result = solve_method(method, r, manifold, split, a, snapshots.data, options)
-            except NumericalError:
-                failures[j] += 1
-                continue
-            values[j].append(sinr(result.weights, trial_scenario))
+    # the solves need each draw's covariance (and SNM weights) only, so the
+    # snapshots are dropped draw by draw
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch_deg)
+    trial_scenarios = [truth.with_seed(base_seed + t) for t in range(trials)]
+    needs_snm = any(method.kind is BeamformerKind.WEIGHTED_SPARSE for method in resolved)
+    covariances, snm = [], []
+    for trial_scenario in trial_scenarios:
+        data = synthesize_snapshots(trial_scenario).data
+        covariances.append(sample_covariance(data))
+        if needs_snm:
+            snm.append(snm_weighting(manifold, data))
 
     entries = []
-    for method, vals, failed in zip(resolved, values, failures):
-        if vals:
-            mean = float(np.mean(vals))
-            std = float(np.std(vals))
-        else:
-            mean = math.nan
-            std = math.nan
+    for method in resolved:
+        outcomes = solve_trials(method, covariances, manifold, split, a, snm if needs_snm else None, options)
+        vals = tuple(
+            sinr(out.weights, trial_scenario)
+            for out, trial_scenario in zip(outcomes, trial_scenarios)
+            if out.status is not SolverStatus.NUMERICAL_FAILURE
+        )
         entries.append(
             MethodSinr(
                 method=method,
-                mean_sinr_db=mean,
-                std_db=std,
+                mean_sinr_db=float(np.mean(vals)) if vals else math.nan,
+                std_db=float(np.std(vals)) if vals else math.nan,
                 trials=trials,
-                failures=failed,
-                per_trial_db=tuple(vals),
+                failures=trials - len(vals),
+                per_trial_db=vals,
+                statuses=tuple(out.status for out in outcomes),
+                iterations=tuple(out.iterations for out in outcomes),
             )
         )
     return SinrReport(methods=tuple(entries), mismatch_deg=float(mismatch_deg), seed=int(base_seed))

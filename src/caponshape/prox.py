@@ -2,7 +2,9 @@
 Proximal operators for the pattern-shaping penalties, in their natural
 complex modulus/phase form.
 
-``prox_h(v, t)`` returns the minimizer of (1/2)||x - v||^2 + t*h(x).
+``prox_h(v, t)`` returns the minimizer of (1/2)||x - v||^2 + t*h(x). Every
+operator acts on the last axis, so a (T, n) array is T independent rows; the
+threshold is a scalar or one value per row (shape v.shape[:-1]).
 """
 
 from __future__ import annotations
@@ -14,69 +16,84 @@ import numpy as np
 __all__ = ["prox_l1", "prox_linf", "prox_group_l2", "group_shrink", "project_l1_ball"]
 
 
-def prox_l1(v: np.ndarray, t: float) -> np.ndarray:
+def _per_row(t, name: str) -> np.ndarray:
+    """A scalar or per-row threshold as an array that broadcasts over the
+    last axis."""
+    t = np.asarray(t, dtype=float)[..., np.newaxis]
+    # a list minimum is cheaper than an array reduction for the few rows here
+    if min(t.ravel().tolist()) < 0:
+        raise ValueError(f"{name} must be >= 0, got {t[..., 0]}")
+    return t
+
+
+def prox_l1(v: np.ndarray, t) -> np.ndarray:
     """Elementwise complex soft threshold: shrink each modulus by t, keep the
     phase, zero anything inside the threshold."""
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
+    t = _per_row(t, "threshold")
     v = np.asarray(v)
     mod = np.abs(v)
-    scale = np.maximum(0.0, 1.0 - t / np.where(mod > 0, mod, 1.0))
-    return v * scale
+    # mod + (mod == 0) keeps zero entries zero without dividing by zero
+    return v * np.maximum(0.0, 1.0 - t / (mod + (mod == 0)))
 
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto {x : sum |x_i| <= radius}.
+def project_l1_ball(v: np.ndarray, radius) -> np.ndarray:
+    """Euclidean projection of each row onto {x : sum |x_i| <= radius}.
 
-    Moduli are projected with the sorted water-filling rule (deterministic
-    tie-breaking), phases are preserved.
+    Moduli are shrunk by the water-filling threshold, which is the largest
+    running threshold (S_j - radius)/j over the partial sums S_j of the
+    moduli sorted in decreasing order (the sort-based rule of Condat 2016,
+    "Fast projection onto the simplex and the l1 ball"), floored at zero so
+    that a row inside the ball keeps its moduli. Phases are preserved.
     """
-    if radius < 0:
-        raise ValueError(f"radius must be >= 0, got {radius}")
+    r = _per_row(radius, "radius")
     v = np.asarray(v)
     mod = np.abs(v)
-    if mod.sum() <= radius:
+    if (mod.sum(axis=-1, keepdims=True) <= r).all():
         return v.copy()
-    if radius == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(mod)[::-1]
-    cumsum = np.cumsum(u)
-    j = np.arange(1, u.size + 1)
-    rho = np.nonzero(u > (cumsum - radius) / j)[0][-1]
-    theta = (cumsum[rho] - radius) / (rho + 1)
-    shrunk = np.maximum(mod - theta, 0.0)
-    return v * np.divide(shrunk, mod, out=np.zeros_like(mod), where=mod > 0)
+    running = (np.cumsum(np.sort(mod, axis=-1)[..., ::-1], axis=-1) - r) / np.arange(1, v.shape[-1] + 1)
+    theta = np.maximum(running.max(axis=-1, keepdims=True), 0.0)
+    return v * (np.maximum(mod - theta, 0.0) / (mod + (mod == 0)))
 
 
-def prox_linf(v: np.ndarray, t: float) -> np.ndarray:
+def prox_linf(v: np.ndarray, t) -> np.ndarray:
     """Prox of t*max_i |v_i| via Moreau decomposition: v minus the projection
     of v onto the L1 ball of radius t."""
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
     return np.asarray(v) - project_l1_ball(v, t)
 
 
-def group_shrink(v: np.ndarray, groups: Sequence[np.ndarray], t: float) -> np.ndarray:
-    """Blockwise shrinkage without partition validation; inner-loop form of
-    prox_group_l2 for callers that have already checked the groups."""
-    out = v.copy()
+def _shrink_factor(block: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """max(0, 1 - t/||block||) over the last axis, kept as a length-1 axis."""
+    flat = np.ascontiguousarray(block, dtype=complex).view(float)
+    norm = np.sqrt(flat[..., np.newaxis, :] @ flat[..., :, np.newaxis])[..., 0]
+    return np.maximum(0.0, 1.0 - t / (norm + (norm == 0)))
+
+
+def group_shrink(v: np.ndarray, groups: Sequence[np.ndarray], t) -> np.ndarray:
+    """Blockwise shrinkage without validation; inner-loop form of
+    prox_group_l2 for callers that have already checked the groups and the
+    threshold."""
+    t = np.asarray(t, dtype=float)[..., np.newaxis]
+    v = np.asarray(v)
+    if len(groups) == 1:  # a lone group holds every index
+        return v * _shrink_factor(v, t)
+    out = np.empty_like(v)
     for g in groups:
-        norm = np.linalg.norm(v[g])
-        out[g] = 0.0 if norm <= t else v[g] * (1.0 - t / norm)
+        block = v[..., g]
+        out[..., g] = block * _shrink_factor(block, t)
     return out
 
 
-def prox_group_l2(v: np.ndarray, groups: Sequence[np.ndarray], t: float) -> np.ndarray:
+def prox_group_l2(v: np.ndarray, groups: Sequence[np.ndarray], t) -> np.ndarray:
     """Blockwise shrinkage: each index group is scaled by
     max(0, 1 - t/||v_g||) (zeroed when its norm is inside the threshold).
 
-    ``groups`` must partition the indices of v.
+    ``groups`` must partition the indices of v's last axis.
     """
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
+    _per_row(t, "threshold")
     v = np.asarray(v)
+    n = v.shape[-1]
     groups = [np.asarray(g).ravel() for g in groups]
     seen = np.concatenate(groups) if groups else np.array([])
-    if seen.size != v.size or np.union1d(seen, np.arange(v.size)).size != v.size or np.unique(seen).size != seen.size:
+    if seen.size != n or np.union1d(seen, np.arange(n)).size != n or np.unique(seen).size != seen.size:
         raise ValueError("groups must partition the indices of v")
     return group_shrink(v, groups, t)

@@ -10,9 +10,9 @@ Linf, group-L2, squared-L2, and the quartic (||v||^2 - 1)^2 term).
 The affine constraint is eliminated exactly: w = w0 + B z with w0 = a/||a||^2
 and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. Nonsmooth penalties are handled by scaled ADMM
-over the stacked operator K = [G_j^H B]; the quartic term takes a smooth
-descent path with Armijo backtracking preconditioned by the quadratic-part
-Hessian.
+over the stacked operator K = [G_j^H B], for one problem or a batch of
+problems that share K; the quartic term takes a smooth descent path with
+Armijo backtracking preconditioned by the quadratic-part Hessian.
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -67,18 +67,25 @@ class SolverStatus(enum.Enum):
     NUMERICAL_FAILURE = "numerical_failure"
 
 
+_PROX_FRIENDLY = (PenaltyKind.L1, PenaltyKind.LINF, PenaltyKind.GROUP_L2)
+
+
 @dataclass(frozen=True, eq=False)
 class PenaltyTerm:
-    """One term gamma * h(G^H w). ``operator`` is G (M x q complex).
+    """One term gamma * h(s * G^H w). ``operator`` is G (M x q complex).
 
-    For GROUP_L2, ``groups`` partitions the q indices of v = G^H w; the
-    default is a single group spanning all of v.
+    ``scale`` is an optional positive length-q column weight s (default all
+    ones); it is kept apart from G so that problems differing only in s share
+    one stacked ADMM operator. It applies to the prox kinds (L1, LINF,
+    GROUP_L2). For GROUP_L2, ``groups`` partitions the q indices of
+    v = G^H w; the default is a single group spanning all of v.
     """
 
     operator: np.ndarray
     kind: PenaltyKind
     weight: float
     groups: tuple[np.ndarray, ...] | None = None
+    scale: np.ndarray | None = None
 
     def __post_init__(self):
         if self.weight < 0:
@@ -86,6 +93,13 @@ class PenaltyTerm:
         op = np.asarray(self.operator)
         if op.ndim != 2:
             raise ValueError(f"penalty operator must be a matrix, got shape {op.shape}")
+        if self.scale is not None:
+            scale = np.asarray(self.scale, dtype=float)
+            if self.kind not in _PROX_FRIENDLY:
+                raise ValueError(f"a column scale applies to L1, LINF and GROUP_L2 terms, not {self.kind}")
+            if scale.shape != (op.shape[1],) or not np.all(np.isfinite(scale) & (scale > 0)):
+                raise ValueError("scale must hold one positive finite weight per operator column")
+            object.__setattr__(self, "scale", scale)
         if self.kind is PenaltyKind.GROUP_L2:
             if self.groups is None:
                 object.__setattr__(self, "groups", (np.arange(op.shape[1]),))
@@ -101,7 +115,9 @@ class PenaltyTerm:
                 object.__setattr__(self, "groups", groups)
 
     def value(self, v: np.ndarray) -> float:
-        """h(v) for this term's kind (without the gamma factor)."""
+        """h(s * v) for this term's kind (without the gamma factor)."""
+        if self.scale is not None:
+            v = self.scale * v
         if self.kind is PenaltyKind.L1:
             return float(np.abs(v).sum())
         if self.kind is PenaltyKind.LINF:
@@ -113,9 +129,6 @@ class PenaltyTerm:
         if self.kind is PenaltyKind.QUARTIC_UNIT:
             return float((np.linalg.norm(v) ** 2 - 1.0) ** 2)
         raise AssertionError(self.kind)
-
-
-_PROX_FRIENDLY = (PenaltyKind.L1, PenaltyKind.LINF, PenaltyKind.GROUP_L2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +199,7 @@ class SolverResult:
 
 
 def objective_value(spec: ProblemSpec, w: np.ndarray) -> float:
-    """Total objective w^H R w + sum_j gamma_j h_j(G_j^H w)."""
+    """Total objective w^H R w + sum_j gamma_j h_j(s_j * G_j^H w)."""
     total = float(np.real(w.conj() @ spec.quadratic @ w))
     for term in spec.penalties:
         if term.weight > 0:
@@ -236,125 +249,237 @@ def _prox_block(kind: PenaltyKind, v: np.ndarray, t: float, groups) -> np.ndarra
     raise AssertionError(kind)
 
 
-def admm_solve(spec: ProblemSpec, opts: SolverOptions = SolverOptions()) -> SolverResult:
-    """Solve a convex spec (no quartic term) by scaled ADMM after constraint
-    elimination.
+def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each Hermitian matrix in a (T, m, m) stack, and whether it
+    is positive definite (Cholesky succeeds); a failed slice inverts the
+    identity instead."""
+    ok = np.ones(mats.shape[0], dtype=bool)
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        for t, mat in enumerate(mats):
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                ok[t] = False
+        mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
+    return np.linalg.inv(mats), ok
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (T, n) array whose rows are
+    contiguous."""
+    flat = x.view(float)
+    return np.sqrt(flat[:, np.newaxis, :] @ flat[:, :, np.newaxis])[:, 0, 0]
+
+
+def _shares_operators(first: ProblemSpec, other: ProblemSpec) -> bool:
+    """Whether two specs have the same constraint vector and penalty terms,
+    up to each term's column scale."""
+    return (
+        np.array_equal(first.constraint_vector, other.constraint_vector)
+        and len(first.penalties) == len(other.penalties)
+        and all(
+            x.kind is y.kind
+            and x.weight == y.weight
+            and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
+            and (x.groups is y.groups or [g.tolist() for g in x.groups] == [g.tolist() for g in y.groups])
+            for x, y in zip(first.penalties, other.penalties)
+        )
+    )
+
+
+def admm_solve(spec, opts: SolverOptions = SolverOptions()):
+    """Solve a convex spec (no quartic term), or a batch of them, by scaled
+    ADMM after constraint elimination.
+
+    ``spec`` is one ProblemSpec, solved as a batch of one and returning one
+    SolverResult, or a sequence of T specs, returning a list of T results.
+    The specs of a batch must share the constraint vector and penalty terms
+    up to each term's column scale; their quadratics are free. Each problem
+    runs the iteration it would run alone, with its own factorization,
+    residuals and stopping test, and leaves the batch when it stops, so a
+    failure is confined to its own result.
 
     Squared-L2 penalties are folded into the quadratic; each remaining
-    penalty j becomes a split variable v_j = K_j z + c_j with K_j = G_j^H B,
-    c_j = G_j^H w0. The splitting penalty for block j is rho * gamma_j *
-    sigma_j with sigma_j = ||K_j||_2, which makes the iteration behavior
-    invariant to rescaling any penalty weight or operator (these penalties
-    are positively 1-homogeneous); rho is just the overall multiplier. The
-    fixed point does not depend on this choice. Blocks are stacked into one
-    operator so each iteration costs two small mat-vecs, the blockwise
-    proxes, and one cached triangular solve. Stops when the absolute primal
-    and dual residual norms (in the original, unscaled block units) drop
-    below tol_primal / tol_dual.
+    penalty j becomes a split variable v_j = S_j K_j z + S_j c_j with
+    K_j = G_j^H B, c_j = G_j^H w0 and S_j = diag(scale_j). The splitting
+    penalty for block j is rho * gamma_j * sigma_j with
+    sigma_j = ||S_j K_j||_2, which makes the iteration behavior invariant to
+    rescaling any penalty weight or operator (these penalties are positively
+    1-homogeneous); rho is just the overall multiplier. The fixed point does
+    not depend on this choice. Blocks are stacked into one operator K shared
+    by the batch (the scales enter as per-problem row weights), so each
+    iteration costs two (T, m) x m-by-n products, one batched m x m
+    inverse-times-vector, and the row-wise block proxes. Stops a problem when
+    its absolute primal and dual residual norms (in the original, unscaled
+    block units) drop below tol_primal / tol_dual.
     """
-    if spec.is_smooth_nonconvex:
+    if isinstance(spec, ProblemSpec):
+        return admm_solve([spec], opts)[0]
+    specs = list(spec)
+    if not specs:
+        raise ValueError("admm_solve needs at least one spec")
+    first = specs[0]
+    if first.is_smooth_nonconvex:
         raise ValueError("admm_solve handles convex specs only; use smooth_solve")
-    for term in spec.penalties:
+    for term in first.penalties:
         if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
             raise ValueError(f"unsupported penalty kind for admm_solve: {term.kind}")
+    if not all(_shares_operators(first, other) for other in specs[1:]):
+        raise ValueError("a batch must share the constraint vector and penalty terms up to column scales")
 
-    a = spec.constraint_vector
-    w0, basis = eliminate_constraint(a)
-    r_eff = _fold_squared_l2(spec)
-    ridge = _resolve_ridge(opts, spec.quadratic)
-    rho = opts.rho
+    count = len(specs)
+    w0, basis = eliminate_constraint(first.constraint_vector)
+    m = basis.shape[1]
+    r_eff = np.stack([_fold_squared_l2(s) for s in specs])
+    ridge = np.array([_resolve_ridge(opts, s.quadratic) for s in specs])
+    quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(m)
+    lin = 2.0 * ((r_eff @ w0) @ basis.conj())
+    active_terms = [j for j, t in enumerate(first.penalties) if t.kind in _PROX_FRIENDLY and t.weight > 0]
+    terms = [first.penalties[j] for j in active_terms]
 
-    terms = [t for t in spec.penalties if t.kind in _PROX_FRIENDLY and t.weight > 0]
-
-    def finish(z, iters, rp, rd, status, cert, trace):
+    def finish(t, z, iters, rp, rd, status, cert, trace=None):
         w = w0 + basis @ z
         return SolverResult(
             w=w,
-            objective=objective_value(spec, w),
-            iterations=iters,
-            primal_residual=rp,
-            dual_residual=rd,
-            constraint_residual=abs(w.conj() @ a - 1.0),
+            objective=objective_value(specs[t], w),
+            iterations=int(iters),
+            primal_residual=float(rp),
+            dual_residual=float(rd),
+            constraint_residual=abs(w.conj() @ first.constraint_vector - 1.0),
             status=status,
-            subgrad_residual=cert,
+            subgrad_residual=float(cert),
             trace=tuple(trace) if trace is not None else None,
         )
 
-    m = basis.shape[1]
-    quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge * np.eye(m)
-    lin = 2.0 * (basis.conj().T @ (r_eff @ w0))
+    def failure(t):
+        return finish(t, np.zeros(m, dtype=complex), 0, math.inf, math.inf,
+                      SolverStatus.NUMERICAL_FAILURE, math.inf)
 
     # the unpenalized optimum: the answer when no penalty is active, and the
     # warm start (zero if quad is not factorable) when one is
-    try:
-        z = scipy.linalg.cho_solve(scipy.linalg.cho_factor(quad), -lin) if m else np.zeros(0, dtype=complex)
-    except scipy.linalg.LinAlgError:
-        if not terms:
-            return finish(np.zeros(m, dtype=complex), 0, math.inf, math.inf,
-                          SolverStatus.NUMERICAL_FAILURE, math.inf, None)
-        z = np.zeros(m, dtype=complex)
+    inv_quad, factored = _inverses(quad)
+    z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
     if not terms or m == 0:
-        cert = float(np.linalg.norm(quad @ z + lin)) if m else 0.0
-        return finish(z, 0, 0.0, 0.0, SolverStatus.CONVERGED, cert, None)
+        cert = _row_norms((quad @ z[:, :, np.newaxis])[:, :, 0] + lin)
+        return [
+            finish(t, z[t], 0, 0.0, 0.0, SolverStatus.CONVERGED, cert[t]) if factored[t] else failure(t)
+            for t in range(count)
+        ]
 
-    # stacked penalty operator with per-block splitting penalties
-    k_blocks = [t.operator.conj().T @ basis for t in terms]
-    c_blocks = [t.operator.conj().T @ w0 for t in terms]
-    sizes = [kb.shape[0] for kb in k_blocks]
+    # stacked penalty operator shared by the batch, with per-problem row
+    # scales and per-block splitting penalties
+    sizes = [t.operator.shape[1] for t in terms]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(terms))]
-    k_mat = np.vstack(k_blocks)
-    k_h = k_mat.conj().T
-    c_vec = np.concatenate(c_blocks)
+    k_mat = np.vstack([t.operator.conj().T @ basis for t in terms])
+    c_vec = np.concatenate([t.operator.conj().T @ w0 for t in terms])
+    scale = np.stack([
+        np.concatenate([
+            np.ones(size) if s.penalties[j].scale is None else s.penalties[j].scale
+            for j, size in zip(active_terms, sizes)
+        ])
+        for s in specs
+    ])
+    # a scale the whole batch shares (always so for one problem) folds into K
+    scaled = not (scale == scale[0]).all()
+    if scaled:
+        sigmas = np.stack(
+            [np.linalg.norm(scale[:, sl, np.newaxis] * k_mat[sl], 2, axis=(1, 2)) for sl in slices], axis=1
+        )
+    else:
+        k_mat, c_vec, scale = k_mat * scale[0][:, np.newaxis], c_vec * scale[0], np.ones_like(scale)
+        sigmas = np.array([[np.linalg.norm(k_mat[sl], 2) for sl in slices]])
+    k_t, k_conj = k_mat.T, k_mat.conj()
+    weights = np.array([t.weight for t in terms])
+    block_rho = np.broadcast_to(opts.rho * weights * np.where(sigmas > 0, sigmas, 1.0), (count, len(terms)))
+    prox_ts = weights / block_rho
+    # K_t^H diag(rho) y = K^H (scale * rho * y) for problem t's scaled operator
+    rho_k = np.repeat(block_rho, sizes, axis=1) * scale
+    c = scale * c_vec
 
-    sigmas = [float(np.linalg.norm(kb, 2)) for kb in k_blocks]
-    block_rho = [rho * t.weight * (s if s > 0 else 1.0) for t, s in zip(terms, sigmas)]
-    rho_row = np.concatenate(
-        [np.full(size, br) for size, br in zip(sizes, block_rho)]
-    )
-    k_h_rho = k_h * rho_row[np.newaxis, :]
+    # K_t^H diag(rho_t) K_t, one shared matrix when the batch shares its scale
+    gram_weight = rho_k * scale if scaled else rho_k[0]
+    inv_sys, ok = _inverses(quad + (k_conj.T * gram_weight[..., np.newaxis, :]) @ k_mat)
 
-    try:
-        factor = scipy.linalg.cho_factor(quad + k_h_rho @ k_mat)
-    except scipy.linalg.LinAlgError:
-        return finish(np.zeros(m, dtype=complex), 0, math.inf, math.inf,
-                      SolverStatus.NUMERICAL_FAILURE, math.inf, None)
+    # results by problem; the loop runs on the rows of the problems still active
+    z_out = np.zeros((count, m), dtype=complex)
+    u_out = np.zeros((count, k_mat.shape[0]), dtype=complex)
+    rp_out = np.full(count, math.inf)
+    rd_out = np.full(count, math.inf)
+    iters_out = np.full(count, opts.max_iters)
+    status_out = [SolverStatus.MAX_ITERS] * count
+    traces = [[] for _ in range(count)] if opts.keep_trace else None
 
-    v = k_mat @ z + c_vec
+    active = np.flatnonzero(ok)
+    lin_a, inv_a, rho_a, c_a, scale_a, ts_a = (x[active] for x in (lin, inv_sys, rho_k, c, scale, prox_ts))
+    # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
+    # active problem t; without scales, rho folds into the shared operator
+    if scaled:
+        def forward(z):
+            return (z @ k_t) * scale_a + c_a
+
+        def back(y):
+            return (rho_a * y) @ k_conj
+    else:
+        k_rho = k_conj * rho_k[0][:, np.newaxis]
+
+        def forward(z):
+            return z @ k_t + c_a
+
+        def back(y):
+            return y @ k_rho
+
+    term_slices = list(zip(terms, slices))
+    z = z[active]
+    v = forward(z)
     u = np.zeros_like(v)
-    trace = [] if opts.keep_trace else None
-
-    prox_ts = [t.weight / br for t, br in zip(terms, block_rho)]
-    rp = rd = math.inf
-    status = SolverStatus.MAX_ITERS
-    iters = opts.max_iters
+    rp = rd = np.full(active.size, math.inf)
     for it in range(1, opts.max_iters + 1):
-        z = scipy.linalg.cho_solve(factor, k_h_rho @ (v - u - c_vec) - lin, check_finite=False)
-        kzc = k_mat @ z + c_vec
+        if not active.size:
+            break
+        z = (inv_a @ (back(v - u - c_a) - lin_a)[:, :, np.newaxis])[:, :, 0]
+        kzc = forward(z)
         v_old = v
         arg = kzc + u
-        v = np.empty_like(arg)
-        for term, sl, t_j in zip(terms, slices, prox_ts):
-            v[sl] = _prox_block(term.kind, arg[sl], t_j, term.groups)
+        blocks = [_prox_block(term.kind, arg[:, sl], ts_a[:, j], term.groups) for j, (term, sl) in enumerate(term_slices)]
+        v = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         resid = kzc - v
         u = u + resid
-        rp = float(np.linalg.norm(resid))
-        rd = float(np.linalg.norm(k_h_rho @ (v - v_old)))
-        if trace is not None:
-            trace.append((it, rp, rd))
-        if rp < opts.tol_primal and rd < opts.tol_dual:
-            status = SolverStatus.CONVERGED
-            iters = it
-            break
-        if not math.isfinite(rp):
-            status = SolverStatus.NUMERICAL_FAILURE
-            iters = it
-            break
+        rp = _row_norms(resid)
+        rd = _row_norms(back(v - v_old))
+        if traces is not None:
+            for t, p, d in zip(active, rp, rd):
+                traces[t].append((it, float(p), float(d)))
+        # a problem stops converged or with a non-finite primal residual;
+        # while no residual is small or non-finite, none can stop (a test on
+        # a list is cheaper than on a short array)
+        primal = rp.tolist()
+        if min(primal) >= opts.tol_primal and math.isfinite(sum(primal)):
+            continue
+        stopped = np.where(rp < opts.tol_primal, rd < opts.tol_dual, ~(rp < math.inf))
+        if stopped.any():
+            for i in np.flatnonzero(stopped):
+                t = active[i]
+                z_out[t], u_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], u[i], rp[i], rd[i], it
+                status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol_primal else SolverStatus.NUMERICAL_FAILURE
+            going = ~stopped
+            active, z, v, u, rp, rd, lin_a, inv_a, rho_a, c_a, scale_a, ts_a = (
+                x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, rho_a, c_a, scale_a, ts_a)
+            )
+    # the problems still active stopped at the cap
+    z_out[active], u_out[active], rp_out[active], rd_out[active] = z, u, rp, rd
 
     # stationarity certificate from the splitting duals:
     # rho_j * u_j in gamma_j * dh_j(v_j)
-    cert = float(np.linalg.norm(quad @ z + lin + k_h_rho @ u))
-    return finish(z, iters, rp, rd, status, cert, trace)
+    certs = _row_norms((quad @ z_out[:, :, np.newaxis])[:, :, 0] + lin + (rho_k * u_out) @ k_conj)
+    return [
+        finish(t, z_out[t], iters_out[t], rp_out[t], rd_out[t], status_out[t], certs[t],
+               traces[t] if traces is not None else None)
+        if ok[t] else failure(t)
+        for t in range(count)
+    ]
 
 
 class _SmoothObjective:

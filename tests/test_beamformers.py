@@ -7,7 +7,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caponshape.arrays import difference_operator, snm_weighting, split_manifold, steering_vector
+from caponshape.arrays import (
+    difference_operator,
+    sample_covariance,
+    snm_weighting,
+    split_manifold,
+    steering_vector,
+    synthesize_snapshots,
+)
 from caponshape.beamformers import (
     BeamformerKind,
     BeamformerSpec,
@@ -15,6 +22,7 @@ from caponshape.beamformers import (
     mixed_norm_capon,
     mspr_capon,
     solve_method,
+    solve_trials,
     sparse_capon,
     tvm_capon,
     weighted_sparse_capon,
@@ -324,3 +332,31 @@ def test_solve_method_b_override_re_splits(covariance, manifold, split, a0):
     default = solve_method(BeamformerSpec(BeamformerKind.MIXED_NORM, gamma=0.1),
                            covariance, manifold, split, a0, None, BENCHMARK_OPTIONS)
     assert not np.allclose(wide.weights, default.weights)
+
+
+def test_solve_trials_matches_one_trial_solves(scenario, manifold, split, a0):
+    draws = [synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data for t in range(3)]
+    covariances = [sample_covariance(x) for x in draws]
+    snm = [snm_weighting(manifold, x) for x in draws]
+    for kind in BeamformerKind:
+        method = BeamformerSpec(kind, GAMMAS.get(kind))
+        batch = solve_trials(method, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        for r, x, got in zip(covariances, draws, batch):
+            alone = solve_method(method, r, manifold, split, a0, x, BENCHMARK_OPTIONS)
+            assert got.status is alone.status, kind
+            assert got.iterations == alone.iterations, kind
+            assert np.linalg.norm(got.weights - alone.weights) <= 1e-8 * np.linalg.norm(alone.weights), kind
+
+
+def test_solve_trials_fails_a_trial_alone(covariance, manifold, split, a0):
+    # a dead covariance raises in solve_method but only marks its own trial here
+    covariances = [covariance, np.zeros((8, 8)), covariance]
+    batch = solve_trials(BeamformerSpec(BeamformerKind.CAPON), covariances, manifold, split, a0)
+    assert [out.status for out in batch] == [SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE,
+                                             SolverStatus.CONVERGED]
+    assert np.all(np.isnan(batch[1].weights))
+    npt.assert_array_equal(batch[0].weights, capon_closed_form(covariance, a0).weights)
+    with pytest.raises(NumericalError):
+        solve_method(BeamformerSpec(BeamformerKind.CAPON), np.zeros((8, 8)), manifold, split, a0)
+    with pytest.raises(ValueError):
+        solve_trials(BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, 0.1), covariances, manifold, split, a0)

@@ -5,11 +5,14 @@ import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from caponshape import evaluation
+from caponshape.beamformers import WeightVector
 from caponshape.cli import load_run_config, main
-from caponshape.solver import NumericalError
+from caponshape.solver import NumericalError, SolverOptions, SolverStatus
 
 SMALL_SCENARIO = {
     "geometry": {"num_sensors": 4, "spacing_ratio": 0.5},
@@ -146,7 +149,7 @@ def test_montecarlo_writes_reports_and_summary(tmp_path):
         assert doc["seed"] == 11
         assert len(doc["methods"]) == 2
         for entry in doc["methods"]:
-            assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures"}
+            assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures", "solver"}
             assert entry["trials"] == 2
             assert entry["failures"] == 0
     rows = read_rows(out / "sinr_summary.csv")
@@ -156,13 +159,14 @@ def test_montecarlo_writes_reports_and_summary(tmp_path):
 
 
 def test_montecarlo_writes_strict_json_when_every_trial_fails(tmp_path, monkeypatch):
-    def always_fails(*args, **kwargs):
-        raise NumericalError("forced")
+    def every_trial_fails(method, covariances, *args, **kwargs):
+        return [WeightVector(np.full(4, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0, math.nan)
+                for _ in covariances]
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
-    monkeypatch.setattr("caponshape.evaluation.solve_method", always_fails)
+    monkeypatch.setattr("caponshape.evaluation.solve_trials", every_trial_fails)
     result = CliRunner().invoke(main, ["montecarlo", "--config", str(write_config(tmp_path))])
     assert result.exit_code == 0, result.output
     doc = json.loads((tmp_path / "out" / "sinr_mismatch_0.json").read_text(), parse_constant=reject)
@@ -170,6 +174,47 @@ def test_montecarlo_writes_strict_json_when_every_trial_fails(tmp_path, monkeypa
         assert entry["failures"] == 2
         assert entry["mean_sinr_db"] is None
         assert entry["std_db"] is None
+        assert entry["solver"]["numerical_failure"] == 2
+    # the CSV leaves a statistic with no finite value empty, as JSON writes null
+    rows = read_rows(tmp_path / "out" / "sinr_summary.csv")
+    assert [row[0] for row in rows[1:]] == ["capon", "sparse"]
+    for row in rows[1:]:
+        assert row[3:] == ["", "", "2"]
+
+
+def test_montecarlo_tunes_each_auto_gamma_once(tmp_path, monkeypatch):
+    # the held-out tuning draw does not depend on the mismatch, so two
+    # mismatch values share one sweep per auto method
+    calls = []
+    select_gamma = evaluation.select_gamma
+
+    def counted(method, *args, **kwargs):
+        calls.append(method.kind.value)
+        return select_gamma(method, *args, **kwargs)
+
+    monkeypatch.setattr("caponshape.evaluation.select_gamma", counted)
+    path = write_config(tmp_path, trials=1, mismatch_list=[0.0, 3.0],
+                        methods=[{"kind": "capon"}, {"kind": "sparse", "gamma": "auto"},
+                                 {"kind": "mixed_norm", "gamma": "auto"}])
+    result = CliRunner().invoke(main, ["montecarlo", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    assert calls == ["sparse", "mixed_norm"]
+    for mismatch in ("0", "3"):
+        doc = json.loads((tmp_path / "out" / f"sinr_mismatch_{mismatch}.json").read_text())
+        assert all(entry["gamma"] > 0 for entry in doc["methods"][1:])
+
+
+def test_montecarlo_reports_and_warns_about_capped_solves(tmp_path, monkeypatch):
+    monkeypatch.setattr("caponshape.cli.BENCHMARK_OPTIONS", SolverOptions(max_iters=1))
+    path = write_config(tmp_path, mismatch_list=[0.0, 3.0])
+    result = CliRunner().invoke(main, ["montecarlo", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("warning")]
+    assert warnings == ["warning: sparse stopped at its iteration cap on 4 of 4 solves"]
+    doc = json.loads((tmp_path / "out" / "sinr_mismatch_3.json").read_text())
+    capon, sparse = (entry["solver"] for entry in doc["methods"])
+    assert capon["converged"] == 2 and capon["max_iters"] == 0
+    assert sparse["max_iters"] == 2 and sparse["iterations_max"] == 1
 
 
 def test_montecarlo_exit_2_on_zero_trials(tmp_path):

@@ -17,7 +17,7 @@ from caponshape.arrays import (
     steering_vector,
     synthesize_snapshots,
 )
-from caponshape.beamformers import BeamformerKind, BeamformerSpec, capon_closed_form
+from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector, capon_closed_form
 from caponshape.cli import BENCHMARK_OPTIONS
 from caponshape.evaluation import (
     DB_FLOOR,
@@ -31,7 +31,7 @@ from caponshape.evaluation import (
     sinr,
     write_pattern_csv,
 )
-from caponshape.solver import NumericalError
+from caponshape.solver import SolverStatus
 
 
 def test_beam_pattern_peaks_at_the_matched_direction(scenario, manifold):
@@ -206,17 +206,20 @@ def test_monte_carlo_validates_inputs(scenario, manifold, config):
         monte_carlo(scenario, [], 1, scenario.seed)
 
 
-def test_monte_carlo_counts_solver_failures(monkeypatch, scenario, manifold, config):
-    def always_fails(*args, **kwargs):
-        raise NumericalError("forced")
+def every_trial_fails(method, covariances, *args, **kwargs):
+    return [WeightVector(np.full(8, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0, math.nan)
+            for _ in covariances]
 
-    monkeypatch.setattr("caponshape.evaluation.solve_method", always_fails)
+
+def test_monte_carlo_counts_solver_failures(monkeypatch, scenario, manifold, config):
+    monkeypatch.setattr("caponshape.evaluation.solve_trials", every_trial_fails)
     report = monte_carlo(scenario, [BeamformerSpec(BeamformerKind.CAPON)], 2,
                          scenario.seed, 0.0, manifold, config.b, BENCHMARK_OPTIONS)
     entry = report.methods[0]
     assert entry.failures == 2
     assert entry.per_trial_db == ()
     assert math.isnan(entry.mean_sinr_db)
+    assert entry.solver_stats()["numerical_failure"] == 2
 
 
 def test_monte_carlo_resolves_auto_gamma_once(scenario, manifold, config):
@@ -240,5 +243,7 @@ def test_sinr_report_to_dict_schema(scenario, manifold, config):
     assert doc["mismatch_deg"] == 1.5
     assert doc["seed"] == scenario.seed
     entry = doc["methods"][0]
-    assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures"}
+    assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures", "solver"}
     assert entry["kind"] == "capon"
+    assert entry["solver"] == {"converged": 1, "max_iters": 0, "numerical_failure": 0,
+                               "iterations_p50": 0, "iterations_p90": 0, "iterations_max": 0}

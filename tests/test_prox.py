@@ -4,6 +4,8 @@ certificates, and brute-force spot checks."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import grid_minimize, linf_polish
 
@@ -146,3 +148,50 @@ def test_prox_operators_match_brute_force_spot_checks():
 
         bf = grid_minimize(lambda x: np.linalg.norm(x, axis=1), v, t)
         assert np.abs(prox_group_l2(v, [np.arange(2)], t) - bf).max() <= 1e-4
+
+
+def _rows(draw, n_max=8):
+    """A (T, n) complex array and a nonnegative per-row threshold."""
+    t_rows = draw(st.integers(1, 5))
+    n = draw(st.integers(1, n_max))
+    # a 0.01 grid, so exact zeros and ties occur but no modulus is so small
+    # that a threshold divided by it overflows
+    parts = st.integers(-1000, 1000).map(lambda k: k / 100.0)
+    re = np.array(draw(st.lists(parts, min_size=t_rows * n, max_size=t_rows * n))).reshape(t_rows, n)
+    im = np.array(draw(st.lists(parts, min_size=t_rows * n, max_size=t_rows * n))).reshape(t_rows, n)
+    thresholds = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=t_rows, max_size=t_rows)))
+    return re + 1j * im, thresholds
+
+
+@st.composite
+def rows_and_thresholds(draw):
+    return _rows(draw)
+
+
+@given(rows_and_thresholds(), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_row_wise_proxes_equal_stacked_single_row_calls(case, n_groups):
+    v, t = case
+    n = v.shape[1]
+    groups = [g for g in np.array_split(np.arange(n)[::-1], min(n_groups, n))]
+    for op in (prox_l1, prox_linf, project_l1_ball,
+               lambda x, r: group_shrink(x, groups, r), lambda x, r: prox_group_l2(x, groups, r)):
+        npt.assert_array_equal(op(v, t), np.stack([op(row, r) for row, r in zip(v, t)]))
+
+
+@given(rows_and_thresholds())
+@settings(max_examples=200, deadline=None)
+def test_project_l1_ball_lands_in_the_ball_and_is_idempotent(case):
+    v, radius = case
+    p = project_l1_ball(v, radius)
+    assert np.all(np.abs(p).sum(axis=1) <= radius * (1.0 + 1e-12) + 1e-12)
+    npt.assert_allclose(project_l1_ball(p, radius), p, rtol=1e-12, atol=1e-12)
+
+
+def test_row_wise_prox_rejects_a_negative_row_threshold():
+    v = np.ones((2, 3), dtype=complex)
+    for op in (prox_l1, prox_linf, project_l1_ball):
+        with pytest.raises(ValueError):
+            op(v, np.array([0.5, -0.1]))
+    with pytest.raises(ValueError):
+        prox_group_l2(v, [np.arange(3)], np.array([0.5, -0.1]))

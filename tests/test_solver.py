@@ -4,6 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from caponshape.arrays import difference_operator, sample_covariance, synthesize_snapshots
+from caponshape.cli import BENCHMARK_OPTIONS
 from caponshape.solver import (
     PenaltyKind,
     PenaltyTerm,
@@ -72,6 +74,14 @@ def test_penalty_term_validation():
         PenaltyTerm(np.eye(3), PenaltyKind.GROUP_L2, 1.0, groups=(np.array([0, 1]),))
     term = PenaltyTerm(np.eye(3), PenaltyKind.GROUP_L2, 1.0)
     assert len(term.groups) == 1 and term.groups[0].size == 3
+    with pytest.raises(ValueError):
+        PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0, scale=np.ones(2))  # one weight per column
+    with pytest.raises(ValueError):
+        PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0, scale=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError):
+        PenaltyTerm(np.eye(3), PenaltyKind.SQUARED_L2, 1.0, scale=np.ones(3))
+    scaled = PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0, scale=np.array([1.0, 2.0, 3.0]))
+    assert scaled.value(np.array([1.0, -1.0, 1.0j])) == 6.0
 
 
 def test_problem_spec_validation():
@@ -325,3 +335,92 @@ def test_smooth_gradient_matches_finite_differences():
         fd[k] = (f(z + h * e) - f(z - h * e)) / (2 * h) \
             + 1j * (f(z + 1j * h * e) - f(z - 1j * h * e)) / (2 * h)
     assert np.linalg.norm(fd - grad) <= 1e-7 * np.linalg.norm(grad)
+
+
+def _packaged_covariances(scenario, count):
+    return [sample_covariance(synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data).matrix
+            for t in range(count)]
+
+
+@pytest.mark.parametrize("kinds", ["l1", "linf+l1", "group_l2+l1"])
+def test_admm_batch_equals_single_solves(scenario, manifold, split, a0, kinds):
+    # the batched loop must run each problem exactly as a batch of one does
+    first_difference = difference_operator(1, manifold.angles_deg.size)
+    terms = {
+        "l1": (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.3),),
+        "linf+l1": (PenaltyTerm(split.a_main, PenaltyKind.LINF, 0.2), PenaltyTerm(split.a_side, PenaltyKind.L1, 0.2)),
+        "group_l2+l1": (PenaltyTerm(manifold.matrix @ first_difference.T, PenaltyKind.GROUP_L2, 0.3),
+                        PenaltyTerm(split.a_side, PenaltyKind.L1, 0.2)),
+    }[kinds]
+    specs = [ProblemSpec(r, a0, terms) for r in _packaged_covariances(scenario, 5)]
+    batch = admm_solve(specs, BENCHMARK_OPTIONS)
+    for spec, got in zip(specs, batch):
+        alone = admm_solve(spec, BENCHMARK_OPTIONS)
+        assert got.status is alone.status is SolverStatus.CONVERGED
+        assert got.iterations == alone.iterations
+        assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
+
+
+def test_admm_batch_with_per_problem_column_scales(scenario, manifold, a0):
+    # the weighted-sparse shape: one shared operator, one column scale per problem
+    rng = np.random.default_rng(16)
+    specs = [
+        ProblemSpec(r, a0, (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 1.0,
+                                        scale=rng.uniform(0.01, 1.0, manifold.angles_deg.size)),))
+        for r in _packaged_covariances(scenario, 4)
+    ]
+    batch = admm_solve(specs, BENCHMARK_OPTIONS)
+    for spec, got in zip(specs, batch):
+        alone = admm_solve(spec, BENCHMARK_OPTIONS)
+        assert got.status is alone.status
+        assert got.iterations == alone.iterations
+        assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
+        assert got.objective == pytest.approx(objective_value(spec, got.w))
+
+
+def test_admm_batch_confines_a_failure_to_its_problem(monkeypatch, scenario, manifold, a0):
+    good = _packaged_covariances(scenario, 2)
+    opts = SolverOptions(ridge=0.0, max_iters=2000, tol_primal=1e-6, tol_dual=1e-6)
+    # a singular quadratic with no active penalty cannot be factored
+    unpenalized = (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.0),)
+    specs = [ProblemSpec(r, a0, unpenalized) for r in (good[0], np.zeros((8, 8)), good[1])]
+    # an indefinite quadratic makes the penalized z-system unfactorable
+    penalized = (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.3),)
+    specs += [ProblemSpec(r, a0, penalized) for r in (good[0], -1e6 * np.eye(8), good[1])]
+    for group in (specs[:3], specs[3:]):
+        results = admm_solve(group, opts)
+        assert results[1].status is SolverStatus.NUMERICAL_FAILURE
+        for spec, got in zip(group[::2], results[::2]):
+            alone = admm_solve(spec, opts)
+            assert got.status is alone.status is SolverStatus.CONVERGED
+            assert got.iterations == alone.iterations
+            npt.assert_allclose(got.w, alone.w, rtol=1e-10, atol=0.0)
+
+    # a non-finite residual stops its own problem only
+    import caponshape.solver as solver
+
+    prox_l1 = solver.prox_l1
+
+    def poisoned(v, t):
+        out = prox_l1(v, t)
+        if out.shape[0] == 3:
+            out[1] = np.nan
+        return out
+
+    monkeypatch.setattr(solver, "prox_l1", poisoned)
+    results = admm_solve(specs[3:4] + specs[5:6] + specs[3:4], opts)
+    assert [r.status for r in results] == [SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE,
+                                           SolverStatus.CONVERGED]
+    assert results[1].iterations == 1
+    assert results[0].iterations == results[2].iterations > 1
+
+
+def test_admm_batch_validation(a0):
+    with pytest.raises(ValueError):
+        admm_solve([])
+    op = np.eye(8, dtype=complex)
+    with pytest.raises(ValueError):
+        admm_solve([ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.1),)),
+                    ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.2),))])
+    with pytest.raises(ValueError):
+        admm_solve([ProblemSpec(np.eye(8), a0), ProblemSpec(np.eye(8), 1j * a0)])
