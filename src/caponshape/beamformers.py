@@ -18,8 +18,9 @@ MSPR_RELAXED              gamma * ((||A_M^H w||^2 - 1)^2 + ||A_S^H w||^2)
 
 A_M / A_S are the mainlobe/sidelobe column blocks of the manifold, D_i the
 stacked forward/backward order-i finite-difference matrices. Convex kinds go
-through admm_solve, batched across trials by solve_trials; MSPR_RELAXED takes
-the smooth nonconvex path initialized at the closed form, trial by trial.
+through admm_solve, batched across trials or gammas by solve_trials;
+MSPR_RELAXED takes the smooth nonconvex path initialized at the closed form,
+one problem at a time.
 """
 
 from __future__ import annotations
@@ -153,7 +154,8 @@ class WeightVector:
 
     ``constraint_residual`` is |w^H a - 1| at the presumed steering vector;
     ``ridged`` flags a closed-form solve that needed the singularity-rescue
-    ridge.
+    ridge. ``subgrad_residual`` is the solver's stationarity certificate
+    (see ``SolverResult``); the closed form has none and reports 0.
     """
 
     weights: np.ndarray
@@ -162,6 +164,7 @@ class WeightVector:
     iterations: int
     objective: float
     ridged: bool = False
+    subgrad_residual: float = 0.0
 
 
 def _covariance_matrix(r) -> np.ndarray:
@@ -179,6 +182,7 @@ def _weights(result: SolverResult) -> WeightVector:
         status=result.status,
         iterations=result.iterations,
         objective=result.objective,
+        subgrad_residual=result.subgrad_residual,
     )
 
 
@@ -298,17 +302,18 @@ def _mspr(r, a: np.ndarray, split: ManifoldSplit, gamma: float, options: SolverO
 
 
 def _convex_terms(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> tuple:
-    """The penalty terms of a method solved by ADMM. WEIGHTED_SPARSE's SNM
+    """The penalty terms of a method solved by ADMM, at gamma = 1 (each
+    problem scales their weights by its own gamma). WEIGHTED_SPARSE's SNM
     weights are per trial, so they enter as the column scale of its one term
     (Q A^H w = (A Q)^H w since Q = diag(q) is real)."""
-    kind, gamma = method.kind, method.gamma
+    kind = method.kind
     if kind in (BeamformerKind.SPARSE, BeamformerKind.WEIGHTED_SPARSE):
-        return (PenaltyTerm(operator=manifold.matrix, kind=PenaltyKind.L1, weight=gamma),)
+        return (PenaltyTerm(operator=manifold.matrix, kind=PenaltyKind.L1, weight=1.0),)
     if kind is BeamformerKind.MIXED_NORM:
         split = resolve_split(method, manifold, split)
         return (
-            PenaltyTerm(operator=split.a_main, kind=PenaltyKind.LINF, weight=gamma),
-            PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma),
+            PenaltyTerm(operator=split.a_main, kind=PenaltyKind.LINF, weight=1.0),
+            PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=1.0),
         )
     if kind is BeamformerKind.TVM_SPARSE:
         n = manifold.angles_deg.size
@@ -318,9 +323,9 @@ def _convex_terms(method: BeamformerSpec, manifold: ArrayManifold, split: Manifo
             # D_i = [F; flip(F)] and flip(F) = (-1)^i F, so ||D_i p|| = sqrt(2) ||F p||;
             # v = F A^H w, so the operator is A F^T (F is real)
             terms.append(
-                PenaltyTerm(operator=manifold.matrix @ f.T, kind=PenaltyKind.GROUP_L2, weight=math.sqrt(2.0) * gamma)
+                PenaltyTerm(operator=manifold.matrix @ f.T, kind=PenaltyKind.GROUP_L2, weight=math.sqrt(2.0))
             )
-        terms.append(PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=gamma))
+        terms.append(PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=1.0))
         return tuple(terms)
     raise AssertionError(kind)
 
@@ -335,7 +340,7 @@ def resolve_split(method: BeamformerSpec, manifold: ArrayManifold, split: Manifo
 
 
 def solve_trials(
-    method: BeamformerSpec,
+    methods,
     covariances,
     manifold: ArrayManifold,
     split: ManifoldSplit,
@@ -343,44 +348,67 @@ def solve_trials(
     snm=None,
     options: SolverOptions = SolverOptions(),
 ) -> list:
-    """Solve one BeamformerSpec against each covariance estimate of a batch
-    of trials, returning one WeightVector per trial.
+    """Solve each covariance estimate of a batch with its own BeamformerSpec,
+    returning one WeightVector per covariance.
 
-    ``snm`` holds each trial's SNM weight vector (see ``snm_weighting``) and
-    is required only by WEIGHTED_SPARSE; ``method.gamma`` must already be
-    resolved (not auto). The ADMM kinds solve every trial in one batched
-    ``admm_solve``; CAPON and MSPR_RELAXED solve trial by trial. A trial
-    that fails numerically comes back with status NUMERICAL_FAILURE rather
-    than raising, so it fails alone.
+    ``methods`` holds one spec per covariance, all of one kind with the same
+    ``b`` and ``tv_orders``; their gammas are free but must be resolved (not
+    auto). A batch of Monte Carlo trials repeats one spec over many
+    covariances; a gamma sweep repeats one covariance over a grid of gammas.
+    ``snm`` holds each covariance's SNM weight vector (see
+    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. The ADMM
+    kinds build their penalty terms once and reweight them per problem, so
+    the batch shares the operator objects; the problems with a positive
+    gamma then solve in one ``admm_solve`` and those with gamma 0 in another,
+    since a batch shares which penalties are active. CAPON and MSPR_RELAXED
+    solve one by one. A problem that fails numerically comes back with
+    status NUMERICAL_FAILURE rather than raising, so it fails alone.
     """
-    kind = method.kind
+    methods = list(methods)
     mats = [_covariance_matrix(r) for r in covariances]
+    if not mats or len(methods) != len(mats):
+        raise ValueError(f"solve_trials needs one method per covariance, got {len(methods)} and {len(mats)}")
+    first = methods[0]
+    kind = first.kind
+    if any((m.kind, m.b, m.tv_orders) != (kind, first.b, first.tv_orders) for m in methods):
+        raise ValueError("a batch solves one kind with one b and tv_orders; only gamma may differ")
     a = np.asarray(a, dtype=complex).ravel()
     if kind is BeamformerKind.CAPON:
-        return _each_trial(capon_closed_form, mats, a)
-    if method.gamma is None:
+        return _each_trial(lambda r, gamma: capon_closed_form(r, a), mats, methods, a.size)
+    if any(m.gamma is None for m in methods):
         raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
     if kind is BeamformerKind.MSPR_RELAXED:
-        return _each_trial(_mspr, mats, a, resolve_split(method, manifold, split), method.gamma, options)
-    terms = _convex_terms(method, manifold, split)
+        mspr_split = resolve_split(first, manifold, split)
+        return _each_trial(lambda r, gamma: _mspr(r, a, mspr_split, gamma, options), mats, methods, a.size)
+    terms = _convex_terms(first, manifold, split)
     if kind is BeamformerKind.WEIGHTED_SPARSE:
         if snm is None:
             raise ValueError("WEIGHTED_SPARSE needs the snapshots (their SNM weights)")
-        specs = [ProblemSpec(r, a, (replace(terms[0], scale=q),)) for r, q in zip(mats, snm, strict=True)]
+        scales = list(snm)
     else:
-        specs = [ProblemSpec(r, a, terms) for r in mats]
-    return [_weights(result) for result in admm_solve(specs, options)]
+        scales = [None] * len(mats)
+    specs = [
+        ProblemSpec(r, a, tuple(replace(t, weight=t.weight * m.gamma, scale=q) for t in terms))
+        for r, m, q in zip(mats, methods, scales, strict=True)
+    ]
+    out = [None] * len(specs)
+    for penalized in (True, False):
+        group = [i for i, m in enumerate(methods) if (m.gamma > 0) == penalized]
+        if group:
+            for i, result in zip(group, admm_solve([specs[i] for i in group], options)):
+                out[i] = _weights(result)
+    return out
 
 
-def _each_trial(solve, mats: list, a: np.ndarray, *args) -> list:
-    """``solve(r, a, *args)`` for each covariance r; a NumericalError fails
-    that trial alone."""
+def _each_trial(solve, mats: list, methods: list, size: int) -> list:
+    """``solve(r, gamma)`` for each covariance r and its method's gamma; a
+    NumericalError fails that problem alone."""
     out = []
-    for r in mats:
+    for r, method in zip(mats, methods):
         try:
-            out.append(solve(r, a, *args))
+            out.append(solve(r, method.gamma))
         except NumericalError:
-            out.append(WeightVector(np.full(a.size, np.nan, dtype=complex), math.nan,
+            out.append(WeightVector(np.full(size, np.nan, dtype=complex), math.nan,
                                     SolverStatus.NUMERICAL_FAILURE, 0, math.nan))
     return out
 
@@ -403,7 +431,7 @@ def solve_method(
     snm = None
     if method.kind is BeamformerKind.WEIGHTED_SPARSE and x is not None:
         snm = [snm_weighting(manifold, x)]
-    out = solve_trials(method, [r], manifold, split, a, snm, options)[0]
+    out = solve_trials([method], [r], manifold, split, a, snm, options)[0]
     if out.status is SolverStatus.NUMERICAL_FAILURE:
         raise NumericalError(f"{method.kind.value} solve failed numerically")
     return out

@@ -28,8 +28,10 @@ from .arrays import (
     steering_vector,
     synthesize_snapshots,
 )
-from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method, solve_trials
-from .solver import SolverOptions, SolverStatus
+# solve_method is not called here but stays importable from this module,
+# where bench/spans.py hooks it
+from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method, solve_trials  # noqa: F401
+from .solver import NumericalError, SolverOptions, SolverStatus
 
 __all__ = [
     "DB_FLOOR",
@@ -75,8 +77,8 @@ class BeamPattern:
 @dataclass(frozen=True)
 class MethodSinr:
     """One method's Monte Carlo result. ``per_trial_db`` holds the SINR of
-    every trial that did not fail; ``statuses`` and ``iterations`` hold the
-    solver outcome of every trial."""
+    every trial that did not fail; ``statuses``, ``iterations`` and
+    ``subgrad_residuals`` hold the solver outcome of every trial."""
 
     method: BeamformerSpec
     mean_sinr_db: float
@@ -86,16 +88,21 @@ class MethodSinr:
     per_trial_db: tuple = field(repr=False, default=())
     statuses: tuple = field(repr=False, default=())
     iterations: tuple = field(repr=False, default=())
+    subgrad_residuals: tuple = field(repr=False, default=())
 
     def solver_stats(self) -> dict:
-        """Solver status counts and nearest-rank iteration quantiles over the
-        trials."""
+        """Solver status counts, nearest-rank iteration quantiles over the
+        trials, and the worst stationarity certificate over the trials that
+        did not fail (NaN when every trial failed)."""
         stats = {status.value: 0 for status in SolverStatus}
         for status in self.statuses:
             stats[status.value] += 1
         ordered = sorted(self.iterations)
         for name, q in (("p50", 0.5), ("p90", 0.9), ("max", 1.0)):
             stats[f"iterations_{name}"] = ordered[max(0, math.ceil(q * len(ordered)) - 1)] if ordered else 0
+        residuals = [res for res, status in zip(self.subgrad_residuals, self.statuses)
+                     if status is not SolverStatus.NUMERICAL_FAILURE]
+        stats["subgrad_residual_max"] = max(residuals, default=math.nan)
         return stats
 
 
@@ -242,7 +249,9 @@ def gamma_sweep(
 
     The draw uses the scenario's own seed with the true SOI direction forced
     to the presumed one; each grid point records output SINR, mean sidelobe
-    level, and the mainlobe-to-sidelobe ratio.
+    level, and the mainlobe-to-sidelobe ratio. The grid solves as one batch
+    (``solve_trials``), with the SNM weights computed once; a point that
+    fails numerically raises NumericalError.
     """
     if len(grid) == 0:
         raise ValueError("gamma grid must be nonempty")
@@ -251,17 +260,22 @@ def gamma_sweep(
     validation = scenario.with_soi_doa(scenario.presumed_doa_deg)
     split = split_manifold(manifold, validation.presumed_doa_deg, b)
     a = steering_vector(validation.geometry, validation.presumed_doa_deg)
-    snapshots = synthesize_snapshots(validation)
-    r = sample_covariance(snapshots.data)
+    data = synthesize_snapshots(validation).data
+    r = sample_covariance(data)
+    snm = [snm_weighting(manifold, data)] * len(grid) if method.kind is BeamformerKind.WEIGHTED_SPARSE else None
+    methods = [method.with_gamma(float(gamma)) for gamma in grid]
+    results = solve_trials(methods, [r] * len(grid), manifold, split, a, snm, options)
+    ratio_split = resolve_split(method, manifold, split)
     points = []
-    for gamma in grid:
-        result = solve_method(method.with_gamma(float(gamma)), r, manifold, split, a, snapshots.data, options)
+    for point, result in zip(methods, results):
+        if result.status is SolverStatus.NUMERICAL_FAILURE:
+            raise NumericalError(f"{method.kind.value} solve failed numerically at gamma {point.gamma:g}")
         points.append(
             SweepPoint(
-                gamma=float(gamma),
+                gamma=point.gamma,
                 sinr_db=sinr(result.weights, validation),
                 sidelobe_db=sidelobe_mean_db(result.weights, manifold, split),
-                mspr=mspr(result.weights, resolve_split(method, manifold, split)),
+                mspr=mspr(result.weights, ratio_split),
             )
         )
     return points
@@ -352,7 +366,7 @@ def monte_carlo(
 
     entries = []
     for method in resolved:
-        outcomes = solve_trials(method, covariances, manifold, split, a, snm if needs_snm else None, options)
+        outcomes = solve_trials([method] * trials, covariances, manifold, split, a, snm, options)
         vals = tuple(
             sinr(out.weights, trial_scenario)
             for out, trial_scenario in zip(outcomes, trial_scenarios)
@@ -368,6 +382,7 @@ def monte_carlo(
                 per_trial_db=vals,
                 statuses=tuple(out.status for out in outcomes),
                 iterations=tuple(out.iterations for out in outcomes),
+                subgrad_residuals=tuple(out.subgrad_residual for out in outcomes),
             )
         )
     return SinrReport(methods=tuple(entries), mismatch_deg=float(mismatch_deg), seed=int(base_seed))

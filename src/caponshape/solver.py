@@ -275,18 +275,24 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _shares_operators(first: ProblemSpec, other: ProblemSpec) -> bool:
     """Whether two specs have the same constraint vector and penalty terms,
-    up to each term's column scale."""
+    up to each term's weight and column scale, with the same terms active
+    (weight > 0)."""
     return (
         np.array_equal(first.constraint_vector, other.constraint_vector)
         and len(first.penalties) == len(other.penalties)
         and all(
             x.kind is y.kind
-            and x.weight == y.weight
+            and (x.weight > 0) == (y.weight > 0)
             and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
-            and (x.groups is y.groups or [g.tolist() for g in x.groups] == [g.tolist() for g in y.groups])
+            and (x.groups is y.groups
+                 or (len(x.groups) == len(y.groups) and all(map(np.array_equal, x.groups, y.groups))))
             for x, y in zip(first.penalties, other.penalties)
         )
     )
+
+
+def _same_scale(x, y) -> bool:
+    return x is y or (x is not None and y is not None and np.array_equal(x, y))
 
 
 def admm_solve(spec, opts: SolverOptions = SolverOptions()):
@@ -295,8 +301,9 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
 
     ``spec`` is one ProblemSpec, solved as a batch of one and returning one
     SolverResult, or a sequence of T specs, returning a list of T results.
-    The specs of a batch must share the constraint vector and penalty terms
-    up to each term's column scale; their quadratics are free. Each problem
+    The specs of a batch must share the constraint vector, the penalty
+    operators and which penalties are active (weight > 0); their quadratics,
+    penalty weights and column scales are free. Each problem
     runs the iteration it would run alone, with its own factorization,
     residuals and stopping test, and leaves the batch when it stops, so a
     failure is confined to its own result.
@@ -309,9 +316,11 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     rescaling any penalty weight or operator (these penalties are positively
     1-homogeneous); rho is just the overall multiplier. The fixed point does
     not depend on this choice. Blocks are stacked into one operator K shared
-    by the batch (the scales enter as per-problem row weights), so each
-    iteration costs two (T, m) x m-by-n products, one batched m x m
-    inverse-times-vector, and the row-wise block proxes. Stops a problem when
+    by the batch (per-problem scales and splitting penalties enter as row
+    weights), so each iteration costs two (T, m) x m-by-n products, one
+    batched m x m inverse-times-vector, and the row-wise block proxes. The
+    z-system of problem t is quad_t + sum_j rho_tj K_j^H K_j, built from the
+    per-block Gram matrices when the batch shares its scales. Stops a problem when
     its absolute primal and dual residual norms (in the original, unscaled
     block units) drop below tol_primal / tol_dual.
     """
@@ -327,7 +336,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
             raise ValueError(f"unsupported penalty kind for admm_solve: {term.kind}")
     if not all(_shares_operators(first, other) for other in specs[1:]):
-        raise ValueError("a batch must share the constraint vector and penalty terms up to column scales")
+        raise ValueError("a batch must share the constraint vector, the penalty operators and which penalties are active")
 
     count = len(specs)
     w0, basis = eliminate_constraint(first.constraint_vector)
@@ -375,33 +384,44 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(terms))]
     k_mat = np.vstack([t.operator.conj().T @ basis for t in terms])
     c_vec = np.concatenate([t.operator.conj().T @ w0 for t in terms])
-    scale = np.stack([
-        np.concatenate([
+
+    def column_scale(s):
+        return np.concatenate([
             np.ones(size) if s.penalties[j].scale is None else s.penalties[j].scale
             for j, size in zip(active_terms, sizes)
         ])
-        for s in specs
-    ])
+
     # a scale the whole batch shares (always so for one problem) folds into K
-    scaled = not (scale == scale[0]).all()
+    scaled = not all(
+        _same_scale(s.penalties[j].scale, first.penalties[j].scale) for s in specs[1:] for j in active_terms
+    )
     if scaled:
+        scale = np.stack([column_scale(s) for s in specs])
         sigmas = np.stack(
             [np.linalg.norm(scale[:, sl, np.newaxis] * k_mat[sl], 2, axis=(1, 2)) for sl in slices], axis=1
         )
+        c = scale * c_vec
     else:
-        k_mat, c_vec, scale = k_mat * scale[0][:, np.newaxis], c_vec * scale[0], np.ones_like(scale)
+        shared = column_scale(first)
+        k_mat, c = k_mat * shared[:, np.newaxis], c_vec * shared
         sigmas = np.array([[np.linalg.norm(k_mat[sl], 2) for sl in slices]])
     k_t, k_conj = k_mat.T, k_mat.conj()
-    weights = np.array([t.weight for t in terms])
-    block_rho = np.broadcast_to(opts.rho * weights * np.where(sigmas > 0, sigmas, 1.0), (count, len(terms)))
+    weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs])
+    block_rho = opts.rho * weights * np.where(sigmas > 0, sigmas, 1.0)
     prox_ts = weights / block_rho
-    # K_t^H diag(rho) y = K^H (scale * rho * y) for problem t's scaled operator
-    rho_k = np.repeat(block_rho, sizes, axis=1) * scale
-    c = scale * c_vec
-
-    # K_t^H diag(rho_t) K_t, one shared matrix when the batch shares its scale
-    gram_weight = rho_k * scale if scaled else rho_k[0]
-    inv_sys, ok = _inverses(quad + (k_conj.T * gram_weight[..., np.newaxis, :]) @ k_mat)
+    # splitting penalty per operator row (K_t^H diag(rho_t) y = K^H (scale *
+    # rho * y) for problem t's scaled operator), one row when the batch
+    # shares it
+    shared_rho = not scaled and (block_rho == block_rho[0]).all()
+    rho_k = np.repeat(block_rho[:1] if shared_rho else block_rho, sizes, axis=1)
+    if scaled:
+        rho_k = rho_k * scale
+        # K_t^H diag(rho_t) K_t, one m x n product at a time
+        gram = np.stack([(k_conj.T * weight) @ k_mat for weight in rho_k * scale])
+    else:
+        block_grams = np.stack([k_conj[sl].T @ k_mat[sl] for sl in slices])
+        gram = np.tensordot(block_rho, block_grams, axes=1)
+    inv_sys, ok = _inverses(quad + gram)
 
     # results by problem; the loop runs on the rows of the problems still active
     z_out = np.zeros((count, m), dtype=complex)
@@ -413,23 +433,29 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     traces = [[] for _ in range(count)] if opts.keep_trace else None
 
     active = np.flatnonzero(ok)
-    lin_a, inv_a, rho_a, c_a, scale_a, ts_a = (x[active] for x in (lin, inv_sys, rho_k, c, scale, prox_ts))
+    lin_a, inv_a, ts_a = (x[active] for x in (lin, inv_sys, prox_ts))
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
-    # active problem t; without scales, rho folds into the shared operator
+    # active problem t; a scale or rho the batch shares folds into K
     if scaled:
+        c_a, scale_a = c[active], scale[active]
+
         def forward(z):
             return (z @ k_t) * scale_a + c_a
-
-        def back(y):
-            return (rho_a * y) @ k_conj
     else:
-        k_rho = k_conj * rho_k[0][:, np.newaxis]
+        c_a = c
 
         def forward(z):
             return z @ k_t + c_a
+    if shared_rho:
+        k_rho = k_conj * rho_k[0][:, np.newaxis]
 
         def back(y):
             return y @ k_rho
+    else:
+        rho_a = rho_k[active]
+
+        def back(y):
+            return (rho_a * y) @ k_conj
 
     term_slices = list(zip(terms, slices))
     z = z[active]
@@ -465,9 +491,13 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
                 z_out[t], u_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], u[i], rp[i], rd[i], it
                 status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol_primal else SolverStatus.NUMERICAL_FAILURE
             going = ~stopped
-            active, z, v, u, rp, rd, lin_a, inv_a, rho_a, c_a, scale_a, ts_a = (
-                x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, rho_a, c_a, scale_a, ts_a)
+            active, z, v, u, rp, rd, lin_a, inv_a, ts_a = (
+                x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, ts_a)
             )
+            if not shared_rho:
+                rho_a = rho_a[going]
+            if scaled:
+                c_a, scale_a = c_a[going], scale_a[going]
     # the problems still active stopped at the cap
     z_out[active], u_out[active], rp_out[active], rd_out[active] = z, u, rp, rd
 
@@ -540,10 +570,13 @@ def smooth_solve(
     Hermitian curvature model refreshed at each iterate (the quadratic-part
     Hessian plus the quartic's complex-linear curvature), falling back to
     the quadratic-only factor when the model goes indefinite; with no
-    quartic terms this is an exact Newton step. Stops when
-    ||g|| < smooth_grad_tol; the objective sequence is nonincreasing.
-    Returns a stationary point (not guaranteed to be the global minimum of a
-    nonconvex spec).
+    quartic terms this is an exact Newton step. Stops with status CONVERGED
+    when ||g|| < smooth_grad_tol, or when an accepted step leaves z
+    bit-for-bit unchanged: from such a fixed point w, f and g repeat exactly,
+    so every later iteration would repeat it, and ``subgrad_residual`` keeps
+    ||g|| there. The objective sequence is nonincreasing. Returns a
+    stationary point (not guaranteed to be the global minimum of a nonconvex
+    spec).
     """
     a = spec.constraint_vector
     w0, basis = eliminate_constraint(a)
@@ -622,6 +655,10 @@ def smooth_solve(
         else:
             status = SolverStatus.NUMERICAL_FAILURE
             iters = it
+            break
+        if np.array_equal(z_new, z):
+            status = SolverStatus.CONVERGED
+            iters = it + 1
             break
         z, w, f_curr = z_new, w_new, f_new
 

@@ -340,7 +340,7 @@ def test_solve_trials_matches_one_trial_solves(scenario, manifold, split, a0):
     snm = [snm_weighting(manifold, x) for x in draws]
     for kind in BeamformerKind:
         method = BeamformerSpec(kind, GAMMAS.get(kind))
-        batch = solve_trials(method, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        batch = solve_trials([method] * 3, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
         for r, x, got in zip(covariances, draws, batch):
             alone = solve_method(method, r, manifold, split, a0, x, BENCHMARK_OPTIONS)
             assert got.status is alone.status, kind
@@ -351,7 +351,7 @@ def test_solve_trials_matches_one_trial_solves(scenario, manifold, split, a0):
 def test_solve_trials_fails_a_trial_alone(covariance, manifold, split, a0):
     # a dead covariance raises in solve_method but only marks its own trial here
     covariances = [covariance, np.zeros((8, 8)), covariance]
-    batch = solve_trials(BeamformerSpec(BeamformerKind.CAPON), covariances, manifold, split, a0)
+    batch = solve_trials([BeamformerSpec(BeamformerKind.CAPON)] * 3, covariances, manifold, split, a0)
     assert [out.status for out in batch] == [SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE,
                                              SolverStatus.CONVERGED]
     assert np.all(np.isnan(batch[1].weights))
@@ -359,4 +359,10 @@ def test_solve_trials_fails_a_trial_alone(covariance, manifold, split, a0):
     with pytest.raises(NumericalError):
         solve_method(BeamformerSpec(BeamformerKind.CAPON), np.zeros((8, 8)), manifold, split, a0)
     with pytest.raises(ValueError):
-        solve_trials(BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, 0.1), covariances, manifold, split, a0)
+        solve_trials([BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, 0.1)] * 3, covariances, manifold, split, a0)
+    # one spec per covariance, of one kind and shape
+    with pytest.raises(ValueError):
+        solve_trials([BeamformerSpec(BeamformerKind.CAPON)] * 2, covariances, manifold, split, a0)
+    with pytest.raises(ValueError):
+        solve_trials([BeamformerSpec(BeamformerKind.SPARSE, 0.1), BeamformerSpec(BeamformerKind.MIXED_NORM, 0.1)],
+                     covariances[:1] * 2, manifold, split, a0)

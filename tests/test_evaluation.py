@@ -17,7 +17,7 @@ from caponshape.arrays import (
     steering_vector,
     synthesize_snapshots,
 )
-from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector, capon_closed_form
+from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector, capon_closed_form, solve_method
 from caponshape.cli import BENCHMARK_OPTIONS
 from caponshape.evaluation import (
     DB_FLOOR,
@@ -165,6 +165,23 @@ def test_gamma_sweep_zero_point_is_the_closed_form(scenario, manifold, a0, confi
     assert math.isclose(point.sinr_db, sinr(w, validation), abs_tol=1e-4)
 
 
+@pytest.mark.parametrize("kind", [k for k in BeamformerKind if k is not BeamformerKind.CAPON], ids=lambda k: k.value)
+def test_gamma_sweep_matches_point_by_point_solves(scenario, manifold, split, a0, config, kind):
+    # the grid solves as batches (gamma 0 apart from the positive gammas);
+    # each point must match its own solve, to a bound fixed before running
+    grid = (0.0, 0.1, 1.0)
+    points = gamma_sweep(BeamformerSpec(kind), scenario, manifold, config.b, grid, BENCHMARK_OPTIONS)
+    validation = scenario.with_soi_doa(scenario.presumed_doa_deg)
+    data = synthesize_snapshots(validation).data
+    r = sample_covariance(data)
+    assert [p.gamma for p in points] == list(grid)
+    for point in points:
+        w = solve_method(BeamformerSpec(kind, point.gamma), r, manifold, split, a0, data, BENCHMARK_OPTIONS).weights
+        assert math.isclose(point.sinr_db, sinr(w, validation), rel_tol=0.0, abs_tol=1e-9)
+        assert math.isclose(point.sidelobe_db, sidelobe_mean_db(w, manifold, split), rel_tol=0.0, abs_tol=1e-9)
+        assert math.isclose(point.mspr, mspr(w, split), rel_tol=1e-9)
+
+
 def test_gamma_sweep_rejects_empty_grid(scenario, manifold, config):
     with pytest.raises(ValueError):
         gamma_sweep(BeamformerSpec(BeamformerKind.SPARSE), scenario, manifold, config.b, ())
@@ -246,4 +263,5 @@ def test_sinr_report_to_dict_schema(scenario, manifold, config):
     assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures", "solver"}
     assert entry["kind"] == "capon"
     assert entry["solver"] == {"converged": 1, "max_iters": 0, "numerical_failure": 0,
-                               "iterations_p50": 0, "iterations_p90": 0, "iterations_max": 0}
+                               "iterations_p50": 0, "iterations_p90": 0, "iterations_max": 0,
+                               "subgrad_residual_max": 0.0}

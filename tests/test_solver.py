@@ -1,11 +1,15 @@
 """Constraint elimination, the ADMM path, and the smooth descent path."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caponshape.arrays import difference_operator, sample_covariance, synthesize_snapshots
+from caponshape.arrays import difference_operator, sample_covariance, snm_weighting, synthesize_snapshots
+from caponshape.beamformers import mspr_capon
 from caponshape.cli import BENCHMARK_OPTIONS
+from caponshape.evaluation import DEFAULT_GAMMA_GRID
 from caponshape.solver import (
     PenaltyKind,
     PenaltyTerm,
@@ -303,6 +307,33 @@ def test_smooth_solve_meets_gradient_tolerance():
     assert np.linalg.norm(g) < opts.smooth_grad_tol
 
 
+def test_smooth_solve_iteration_cap_reports_max_iters():
+    rng = np.random.default_rng(8)
+    res = smooth_solve(_quartic_spec(rng), SolverOptions(smooth_max_iters=1))
+    assert res.status is SolverStatus.MAX_ITERS
+    assert res.iterations == 1
+    assert np.all(np.isfinite(res.w))
+
+
+# packaged draws (seed, mismatch in degrees) on which mspr_relaxed used to run
+# to smooth_max_iters: its iterate stops moving in floating point first
+STALLED_MSPR_DRAWS = [(seed, 3.0) for seed in (7, 9, 17, 22, 28, 30, 31)] + [(seed, 0.0) for seed in (13, 22, 23, 26)]
+
+
+@pytest.mark.parametrize("seed, mismatch", STALLED_MSPR_DRAWS)
+def test_smooth_solve_stops_at_its_fixed_point(scenario, split, a0, seed, mismatch):
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch).with_seed(seed)
+    r = sample_covariance(synthesize_snapshots(truth).data)
+    gamma = 0.025118864315095794
+    got = mspr_capon(r, split, a0, gamma, BENCHMARK_OPTIONS)
+    assert got.status is SolverStatus.CONVERGED
+    assert got.iterations <= 60
+    # a gradient tolerance no solve reaches: only the fixed-point rule ends it
+    tight = mspr_capon(r, split, a0, gamma, replace(BENCHMARK_OPTIONS, smooth_grad_tol=1e-15, smooth_max_iters=2000))
+    assert tight.status is SolverStatus.CONVERGED
+    npt.assert_array_equal(got.weights, tight.weights)
+
+
 def test_smooth_solve_rejects_nonsmooth_kinds():
     a = np.ones(3)
     l1 = PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0)
@@ -342,21 +373,47 @@ def _packaged_covariances(scenario, count):
             for t in range(count)]
 
 
-@pytest.mark.parametrize("kinds", ["l1", "linf+l1", "group_l2+l1"])
+def _unit_terms(kind, manifold, split):
+    """A shaped method's penalty terms at gamma = 1."""
+    if kind in ("sparse", "weighted_sparse"):
+        return (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 1.0),)
+    if kind == "mixed_norm":
+        return (PenaltyTerm(split.a_main, PenaltyKind.LINF, 1.0), PenaltyTerm(split.a_side, PenaltyKind.L1, 1.0))
+    n = manifold.angles_deg.size
+    return tuple(PenaltyTerm(manifold.matrix @ difference_operator(i, n).T, PenaltyKind.GROUP_L2, np.sqrt(2.0))
+                 for i in (1, 2)) + (PenaltyTerm(split.a_side, PenaltyKind.L1, 1.0),)
+
+
+@pytest.mark.parametrize("kinds", ["l1", "linf+l1", "group_l2+l1", "sparse-grid", "weighted_sparse-grid",
+                                   "mixed_norm-grid", "tvm_sparse-grid"])
 def test_admm_batch_equals_single_solves(scenario, manifold, split, a0, kinds):
-    # the batched loop must run each problem exactly as a batch of one does
-    first_difference = difference_operator(1, manifold.angles_deg.size)
-    terms = {
-        "l1": (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.3),),
-        "linf+l1": (PenaltyTerm(split.a_main, PenaltyKind.LINF, 0.2), PenaltyTerm(split.a_side, PenaltyKind.L1, 0.2)),
-        "group_l2+l1": (PenaltyTerm(manifold.matrix @ first_difference.T, PenaltyKind.GROUP_L2, 0.3),
+    # the batched loop must run each problem exactly as a batch of one does:
+    # five draws sharing the weights, or one draw over the 41-point gamma grid
+    grid = kinds.endswith("-grid")
+    if grid:
+        kind = kinds[:-len("-grid")]
+        data = synthesize_snapshots(scenario).data
+        r = sample_covariance(data).matrix
+        scale = snm_weighting(manifold, data) if kind == "weighted_sparse" else None
+        terms = _unit_terms(kind, manifold, split)
+        specs = [ProblemSpec(r, a0, tuple(replace(t, weight=t.weight * gamma, scale=scale) for t in terms))
+                 for gamma in DEFAULT_GAMMA_GRID]
+    else:
+        first_difference = difference_operator(1, manifold.angles_deg.size)
+        terms = {
+            "l1": (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.3),),
+            "linf+l1": (PenaltyTerm(split.a_main, PenaltyKind.LINF, 0.2),
                         PenaltyTerm(split.a_side, PenaltyKind.L1, 0.2)),
-    }[kinds]
-    specs = [ProblemSpec(r, a0, terms) for r in _packaged_covariances(scenario, 5)]
+            "group_l2+l1": (PenaltyTerm(manifold.matrix @ first_difference.T, PenaltyKind.GROUP_L2, 0.3),
+                            PenaltyTerm(split.a_side, PenaltyKind.L1, 0.2)),
+        }[kinds]
+        specs = [ProblemSpec(r, a0, terms) for r in _packaged_covariances(scenario, 5)]
     batch = admm_solve(specs, BENCHMARK_OPTIONS)
     for spec, got in zip(specs, batch):
         alone = admm_solve(spec, BENCHMARK_OPTIONS)
-        assert got.status is alone.status is SolverStatus.CONVERGED
+        assert got.status is alone.status
+        # on the grid, one mixed_norm point stops at the iteration cap, in the batch as alone
+        assert got.status in ((SolverStatus.CONVERGED, SolverStatus.MAX_ITERS) if grid else (SolverStatus.CONVERGED,))
         assert got.iterations == alone.iterations
         assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
 
@@ -419,8 +476,9 @@ def test_admm_batch_validation(a0):
     with pytest.raises(ValueError):
         admm_solve([])
     op = np.eye(8, dtype=complex)
+    # weights may differ, but a term must be active in every problem or in none
     with pytest.raises(ValueError):
-        admm_solve([ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.1),)),
+        admm_solve([ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.0),)),
                     ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.2),))])
     with pytest.raises(ValueError):
         admm_solve([ProblemSpec(np.eye(8), a0), ProblemSpec(np.eye(8), 1j * a0)])
