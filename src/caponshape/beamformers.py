@@ -89,8 +89,8 @@ class BeamformerSpec:
     tv_orders: int | None = None
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
         if self.kind is BeamformerKind.CAPON and self.gamma not in (None, 0.0):
             raise ValueError("CAPON takes no gamma")
         if self.b is not None and self.kind not in _KINDS_WITH_B:

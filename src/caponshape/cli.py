@@ -55,8 +55,7 @@ __all__ = ["main", "RunConfig", "load_run_config", "BENCHMARK_OPTIONS"]
 BENCHMARK_OPTIONS = SolverOptions(
     rho=2.0,
     max_iters=2000,
-    tol_primal=1e-4,
-    tol_dual=1e-4,
+    tol=1e-4,
     smooth_max_iters=300,
     smooth_grad_tol=1e-6,
 )
@@ -77,6 +76,15 @@ class RunConfig:
 
 def _default_config_text() -> str:
     return resources.files("caponshape").joinpath("data/default_config.json").read_text()
+
+
+def _float_list(text: str, flag: str) -> tuple:
+    """The values of a comma-separated list flag; ``flag`` names it in the
+    error for an empty list."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ValueError(f"{flag} needs at least one value")
+    return tuple(float(tok) for tok in tokens)
 
 
 def load_run_config(
@@ -116,10 +124,7 @@ def load_run_config(
         scenario = scenario.with_seed(seed)
     trials_value = trials if trials is not None else int(doc.get("trials", 1000))
     if mismatch_csv is not None:
-        tokens = [tok.strip() for tok in mismatch_csv.split(",") if tok.strip()]
-        if not tokens:
-            raise ValueError("--mismatch needs at least one value")
-        mismatch_list = tuple(float(tok) for tok in tokens)
+        mismatch_list = _float_list(mismatch_csv, "--mismatch")
     else:
         raw = doc.get("mismatch_list", [0.0])
         if not isinstance(raw, list) or not raw:
@@ -169,8 +174,6 @@ def _common_options(f):
         [
             click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file (default: packaged benchmark scenario)."),
             click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None, help="Output directory (default: config output_dir)."),
-            click.option("--trials", type=int, default=None, help="Monte Carlo trial count override."),
-            click.option("--mismatch", "mismatch_csv", type=str, default=None, help="Comma-separated mismatch degrees override."),
             click.option("--seed", type=int, default=None, help="Base RNG seed override."),
         ]
     ):
@@ -222,9 +225,9 @@ def main():
 @main.command()
 @_common_options
 @_exit_codes
-def pattern(config_path, out_dir, trials, mismatch_csv, seed):
+def pattern(config_path, out_dir, seed):
     """Solve every configured method on one draw and write pattern CSVs."""
-    config = load_run_config(config_path, out_dir, trials, mismatch_csv, seed)
+    config = load_run_config(config_path, out_dir, seed=seed)
     manifold, split, a = _prepare(config)
     methods = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
                                   manifold, config.b, BENCHMARK_OPTIONS)
@@ -250,8 +253,10 @@ def pattern(config_path, out_dir, trials, mismatch_csv, seed):
 
 @main.command()
 @_common_options
+@click.option("--trials", type=int, default=None, help="Monte Carlo trial count override.")
+@click.option("--mismatch", "mismatch_csv", type=str, default=None, help="Comma-separated mismatch degrees override.")
 @_exit_codes
-def montecarlo(config_path, out_dir, trials, mismatch_csv, seed):
+def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
     """Run the repeated-draw SINR benchmark for every mismatch value."""
     config = load_run_config(config_path, out_dir, trials, mismatch_csv, seed)
     if config.trials < 1:
@@ -304,23 +309,17 @@ def montecarlo(config_path, out_dir, trials, mismatch_csv, seed):
 @_common_options
 @click.option("--gammas", "gammas_csv", type=str, default=None, help="Comma-separated gamma grid (default: 10 points per decade over [1e-3, 1e+1]).")
 @_exit_codes
-def sweep(config_path, out_dir, trials, mismatch_csv, seed, gammas_csv):
+def sweep(config_path, out_dir, seed, gammas_csv):
     """Sweep gamma for every method on the held-out tuning draw (seed - 1)."""
-    config = load_run_config(config_path, out_dir, trials, mismatch_csv, seed)
-    if gammas_csv is not None:
-        tokens = [tok.strip() for tok in gammas_csv.split(",") if tok.strip()]
-        if not tokens:
-            raise ValueError("--gammas needs at least one value")
-        grid = tuple(float(tok) for tok in tokens)
-        if any(g < 0 for g in grid):
-            raise ValueError("gamma values must be >= 0")
-    else:
-        grid = DEFAULT_GAMMA_GRID
+    config = load_run_config(config_path, out_dir, seed=seed)
+    # each gamma is checked where it becomes a BeamformerSpec
+    grid = DEFAULT_GAMMA_GRID if gammas_csv is None else _float_list(gammas_csv, "--gammas")
     manifold, split, a = _prepare(config)
     out = _out_path(config)
     held_out = config.scenario.with_seed(config.scenario.seed - 1)
 
     rows = []
+    capped = []
     on_edge = []
     for method in config.methods:
         if method.kind is BeamformerKind.CAPON:
@@ -340,6 +339,9 @@ def sweep(config_path, out_dir, trials, mismatch_csv, seed, gammas_csv):
             continue
         points = gamma_sweep(method, held_out, manifold, config.b, grid, BENCHMARK_OPTIONS)
         best = best_point_index(points)
+        count = sum(point.status is SolverStatus.MAX_ITERS for point in points)
+        if count:
+            capped.append((method.kind.value, count, len(points)))
         if len(grid) > 2 and best in (0, len(points) - 1):
             on_edge.append((method.kind.value, points[best].gamma))
         for i, point in enumerate(points):
@@ -359,6 +361,8 @@ def sweep(config_path, out_dir, trials, mismatch_csv, seed, gammas_csv):
         for kind, gamma, sinr_db, side_db, ratio, selected in rows:
             ratio_text = "inf" if math.isinf(ratio) else _fmt(ratio)
             writer.writerow([kind, _fmt(gamma), _fmt(sinr_db), _fmt(side_db), ratio_text, selected])
+    for kind, count, total in capped:
+        click.echo(f"warning: {kind} stopped at its iteration cap on {count} of {total} grid points", err=True)
     for kind, gamma in on_edge:
         click.echo(f"warning: {kind} selects gamma {_fmt(gamma)}, a grid endpoint; widen the grid", err=True)
 

@@ -235,6 +235,7 @@ class SweepPoint:
     sinr_db: float
     sidelobe_db: float
     mspr: float
+    status: SolverStatus
 
 
 def gamma_sweep(
@@ -249,9 +250,9 @@ def gamma_sweep(
 
     The draw uses the scenario's own seed with the true SOI direction forced
     to the presumed one; each grid point records output SINR, mean sidelobe
-    level, and the mainlobe-to-sidelobe ratio. The grid solves as one batch
-    (``solve_trials``), with the SNM weights computed once; a point that
-    fails numerically raises NumericalError.
+    level, the mainlobe-to-sidelobe ratio and the solver status. The grid
+    solves as one batch (``solve_trials``), with the SNM weights computed
+    once; a point that fails numerically raises NumericalError.
     """
     if len(grid) == 0:
         raise ValueError("gamma grid must be nonempty")
@@ -276,6 +277,7 @@ def gamma_sweep(
                 sinr_db=sinr(result.weights, validation),
                 sidelobe_db=sidelobe_mean_db(result.weights, manifold, split),
                 mspr=mspr(result.weights, ratio_split),
+                status=result.status,
             )
         )
     return points

@@ -17,16 +17,17 @@ Armijo backtracking preconditioned by the quadratic-part Hessian.
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
 vector of partial derivatives with respect to the real and imaginary parts.
-The z-update system therefore reads (2 B^H R B + ridge I + rho K^H K) z = rhs;
-this pins the fixed point to the stated objective (a system without the 2
-would double-count the penalties relative to the quadratic).
+The z-update system therefore reads (2 B^H R B + ridge I + rho K^H K) z = rhs,
+with ridge = 1e-10 trace(R)/M; this pins the fixed point to the stated
+objective (a system without the 2 would double-count the penalties relative
+to the quadratic).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -77,19 +78,17 @@ class PenaltyTerm:
     ``scale`` is an optional positive length-q column weight s (default all
     ones); it is kept apart from G so that problems differing only in s share
     one stacked ADMM operator. It applies to the prox kinds (L1, LINF,
-    GROUP_L2). For GROUP_L2, ``groups`` partitions the q indices of
-    v = G^H w; the default is a single group spanning all of v.
+    GROUP_L2). GROUP_L2 is the Euclidean norm of the whole vector s * G^H w.
     """
 
     operator: np.ndarray
     kind: PenaltyKind
     weight: float
-    groups: tuple[np.ndarray, ...] | None = None
     scale: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"penalty weight must be >= 0, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"penalty weight must be finite and >= 0, got {self.weight}")
         op = np.asarray(self.operator)
         if op.ndim != 2:
             raise ValueError(f"penalty operator must be a matrix, got shape {op.shape}")
@@ -100,19 +99,6 @@ class PenaltyTerm:
             if scale.shape != (op.shape[1],) or not np.all(np.isfinite(scale) & (scale > 0)):
                 raise ValueError("scale must hold one positive finite weight per operator column")
             object.__setattr__(self, "scale", scale)
-        if self.kind is PenaltyKind.GROUP_L2:
-            if self.groups is None:
-                object.__setattr__(self, "groups", (np.arange(op.shape[1]),))
-            else:
-                groups = tuple(np.asarray(g).ravel() for g in self.groups)
-                flat = np.concatenate(groups) if groups else np.array([])
-                if (
-                    flat.size != op.shape[1]
-                    or np.unique(flat).size != flat.size
-                    or np.union1d(flat, np.arange(op.shape[1])).size != op.shape[1]
-                ):
-                    raise ValueError("GROUP_L2 groups must partition the operator's columns")
-                object.__setattr__(self, "groups", groups)
 
     def value(self, v: np.ndarray) -> float:
         """h(s * v) for this term's kind (without the gamma factor)."""
@@ -123,7 +109,7 @@ class PenaltyTerm:
         if self.kind is PenaltyKind.LINF:
             return float(np.abs(v).max()) if v.size else 0.0
         if self.kind is PenaltyKind.GROUP_L2:
-            return float(sum(np.linalg.norm(v[g]) for g in self.groups))
+            return float(np.linalg.norm(v))
         if self.kind is PenaltyKind.SQUARED_L2:
             return float(np.linalg.norm(v) ** 2)
         if self.kind is PenaltyKind.QUARTIC_UNIT:
@@ -167,20 +153,19 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """ADMM stops a problem when both its primal and dual residual norms are
+    below ``tol``; the smooth path stops when the gradient norm is below
+    ``smooth_grad_tol``."""
+
     rho: float = 1.0
     max_iters: int = 5000
-    tol_primal: float = 1e-7
-    tol_dual: float = 1e-7
-    ridge: float | None = None  # None -> 1e-10 * trace(R)/M
+    tol: float = 1e-7
     smooth_max_iters: int = 2000
     smooth_grad_tol: float = 1e-8
-    keep_trace: bool = False
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("rho and tolerances must be positive")
-        if self.ridge is not None and self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if self.rho <= 0 or self.tol <= 0:
+            raise ValueError("rho and tol must be positive")
         if self.smooth_grad_tol <= 0:
             raise ValueError("smooth_grad_tol must be positive")
 
@@ -195,7 +180,6 @@ class SolverResult:
     constraint_residual: float
     status: SolverStatus
     subgrad_residual: float = 0.0
-    trace: tuple | None = field(default=None, repr=False)
 
 
 def objective_value(spec: ProblemSpec, w: np.ndarray) -> float:
@@ -222,9 +206,8 @@ def eliminate_constraint(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w0, q[:, 1:]
 
 
-def _resolve_ridge(opts: SolverOptions, r: np.ndarray) -> float:
-    if opts.ridge is not None:
-        return opts.ridge
+def _ridge(r: np.ndarray) -> float:
+    """Ridge added to the eliminated quadratic: 1e-10 * trace(R)/M."""
     return 1e-10 * float(np.real(np.trace(r))) / r.shape[0]
 
 
@@ -238,14 +221,17 @@ def _fold_squared_l2(spec: ProblemSpec) -> np.ndarray:
     return r
 
 
-def _prox_block(kind: PenaltyKind, v: np.ndarray, t: float, groups) -> np.ndarray:
+# GROUP_L2 shrinks each row of its block as one group
+_WHOLE_BLOCK = (slice(None),)
+
+
+def _prox_block(kind: PenaltyKind, v: np.ndarray, t: float) -> np.ndarray:
     if kind is PenaltyKind.L1:
         return prox_l1(v, t)
     if kind is PenaltyKind.LINF:
         return prox_linf(v, t)
     if kind is PenaltyKind.GROUP_L2:
-        # partition already validated by PenaltyTerm
-        return group_shrink(v, groups, t)
+        return group_shrink(v, _WHOLE_BLOCK, t)
     raise AssertionError(kind)
 
 
@@ -284,8 +270,6 @@ def _shares_operators(first: ProblemSpec, other: ProblemSpec) -> bool:
             x.kind is y.kind
             and (x.weight > 0) == (y.weight > 0)
             and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
-            and (x.groups is y.groups
-                 or (len(x.groups) == len(y.groups) and all(map(np.array_equal, x.groups, y.groups))))
             for x, y in zip(first.penalties, other.penalties)
         )
     )
@@ -322,7 +306,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     z-system of problem t is quad_t + sum_j rho_tj K_j^H K_j, built from the
     per-block Gram matrices when the batch shares its scales. Stops a problem when
     its absolute primal and dual residual norms (in the original, unscaled
-    block units) drop below tol_primal / tol_dual.
+    block units) both drop below ``tol``.
     """
     if isinstance(spec, ProblemSpec):
         return admm_solve([spec], opts)[0]
@@ -342,13 +326,13 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     w0, basis = eliminate_constraint(first.constraint_vector)
     m = basis.shape[1]
     r_eff = np.stack([_fold_squared_l2(s) for s in specs])
-    ridge = np.array([_resolve_ridge(opts, s.quadratic) for s in specs])
+    ridge = np.array([_ridge(s.quadratic) for s in specs])
     quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(m)
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
     active_terms = [j for j, t in enumerate(first.penalties) if t.kind in _PROX_FRIENDLY and t.weight > 0]
     terms = [first.penalties[j] for j in active_terms]
 
-    def finish(t, z, iters, rp, rd, status, cert, trace=None):
+    def finish(t, z, iters, rp, rd, status, cert):
         w = w0 + basis @ z
         return SolverResult(
             w=w,
@@ -359,7 +343,6 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
             constraint_residual=abs(w.conj() @ first.constraint_vector - 1.0),
             status=status,
             subgrad_residual=float(cert),
-            trace=tuple(trace) if trace is not None else None,
         )
 
     def failure(t):
@@ -430,7 +413,6 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     rd_out = np.full(count, math.inf)
     iters_out = np.full(count, opts.max_iters)
     status_out = [SolverStatus.MAX_ITERS] * count
-    traces = [[] for _ in range(count)] if opts.keep_trace else None
 
     active = np.flatnonzero(ok)
     lin_a, inv_a, ts_a = (x[active] for x in (lin, inv_sys, prox_ts))
@@ -469,27 +451,24 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         kzc = forward(z)
         v_old = v
         arg = kzc + u
-        blocks = [_prox_block(term.kind, arg[:, sl], ts_a[:, j], term.groups) for j, (term, sl) in enumerate(term_slices)]
+        blocks = [_prox_block(term.kind, arg[:, sl], ts_a[:, j]) for j, (term, sl) in enumerate(term_slices)]
         v = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         resid = kzc - v
         u = u + resid
         rp = _row_norms(resid)
         rd = _row_norms(back(v - v_old))
-        if traces is not None:
-            for t, p, d in zip(active, rp, rd):
-                traces[t].append((it, float(p), float(d)))
         # a problem stops converged or with a non-finite primal residual;
         # while no residual is small or non-finite, none can stop (a test on
         # a list is cheaper than on a short array)
         primal = rp.tolist()
-        if min(primal) >= opts.tol_primal and math.isfinite(sum(primal)):
+        if min(primal) >= opts.tol and math.isfinite(sum(primal)):
             continue
-        stopped = np.where(rp < opts.tol_primal, rd < opts.tol_dual, ~(rp < math.inf))
+        stopped = np.where(rp < opts.tol, rd < opts.tol, ~(rp < math.inf))
         if stopped.any():
             for i in np.flatnonzero(stopped):
                 t = active[i]
                 z_out[t], u_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], u[i], rp[i], rd[i], it
-                status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol_primal else SolverStatus.NUMERICAL_FAILURE
+                status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol else SolverStatus.NUMERICAL_FAILURE
             going = ~stopped
             active, z, v, u, rp, rd, lin_a, inv_a, ts_a = (
                 x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, ts_a)
@@ -505,8 +484,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     # rho_j * u_j in gamma_j * dh_j(v_j)
     certs = _row_norms((quad @ z_out[:, :, np.newaxis])[:, :, 0] + lin + (rho_k * u_out) @ k_conj)
     return [
-        finish(t, z_out[t], iters_out[t], rp_out[t], rd_out[t], status_out[t], certs[t],
-               traces[t] if traces is not None else None)
+        finish(t, z_out[t], iters_out[t], rp_out[t], rd_out[t], status_out[t], certs[t])
         if ok[t] else failure(t)
         for t in range(count)
     ]
@@ -591,8 +569,7 @@ def smooth_solve(
             raise ValueError("w_init does not satisfy the distortionless constraint")
         z = basis.conj().T @ (w_init - w0)
 
-    ridge = _resolve_ridge(opts, spec.quadratic)
-    quad = 2.0 * (basis.conj().T @ smooth.r_eff @ basis) + ridge * np.eye(m)
+    quad = 2.0 * (basis.conj().T @ smooth.r_eff @ basis) + _ridge(spec.quadratic) * np.eye(m)
     try:
         base_factor = scipy.linalg.cho_factor(quad) if m else None
     except scipy.linalg.LinAlgError:
@@ -626,7 +603,6 @@ def smooth_solve(
 
     w = w0 + basis @ z
     f_curr = smooth.value(w)
-    trace = [] if opts.keep_trace else None
     status = SolverStatus.MAX_ITERS
     iters = opts.smooth_max_iters
     grad_norm = math.inf
@@ -634,8 +610,6 @@ def smooth_solve(
     for it in range(opts.smooth_max_iters + 1):
         g = smooth.gradient(w)
         grad_norm = float(np.linalg.norm(g))
-        if trace is not None:
-            trace.append((it, f_curr, grad_norm))
         if grad_norm < opts.smooth_grad_tol:
             status = SolverStatus.CONVERGED
             iters = it
@@ -671,5 +645,4 @@ def smooth_solve(
         constraint_residual=abs(w.conj() @ a - 1.0),
         status=status,
         subgrad_residual=grad_norm,
-        trace=tuple(trace) if trace is not None else None,
     )

@@ -248,8 +248,9 @@ def test_beamformer_spec_validation():
     BeamformerSpec(BeamformerKind.CAPON, gamma=0.0)
     with pytest.raises(ValueError):
         BeamformerSpec(BeamformerKind.CAPON, gamma=0.5)
-    with pytest.raises(ValueError):
-        BeamformerSpec(BeamformerKind.SPARSE, gamma=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            BeamformerSpec(BeamformerKind.SPARSE, gamma=bad)
     with pytest.raises(ValueError):
         BeamformerSpec(BeamformerKind.SPARSE, b=3)
     with pytest.raises(ValueError):
@@ -289,8 +290,9 @@ def test_beamformer_spec_from_dict_errors():
         BeamformerSpec.from_dict({})
     with pytest.raises(ValueError):
         BeamformerSpec.from_dict({"kind": "unknown"})
-    with pytest.raises(ValueError):
-        BeamformerSpec.from_dict({"kind": "sparse", "gamma": "widest"})
+    for bad in ("widest", "nan", "inf", math.nan):
+        with pytest.raises(ValueError):
+            BeamformerSpec.from_dict({"kind": "sparse", "gamma": bad})
 
 
 def test_solve_method_matches_direct_calls(covariance, manifold, split, a0, snapshots):
@@ -346,6 +348,24 @@ def test_solve_trials_matches_one_trial_solves(scenario, manifold, split, a0):
             assert got.status is alone.status, kind
             assert got.iterations == alone.iterations, kind
             assert np.linalg.norm(got.weights - alone.weights) <= 1e-8 * np.linalg.norm(alone.weights), kind
+
+
+def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, a0):
+    # w^H a = 1 and every penalty depend on w only through |A^H w| and w^H R w,
+    # so a -> e^{j phi} a must give w -> e^{j phi} w, in the same iterations
+    phase = np.exp(0.7j)
+    draws = [synthesize_snapshots(scenario.with_seed(seed)).data for seed in range(7, 12)]
+    covariances = [sample_covariance(x) for x in draws]
+    snm = [snm_weighting(manifold, x) for x in draws]
+    for kind, gamma in GAMMAS.items():
+        methods = [BeamformerSpec(kind, gamma)] * len(draws)
+        base = solve_trials(methods, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        turned = solve_trials(methods, covariances, manifold, split, phase * a0, snm, BENCHMARK_OPTIONS)
+        bound = 1e-6 if kind is BeamformerKind.MSPR_RELAXED else 1e-10
+        for got, ref in zip(turned, base):
+            assert got.status is ref.status, kind
+            assert got.iterations == ref.iterations, kind
+            assert np.linalg.norm(got.weights - phase * ref.weights) <= bound * np.linalg.norm(ref.weights), kind
 
 
 def test_solve_trials_fails_a_trial_alone(covariance, manifold, split, a0):

@@ -217,6 +217,26 @@ def test_montecarlo_reports_and_warns_about_capped_solves(tmp_path, monkeypatch)
     assert sparse["max_iters"] == 2 and sparse["iterations_max"] == 1
 
 
+def test_flags_per_subcommand(tmp_path):
+    # pattern and sweep take --config, --out, --seed (and sweep --gammas);
+    # only montecarlo takes --trials and --mismatch
+    path = write_config(tmp_path)
+    for argv in (["pattern", "--trials", "3"], ["pattern", "--mismatch", "1"],
+                 ["sweep", "--trials", "3"], ["sweep", "--mismatch", "1"]):
+        result = CliRunner().invoke(main, argv + ["--config", str(path)])
+        assert result.exit_code == 2, argv
+        assert "No such option" in result.output, argv
+    result = CliRunner().invoke(main, ["montecarlo", "--config", str(path), "--trials", "1", "--mismatch", "0,2"])
+    assert result.exit_code == 0, result.output
+    rows = read_rows(tmp_path / "out" / "sinr_summary.csv")
+    assert [row[2] for row in rows[1:]] == ["0", "0", "2", "2"]
+    assert json.loads((tmp_path / "out" / "sinr_mismatch_2.json").read_text())["methods"][0]["trials"] == 1
+    for argv in (["montecarlo", "--mismatch", ","], ["sweep", "--gammas", ","]):
+        result = CliRunner().invoke(main, argv + ["--config", str(path)])
+        assert result.exit_code == 2, argv
+        assert f"error: {argv[1]} needs at least one value" in result.stderr, argv
+
+
 def test_montecarlo_exit_2_on_zero_trials(tmp_path):
     path = write_config(tmp_path)
     result = CliRunner().invoke(main, ["montecarlo", "--config", str(path), "--trials", "0"])
@@ -271,7 +291,21 @@ def test_sweep_warns_when_selection_hits_grid_endpoints(tmp_path):
 
 def test_sweep_rejects_bad_gamma_grids(tmp_path):
     path = write_config(tmp_path)
-    result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", "0.1,-0.5"])
-    assert result.exit_code == 2
-    result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", ","])
-    assert result.exit_code == 2
+    for gammas in ("0.1,-0.5", ",", "nan", "0.1,inf"):
+        result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", gammas])
+        assert result.exit_code == 2, gammas
+        assert "error:" in result.stderr, gammas
+        assert "Traceback" not in result.output, gammas
+
+
+def test_sweep_warns_about_capped_grid_points(tmp_path, monkeypatch):
+    monkeypatch.setattr("caponshape.cli.BENCHMARK_OPTIONS", SolverOptions(max_iters=1))
+    kinds = ["sparse", "weighted_sparse", "mixed_norm", "tvm_sparse", "mspr_relaxed"]
+    path = write_config(tmp_path, methods=[{"kind": "capon"}] + [{"kind": kind, "gamma": "auto"} for kind in kinds])
+    result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", "0,0.1,1"])
+    assert result.exit_code == 0, result.output
+    capped = [line for line in result.stderr.splitlines() if "iteration cap" in line]
+    # the gamma-0 point has no penalty, so it needs no iteration
+    assert capped == [f"warning: {kind} stopped at its iteration cap on 2 of 3 grid points" for kind in kinds[:4]]
+    rows = read_rows(tmp_path / "out" / "gamma_sweep.csv")
+    assert rows[0] == ["kind", "gamma", "sinr_db", "sidelobe_mean_db", "mspr", "selected"]
