@@ -4,7 +4,6 @@ simulator, and a Monte Carlo SINR benchmark."""
 from .arrays import (
     ArrayGeometry,
     ArrayManifold,
-    CovarianceEstimate,
     ManifoldSplit,
     Scenario,
     SnapshotMatrix,
@@ -14,8 +13,6 @@ from .arrays import (
     difference_operator,
     linear_to_db,
     sample_covariance,
-    scenario_from_dict,
-    scenario_to_dict,
     snm_weighting,
     split_manifold,
     steering_vector,

@@ -11,7 +11,7 @@ explicit seed carried by a :class:`Scenario`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "ArrayManifold",
     "ManifoldSplit",
     "SnapshotMatrix",
-    "CovarianceEstimate",
     "steering_vector",
     "build_manifold",
     "split_manifold",
@@ -30,8 +29,6 @@ __all__ = [
     "sample_covariance",
     "snm_weighting",
     "difference_operator",
-    "scenario_from_dict",
-    "scenario_to_dict",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -56,8 +53,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.num_sensors < 2:
             raise ValueError(f"need at least 2 sensors, got {self.num_sensors}")
-        if self.spacing_ratio <= 0:
-            raise ValueError(f"spacing_ratio must be positive, got {self.spacing_ratio}")
+        if not (math.isfinite(self.spacing_ratio) and self.spacing_ratio > 0):
+            raise ValueError(f"spacing_ratio must be finite and positive, got {self.spacing_ratio}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +67,8 @@ class SourceSpec:
     def __post_init__(self):
         if not -90.0 <= self.doa_deg <= 90.0:
             raise ValueError(f"doa_deg must lie in [-90, 90], got {self.doa_deg}")
-        if self.power <= 0:
-            raise ValueError(f"power must be positive, got {self.power}")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ValueError(f"power must be finite and positive, got {self.power}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +88,8 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "interferers", tuple(self.interferers))
-        if self.noise_power <= 0:
-            raise ValueError(f"noise_power must be positive, got {self.noise_power}")
+        if not (math.isfinite(self.noise_power) and self.noise_power > 0):
+            raise ValueError(f"noise_power must be finite and positive, got {self.noise_power}")
         if self.num_snapshots < 1:
             raise ValueError(f"num_snapshots must be >= 1, got {self.num_snapshots}")
         if not -90.0 <= self.presumed_doa_deg <= 90.0:
@@ -102,26 +99,10 @@ class Scenario:
             raise ValueError(f"interferer DOAs must be distinct, got {doas}")
 
     def with_soi_doa(self, doa_deg: float) -> "Scenario":
-        return Scenario(
-            geometry=self.geometry,
-            soi=SourceSpec(doa_deg=doa_deg, power=self.soi.power),
-            interferers=self.interferers,
-            noise_power=self.noise_power,
-            num_snapshots=self.num_snapshots,
-            presumed_doa_deg=self.presumed_doa_deg,
-            seed=self.seed,
-        )
+        return replace(self, soi=SourceSpec(doa_deg=doa_deg, power=self.soi.power))
 
     def with_seed(self, seed: int) -> "Scenario":
-        return Scenario(
-            geometry=self.geometry,
-            soi=self.soi,
-            interferers=self.interferers,
-            noise_power=self.noise_power,
-            num_snapshots=self.num_snapshots,
-            presumed_doa_deg=self.presumed_doa_deg,
-            seed=seed,
-        )
+        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,15 +144,6 @@ class SnapshotMatrix:
 
     data: np.ndarray
     soi_amplitudes: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceEstimate:
-    """Hermitian-symmetrized sample covariance and the snapshot count it was
-    averaged over."""
-
-    matrix: np.ndarray
-    snapshot_count: int
 
 
 def steering_vector(geometry: ArrayGeometry, doa_deg: float) -> np.ndarray:
@@ -277,16 +249,15 @@ def synthesize_snapshots(scenario: Scenario) -> SnapshotMatrix:
     return SnapshotMatrix(data=x, soi_amplitudes=s)
 
 
-def sample_covariance(x: np.ndarray) -> CovarianceEstimate:
-    """Sample covariance (1/K) sum_k x(k) x(k)^H, symmetrized to be exactly
-    Hermitian."""
+def sample_covariance(x: np.ndarray) -> np.ndarray:
+    """Sample covariance (1/K) sum_k x(k) x(k)^H, an M x M matrix symmetrized
+    to be exactly Hermitian."""
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ValueError(f"need an M x K snapshot matrix with K >= 1, got shape {x.shape}")
     k = x.shape[1]
     r = (x @ x.conj().T) / k
-    r = 0.5 * (r + r.conj().T)
-    return CovarianceEstimate(matrix=r, snapshot_count=k)
+    return 0.5 * (r + r.conj().T)
 
 
 def snm_weighting(manifold: ArrayManifold, x: np.ndarray) -> np.ndarray:
@@ -334,51 +305,3 @@ def difference_operator(order: int, n: int) -> np.ndarray:
         forward[r, r : r + order + 1] = stencil
     return forward
 
-
-def scenario_from_dict(doc: dict) -> Scenario:
-    """Build a Scenario from its JSON form (powers given in dB)."""
-    try:
-        geometry = ArrayGeometry(
-            num_sensors=int(doc["geometry"]["num_sensors"]),
-            spacing_ratio=float(doc["geometry"]["spacing_ratio"]),
-        )
-        soi = SourceSpec(
-            doa_deg=float(doc["soi"]["doa_deg"]),
-            power=db_to_linear(float(doc["soi"]["power_db"])),
-        )
-        interferers = tuple(
-            SourceSpec(doa_deg=float(j["doa_deg"]), power=db_to_linear(float(j["power_db"])))
-            for j in doc.get("interferers", [])
-        )
-        return Scenario(
-            geometry=geometry,
-            soi=soi,
-            interferers=interferers,
-            noise_power=db_to_linear(float(doc["noise_power_db"])),
-            num_snapshots=int(doc["num_snapshots"]),
-            presumed_doa_deg=float(doc["presumed_doa_deg"]),
-            seed=int(doc["seed"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"scenario document is missing key {exc}") from exc
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "geometry": {
-            "num_sensors": scenario.geometry.num_sensors,
-            "spacing_ratio": scenario.geometry.spacing_ratio,
-        },
-        "soi": {
-            "doa_deg": scenario.soi.doa_deg,
-            "power_db": linear_to_db(scenario.soi.power),
-        },
-        "interferers": [
-            {"doa_deg": j.doa_deg, "power_db": linear_to_db(j.power)}
-            for j in scenario.interferers
-        ],
-        "noise_power_db": linear_to_db(scenario.noise_power),
-        "num_snapshots": scenario.num_snapshots,
-        "presumed_doa_deg": scenario.presumed_doa_deg,
-        "seed": scenario.seed,
-    }

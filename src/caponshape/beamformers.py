@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .arrays import ArrayManifold, CovarianceEstimate, ManifoldSplit, difference_operator, snm_weighting, split_manifold
+from .arrays import ArrayManifold, ManifoldSplit, difference_operator, snm_weighting, split_manifold
 from .solver import (
     NumericalError,
     PenaltyKind,
@@ -109,44 +109,6 @@ class BeamformerSpec:
     def with_gamma(self, gamma: float) -> "BeamformerSpec":
         return BeamformerSpec(self.kind, gamma, self.b, self.tv_orders)
 
-    def to_dict(self) -> dict:
-        doc: dict = {"kind": self.kind.value}
-        if self.kind is not BeamformerKind.CAPON:
-            doc["gamma"] = "auto" if self.gamma is None else self.gamma
-        if self.b is not None:
-            doc["b"] = self.b
-        if self.tv_orders is not None:
-            doc["tv_orders"] = self.tv_orders
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BeamformerSpec":
-        try:
-            kind_name = str(doc["kind"]).lower()
-        except KeyError as exc:
-            raise ValueError("method entry is missing 'kind'") from exc
-        try:
-            kind = BeamformerKind(kind_name)
-        except ValueError as exc:
-            names = ", ".join(k.value for k in BeamformerKind)
-            raise ValueError(f"unknown beamformer kind {doc['kind']!r} (expected one of {names})") from exc
-        gamma = doc.get("gamma")
-        if gamma in ("auto", None):
-            gamma = None
-        else:
-            try:
-                gamma = float(gamma)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"gamma must be a number or 'auto', got {doc['gamma']!r}") from exc
-        b = doc.get("b")
-        tv_orders = doc.get("tv_orders")
-        return cls(
-            kind=kind,
-            gamma=gamma,
-            b=None if b is None else int(b),
-            tv_orders=None if tv_orders is None else int(tv_orders),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
@@ -168,8 +130,7 @@ class WeightVector:
 
 
 def _covariance_matrix(r) -> np.ndarray:
-    mat = r.matrix if isinstance(r, CovarianceEstimate) else np.asarray(r)
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.asarray(r, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"covariance must be square, got shape {mat.shape}")
     return mat
@@ -358,9 +319,8 @@ def solve_trials(
     ``snm`` holds each covariance's SNM weight vector (see
     ``snm_weighting``) and is required only by WEIGHTED_SPARSE. The ADMM
     kinds build their penalty terms once and reweight them per problem, so
-    the batch shares the operator objects; the problems with a positive
-    gamma then solve in one ``admm_solve`` and those with gamma 0 in another,
-    since a batch shares which penalties are active. CAPON and MSPR_RELAXED
+    the batch shares the operator objects and solves in one ``admm_solve``,
+    where a gamma-0 problem ends at the closed form. CAPON and MSPR_RELAXED
     solve one by one. A problem that fails numerically comes back with
     status NUMERICAL_FAILURE rather than raising, so it fails alone.
     """
@@ -391,13 +351,7 @@ def solve_trials(
         ProblemSpec(r, a, tuple(replace(t, weight=t.weight * m.gamma, scale=q) for t in terms))
         for r, m, q in zip(mats, methods, scales, strict=True)
     ]
-    out = [None] * len(specs)
-    for penalized in (True, False):
-        group = [i for i, m in enumerate(methods) if (m.gamma > 0) == penalized]
-        if group:
-            for i, result in zip(group, admm_solve([specs[i] for i in group], options)):
-                out[i] = _weights(result)
-    return out
+    return [_weights(result) for result in admm_solve(specs, options)]
 
 
 def _each_trial(solve, mats: list, methods: list, size: int) -> list:

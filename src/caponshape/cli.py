@@ -7,7 +7,9 @@ Three subcommands over a single JSON config:
   montecarlo  repeated-draw SINR benchmark per mismatch value
   sweep       gamma grid sweep on the held-out tuning draw
 
-Flags override config fields (flag > file > built-in default). Exit codes:
+This module alone reads and writes the config format; every field is typed
+and a malformed one is a configuration error that names its key. Flags
+override config fields (flag > file > built-in default). Exit codes:
 0 success, 2 configuration error, 3 numerical failure. All file outputs are
 deterministic functions of the config plus flags; floats are written with 9
 significant digits, and JSON files are strict (a non-finite value is null).
@@ -30,7 +32,8 @@ from pathlib import Path
 
 import click
 
-from .arrays import Scenario, build_manifold, sample_covariance, scenario_from_dict, scenario_to_dict, split_manifold, steering_vector, synthesize_snapshots
+from .arrays import (ArrayGeometry, Scenario, SourceSpec, build_manifold, db_to_linear, linear_to_db, sample_covariance,
+                     split_manifold, steering_vector, synthesize_snapshots)
 from .beamformers import BeamformerKind, BeamformerSpec, solve_method
 from .evaluation import (
     DEFAULT_GAMMA_GRID,
@@ -74,10 +77,6 @@ class RunConfig:
     mismatch_list: tuple
 
 
-def _default_config_text() -> str:
-    return resources.files("caponshape").joinpath("data/default_config.json").read_text()
-
-
 def _float_list(text: str, flag: str) -> tuple:
     """The values of a comma-separated list flag; ``flag`` names it in the
     error for an empty list."""
@@ -85,6 +84,117 @@ def _float_list(text: str, flag: str) -> tuple:
     if not tokens:
         raise ValueError(f"{flag} needs at least one value")
     return tuple(float(tok) for tok in tokens)
+
+
+_REQUIRED = object()
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object", list: "a list"}
+
+
+def _check(value, kind: type, name: str):
+    """``value`` as a ``kind`` (int, float, str, dict or list); raises
+    ValueError naming the config key ``name`` otherwise. An int is a JSON
+    integer, a float is any finite JSON number, and a boolean is neither."""
+    if kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if not ok or isinstance(value, bool):
+        raise ValueError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _get(doc: dict, key: str, kind: type, default=_REQUIRED, where: str = ""):
+    """``doc[key]`` checked as a ``kind`` (see ``_check``), or ``default``
+    when the key is absent; ``where`` names the object ``doc`` in errors."""
+    name = f"{where}.{key}" if where else key
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"config is missing key {name!r}")
+        return default
+    return _check(doc[key], kind, name)
+
+
+def _linear(doc: dict, key: str, where: str) -> float:
+    """The power in dB under ``key``, as a linear power."""
+    try:
+        return db_to_linear(_get(doc, key, float, where=where))
+    except OverflowError as exc:
+        raise ValueError(f"{where}.{key} is too large for a linear power") from exc
+
+
+def _source(doc, where: str) -> SourceSpec:
+    doc = _check(doc, dict, where)
+    return SourceSpec(_get(doc, "doa_deg", float, where=where), _linear(doc, "power_db", where))
+
+
+def _scenario(doc: dict) -> Scenario:
+    """The scenario object of a config (powers given in dB)."""
+    geometry = _get(doc, "geometry", dict, where="scenario")
+    interferers = _get(doc, "interferers", list, [], "scenario")
+    return Scenario(
+        geometry=ArrayGeometry(
+            num_sensors=_get(geometry, "num_sensors", int, where="scenario.geometry"),
+            spacing_ratio=_get(geometry, "spacing_ratio", float, where="scenario.geometry"),
+        ),
+        soi=_source(_get(doc, "soi", dict, where="scenario"), "scenario.soi"),
+        interferers=tuple(_source(j, f"scenario.interferers[{i}]") for i, j in enumerate(interferers)),
+        noise_power=_linear(doc, "noise_power_db", "scenario"),
+        num_snapshots=_get(doc, "num_snapshots", int, where="scenario"),
+        presumed_doa_deg=_get(doc, "presumed_doa_deg", float, where="scenario"),
+        seed=_get(doc, "seed", int, where="scenario"),
+    )
+
+
+def _scenario_doc(scenario: Scenario) -> dict:
+    """The config form of a scenario, as ``_scenario`` reads it."""
+
+    def source(spec: SourceSpec) -> dict:
+        return {"doa_deg": spec.doa_deg, "power_db": linear_to_db(spec.power)}
+
+    geometry = scenario.geometry
+    return {
+        "geometry": {"num_sensors": geometry.num_sensors, "spacing_ratio": geometry.spacing_ratio},
+        "soi": source(scenario.soi),
+        "interferers": [source(j) for j in scenario.interferers],
+        "noise_power_db": linear_to_db(scenario.noise_power),
+        "num_snapshots": scenario.num_snapshots,
+        "presumed_doa_deg": scenario.presumed_doa_deg,
+        "seed": scenario.seed,
+    }
+
+
+def _method(doc, where: str) -> BeamformerSpec:
+    """One entry of a config's method list: a case-insensitive ``kind``, a
+    ``gamma`` that is a finite number or "auto" (the default), and the
+    optional integers ``b`` and ``tv_orders``."""
+    doc = _check(doc, dict, where)
+    kinds = {kind.value: kind for kind in BeamformerKind}
+    name = _get(doc, "kind", str, where=where)
+    if name.lower() not in kinds:
+        raise ValueError(f"{where}.kind must be one of {', '.join(kinds)}, got {name!r}")
+    gamma = doc.get("gamma", "auto")
+    return BeamformerSpec(
+        kind=kinds[name.lower()],
+        gamma=None if gamma == "auto" else _check(gamma, float, f'{where}.gamma (a number or "auto")'),
+        b=_get(doc, "b", int, None, where),
+        tv_orders=_get(doc, "tv_orders", int, None, where),
+    )
+
+
+def _method_doc(method: BeamformerSpec) -> dict:
+    """The config form of a method, as ``_method`` reads it."""
+    doc: dict = {"kind": method.kind.value}
+    if method.kind is not BeamformerKind.CAPON:
+        doc["gamma"] = "auto" if method.gamma is None else method.gamma
+    if method.b is not None:
+        doc["b"] = method.b
+    if method.tv_orders is not None:
+        doc["tv_orders"] = method.tv_orders
+    return doc
+
+
+def _report_name(mismatch: float) -> str:
+    return f"sinr_mismatch_{mismatch:g}.json"
 
 
 def load_run_config(
@@ -96,50 +206,52 @@ def load_run_config(
 ) -> RunConfig:
     """Parse the JSON config and apply flag overrides.
 
-    Raises ValueError on malformed or inconsistent content.
+    Every config field is checked, overridden or not. Raises ValueError,
+    naming the key, on malformed or inconsistent content, and when two
+    mismatch values would write the same report file.
     """
     if config_path is None:
-        text = _default_config_text()
+        text = resources.files("caponshape").joinpath("data/default_config.json").read_text()
     else:
         text = Path(config_path).read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("config root must be a JSON object")
+    doc = _check(doc, dict, "config root")
 
-    try:
-        scenario = scenario_from_dict(doc["scenario"])
-    except KeyError as exc:
-        raise ValueError(f"config is missing key {exc}") from exc
-
-    manifold = doc.get("manifold", {})
-    methods_doc = doc.get("methods", [])
-    if not isinstance(methods_doc, list) or not methods_doc:
+    scenario = _scenario(_get(doc, "scenario", dict))
+    manifold = _get(doc, "manifold", dict, {})
+    methods = tuple(_method(entry, f"methods[{i}]") for i, entry in enumerate(_get(doc, "methods", list, [])))
+    if not methods:
         raise ValueError("config must list at least one method")
-    methods = tuple(BeamformerSpec.from_dict(entry) for entry in methods_doc)
+    mismatch_list = tuple(
+        _check(value, float, f"mismatch_list[{i}]") for i, value in enumerate(_get(doc, "mismatch_list", list, [0.0]))
+    )
+    if not mismatch_list:
+        raise ValueError("mismatch_list must be a nonempty list")
+    output_dir = _get(doc, "output_dir", str, "out")
+    file_trials = _get(doc, "trials", int, 1000)
 
     if seed is not None:
         scenario = scenario.with_seed(seed)
-    trials_value = trials if trials is not None else int(doc.get("trials", 1000))
     if mismatch_csv is not None:
         mismatch_list = _float_list(mismatch_csv, "--mismatch")
-    else:
-        raw = doc.get("mismatch_list", [0.0])
-        if not isinstance(raw, list) or not raw:
-            raise ValueError("mismatch_list must be a nonempty list")
-        mismatch_list = tuple(float(v) for v in raw)
-
+    seen: dict = {}
+    for value in mismatch_list:
+        name = _report_name(value)
+        if name in seen:
+            raise ValueError(f"mismatch values {seen[name]!r} and {value!r} would both write {name}")
+        seen[name] = value
     return RunConfig(
         scenario=scenario,
-        manifold_min_deg=float(manifold.get("min_deg", -90.0)),
-        manifold_max_deg=float(manifold.get("max_deg", 90.0)),
-        manifold_step_deg=float(manifold.get("step_deg", 1.0)),
-        b=int(doc.get("b", 15)),
+        manifold_min_deg=_get(manifold, "min_deg", float, -90.0, "manifold"),
+        manifold_max_deg=_get(manifold, "max_deg", float, 90.0, "manifold"),
+        manifold_step_deg=_get(manifold, "step_deg", float, 1.0, "manifold"),
+        b=_get(doc, "b", int, 15),
         methods=methods,
-        output_dir=str(out_dir if out_dir is not None else doc.get("output_dir", "out")),
-        trials=trials_value,
+        output_dir=output_dir if out_dir is None else str(out_dir),
+        trials=file_trials if trials is None else trials,
         mismatch_list=mismatch_list,
     )
 
@@ -235,7 +347,7 @@ def pattern(config_path, out_dir, seed):
 
     snapshots = synthesize_snapshots(config.scenario)
     r = sample_covariance(snapshots.data)
-    manifest = {"seed": config.scenario.seed, "scenario": scenario_to_dict(config.scenario), "files": []}
+    manifest = {"seed": config.scenario.seed, "scenario": _scenario_doc(config.scenario), "files": []}
     used_names: dict = {}
     for method in methods:
         result = solve_method(method, r, manifold, split, a, snapshots.data, BENCHMARK_OPTIONS)
@@ -245,7 +357,7 @@ def pattern(config_path, out_dir, seed):
         used_names[stem] = count + 1
         name = f"{stem}.csv" if count == 0 else f"{stem}_{count + 1}.csv"
         write_pattern_csv(pat, out / name)
-        entry = method.to_dict()
+        entry = _method_doc(method)
         entry["file"] = name
         manifest["files"].append(entry)
     _write_json(manifest, out / "manifest.json")
@@ -280,7 +392,7 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
             config.b,
             BENCHMARK_OPTIONS,
         )
-        _write_json(report.to_dict(), out / f"sinr_mismatch_{mismatch:g}.json")
+        _write_json(report.to_dict(), out / _report_name(mismatch))
         for j, entry in enumerate(report.methods):
             capped[j] += entry.statuses.count(SolverStatus.MAX_ITERS)
             summary_rows.append(

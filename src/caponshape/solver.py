@@ -261,14 +261,12 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _shares_operators(first: ProblemSpec, other: ProblemSpec) -> bool:
     """Whether two specs have the same constraint vector and penalty terms,
-    up to each term's weight and column scale, with the same terms active
-    (weight > 0)."""
+    up to each term's weight and column scale."""
     return (
         np.array_equal(first.constraint_vector, other.constraint_vector)
         and len(first.penalties) == len(other.penalties)
         and all(
             x.kind is y.kind
-            and (x.weight > 0) == (y.weight > 0)
             and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
             for x, y in zip(first.penalties, other.penalties)
         )
@@ -285,12 +283,13 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
 
     ``spec`` is one ProblemSpec, solved as a batch of one and returning one
     SolverResult, or a sequence of T specs, returning a list of T results.
-    The specs of a batch must share the constraint vector, the penalty
-    operators and which penalties are active (weight > 0); their quadratics,
-    penalty weights and column scales are free. Each problem
-    runs the iteration it would run alone, with its own factorization,
-    residuals and stopping test, and leaves the batch when it stops, so a
-    failure is confined to its own result.
+    The specs of a batch must share the constraint vector and the penalty
+    operators; their quadratics, penalty weights and column scales are free.
+    Each problem runs the iteration it would run alone, with its own
+    factorization, residuals and stopping test, and leaves the batch when it
+    stops, so a failure is confined to its own result. A problem with no
+    active penalty (weight > 0, squared-L2 aside) ends at the unpenalized
+    optimum after 0 iterations, as it does alone.
 
     Squared-L2 penalties are folded into the quadratic; each remaining
     penalty j becomes a split variable v_j = S_j K_j z + S_j c_j with
@@ -298,15 +297,17 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     penalty for block j is rho * gamma_j * sigma_j with
     sigma_j = ||S_j K_j||_2, which makes the iteration behavior invariant to
     rescaling any penalty weight or operator (these penalties are positively
-    1-homogeneous); rho is just the overall multiplier. The fixed point does
-    not depend on this choice. Blocks are stacked into one operator K shared
-    by the batch (per-problem scales and splitting penalties enter as row
-    weights), so each iteration costs two (T, m) x m-by-n products, one
-    batched m x m inverse-times-vector, and the row-wise block proxes. The
-    z-system of problem t is quad_t + sum_j rho_tj K_j^H K_j, built from the
-    per-block Gram matrices when the batch shares its scales. Stops a problem when
-    its absolute primal and dual residual norms (in the original, unscaled
-    block units) both drop below ``tol``.
+    1-homogeneous); rho is just the overall multiplier, and a block of weight
+    0 gets splitting penalty and prox threshold 0, which leaves it inert. The
+    fixed point does not depend on this choice. Blocks are stacked into one
+    operator K shared by the batch (per-problem scales and splitting
+    penalties enter as row weights), so each iteration costs two (T, m) x
+    m-by-n products, one batched m x m inverse-times-vector, and the
+    row-wise block proxes. The z-system of problem t is
+    quad_t + sum_j rho_tj K_j^H K_j, built from the per-block Gram matrices
+    when the batch shares its scales. Stops a problem when its absolute
+    primal and dual residual norms (in the original, unscaled block units)
+    both drop below ``tol``.
     """
     if isinstance(spec, ProblemSpec):
         return admm_solve([spec], opts)[0]
@@ -320,7 +321,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
             raise ValueError(f"unsupported penalty kind for admm_solve: {term.kind}")
     if not all(_shares_operators(first, other) for other in specs[1:]):
-        raise ValueError("a batch must share the constraint vector, the penalty operators and which penalties are active")
+        raise ValueError("a batch must share the constraint vector and the penalty operators")
 
     count = len(specs)
     w0, basis = eliminate_constraint(first.constraint_vector)
@@ -329,7 +330,8 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     ridge = np.array([_ridge(s.quadratic) for s in specs])
     quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(m)
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
-    active_terms = [j for j, t in enumerate(first.penalties) if t.kind in _PROX_FRIENDLY and t.weight > 0]
+    active_terms = [j for j, t in enumerate(first.penalties)
+                    if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     terms = [first.penalties[j] for j in active_terms]
 
     def finish(t, z, iters, rp, rd, status, cert):
@@ -349,8 +351,8 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         return finish(t, np.zeros(m, dtype=complex), 0, math.inf, math.inf,
                       SolverStatus.NUMERICAL_FAILURE, math.inf)
 
-    # the unpenalized optimum: the answer when no penalty is active, and the
-    # warm start (zero if quad is not factorable) when one is
+    # the unpenalized optimum: the answer for a problem with no active
+    # penalty, and the warm start (zero if quad is not factorable) otherwise
     inv_quad, factored = _inverses(quad)
     z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
     if not terms or m == 0:
@@ -391,7 +393,8 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     k_t, k_conj = k_mat.T, k_mat.conj()
     weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs])
     block_rho = opts.rho * weights * np.where(sigmas > 0, sigmas, 1.0)
-    prox_ts = weights / block_rho
+    prox_ts = np.divide(weights, block_rho, out=np.zeros_like(weights), where=block_rho > 0)
+    penalized = block_rho.any(axis=1)
     # splitting penalty per operator row (K_t^H diag(rho_t) y = K^H (scale *
     # rho * y) for problem t's scaled operator), one row when the batch
     # shares it
@@ -406,15 +409,16 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         gram = np.tensordot(block_rho, block_grams, axes=1)
     inv_sys, ok = _inverses(quad + gram)
 
-    # results by problem; the loop runs on the rows of the problems still active
-    z_out = np.zeros((count, m), dtype=complex)
+    # results by problem, where an unpenalized problem ends at its warm start;
+    # the loop runs on the rows of the problems still active
+    z_out = np.where(penalized[:, np.newaxis], 0.0, z)
     u_out = np.zeros((count, k_mat.shape[0]), dtype=complex)
-    rp_out = np.full(count, math.inf)
-    rd_out = np.full(count, math.inf)
-    iters_out = np.full(count, opts.max_iters)
-    status_out = [SolverStatus.MAX_ITERS] * count
+    rp_out = np.where(penalized, math.inf, 0.0)
+    rd_out = rp_out.copy()
+    iters_out = np.where(penalized, opts.max_iters, 0)
+    status_out = [SolverStatus.MAX_ITERS if p else SolverStatus.CONVERGED for p in penalized]
 
-    active = np.flatnonzero(ok)
+    active = np.flatnonzero(ok & penalized)
     lin_a, inv_a, ts_a = (x[active] for x in (lin, inv_sys, prox_ts))
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
     # active problem t; a scale or rho the batch shares folds into K

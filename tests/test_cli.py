@@ -1,8 +1,10 @@
-"""Config loading and the three CLI subcommands (exit codes, files, flags)."""
+"""Config loading and writing, and the three CLI subcommands (exit codes,
+files, flags)."""
 
 import csv
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from caponshape import evaluation
-from caponshape.beamformers import WeightVector
-from caponshape.cli import load_run_config, main
+from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector
+from caponshape.cli import _method, _method_doc, _scenario, _scenario_doc, load_run_config, main
 from caponshape.solver import NumericalError, SolverOptions, SolverStatus
 
 SMALL_SCENARIO = {
@@ -83,6 +85,111 @@ def test_load_run_config_rejects_malformed_content(tmp_path):
 
     with pytest.raises(ValueError):
         load_run_config(str(write_config(tmp_path)), mismatch_csv=",")
+
+
+def test_scenario_round_trip(scenario):
+    doc = _scenario_doc(scenario)
+    back = _scenario(doc)
+    assert back == scenario
+    assert _scenario_doc(back) == doc
+
+
+def test_scenario_reports_missing_keys():
+    with pytest.raises(ValueError, match="'scenario.soi'"):
+        _scenario({"geometry": {"num_sensors": 4, "spacing_ratio": 0.5}})
+
+
+def test_beamformer_spec_json_round_trip():
+    specs = [
+        BeamformerSpec(BeamformerKind.CAPON),
+        BeamformerSpec(BeamformerKind.SPARSE),
+        BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, gamma=0.5),
+        BeamformerSpec(BeamformerKind.MIXED_NORM, gamma=1.0, b=10),
+        BeamformerSpec(BeamformerKind.TVM_SPARSE, gamma=0.1, tv_orders=3),
+        BeamformerSpec(BeamformerKind.MSPR_RELAXED, gamma=0.02, b=12),
+    ]
+    for spec in specs:
+        assert _method(json.loads(json.dumps(_method_doc(spec))), "methods[0]") == spec
+    assert _method_doc(BeamformerSpec(BeamformerKind.SPARSE))["gamma"] == "auto"
+    # the kind is case-insensitive, and a JSON integer is a number
+    assert _method({"kind": "SPARSE", "gamma": 1}, "methods[0]") == BeamformerSpec(BeamformerKind.SPARSE, 1.0)
+
+
+def test_method_entry_errors():
+    cases = [({}, "'methods[0].kind'"), ({"kind": "unknown"}, "methods[0].kind"), ({"kind": 5}, "methods[0].kind")]
+    # numeric strings and booleans are not numbers
+    cases += [({"kind": "sparse", "gamma": bad}, "methods[0].gamma")
+              for bad in ("widest", "nan", "inf", "0.5", True, None, math.nan, math.inf)]
+    cases += [({"kind": "mixed_norm", "gamma": 0.1, "b": 3.0}, "methods[0].b"),
+              ({"kind": "tvm_sparse", "gamma": 0.1, "tv_orders": "2"}, "methods[0].tv_orders"),
+              (5, "methods[0] must be an object")]
+    for doc, key in cases:
+        with pytest.raises(ValueError, match=re.escape(key)):
+            _method(doc, "methods[0]")
+
+
+# one malformed field per config; each names the key it breaks
+MALFORMED = {
+    "b": {"b": 15.7},
+    "trials": {"trials": 2.5},
+    "scenario.seed": {"scenario": {**SMALL_SCENARIO, "seed": 7.9}},
+    "methods[0].tv_orders": {"methods": [{"kind": "tvm_sparse", "gamma": 0.1, "tv_orders": 2.9}]},
+    "methods[1].gamma": {"methods": [{"kind": "capon"}, {"kind": "sparse", "gamma": True}]},
+    "manifold": {"manifold": 5},
+    "methods[0]": {"methods": [5]},
+    "mismatch_list[0]": {"mismatch_list": [None]},
+    "scenario.interferers[0]": {"scenario": {**SMALL_SCENARIO, "interferers": [5]}},
+    "scenario.geometry.spacing_ratio": {"scenario": {**SMALL_SCENARIO, "geometry": {"num_sensors": 4,
+                                                                                  "spacing_ratio": math.nan}}},
+}
+
+
+@pytest.mark.parametrize("key", list(MALFORMED))
+def test_malformed_config_exits_2_naming_the_key(tmp_path, key):
+    path = write_config(tmp_path, **MALFORMED[key])
+    for command in ("pattern", "montecarlo", "sweep"):
+        result = CliRunner().invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert f"error: {key} " in result.stderr, (command, result.stderr)
+        assert "Traceback" not in result.output
+
+
+def test_load_run_config_checks_types(tmp_path):
+    # one case per typing rule: integers, numbers, strings, objects, lists
+    scenario = SMALL_SCENARIO
+    cases = {
+        "scenario.geometry.num_sensors": {"scenario": {**scenario, "geometry": {"num_sensors": 4.0,
+                                                                                "spacing_ratio": 0.5}}},
+        "scenario.num_snapshots": {"scenario": {**scenario, "num_snapshots": True}},
+        "scenario.presumed_doa_deg": {"scenario": {**scenario, "presumed_doa_deg": "0"}},
+        "scenario.soi.power_db": {"scenario": {**scenario, "soi": {"doa_deg": 0.0, "power_db": 1e5}}},
+        "scenario.soi": {"scenario": {**scenario, "soi": [0.0, 10.0]}},
+        "scenario": {"scenario": []},
+        "manifold.step_deg": {"manifold": {"step_deg": False}},
+        "methods": {"methods": {"kind": "capon"}},
+        "mismatch_list": {"mismatch_list": 0.0},
+        "output_dir": {"output_dir": 5},
+    }
+    for key, overrides in cases.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(key)} "):
+            load_run_config(str(write_config(tmp_path, **overrides)))
+    # an overridden field is checked too
+    with pytest.raises(ValueError, match="trials"):
+        load_run_config(str(write_config(tmp_path, trials=2.5)), trials=3)
+
+
+def test_mismatch_values_may_not_share_a_report_file(tmp_path):
+    # report names keep 6 significant digits, so these two would collide
+    for values in ("1e-7,1.0000001e-7", "0,0"):
+        path = write_config(tmp_path, mismatch_list=[float(v) for v in values.split(",")])
+        with pytest.raises(ValueError, match="would both write"):
+            load_run_config(str(path))
+        result = CliRunner().invoke(main, ["montecarlo", "--config", str(write_config(tmp_path)),
+                                           "--mismatch", values])
+        assert result.exit_code == 2, result.output
+        first, second = values.split(",")
+        assert f"error: mismatch values {float(first)!r} and {float(second)!r}" in result.stderr
+        assert not (tmp_path / "out").exists()
 
 
 def test_pattern_writes_csvs_and_manifest(tmp_path):

@@ -357,7 +357,7 @@ def test_smooth_gradient_matches_finite_differences():
 
 
 def _packaged_covariances(scenario, count):
-    return [sample_covariance(synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data).matrix
+    return [sample_covariance(synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data)
             for t in range(count)]
 
 
@@ -381,7 +381,7 @@ def test_admm_batch_equals_single_solves(scenario, manifold, split, a0, kinds):
     if grid:
         kind = kinds[:-len("-grid")]
         data = synthesize_snapshots(scenario).data
-        r = sample_covariance(data).matrix
+        r = sample_covariance(data)
         scale = snm_weighting(manifold, data) if kind == "weighted_sparse" else None
         terms = _unit_terms(kind, manifold, split)
         specs = [ProblemSpec(r, a0, tuple(replace(t, weight=t.weight * gamma, scale=scale) for t in terms))
@@ -462,13 +462,27 @@ def test_admm_batch_confines_a_failure_to_its_problem(monkeypatch, scenario, man
     assert results[0].iterations == results[2].iterations > 1
 
 
+@pytest.mark.parametrize("kind", ["sparse", "mixed_norm", "tvm_sparse"])
+def test_admm_batch_mixes_zero_and_positive_gammas(scenario, manifold, split, a0, kind):
+    # a gamma-0 problem ends inside the batch at its unpenalized optimum, as
+    # it does alone, and leaves the penalized problems' iterations unchanged
+    gammas = (0.0, 0.1, 0.0, 1.0)
+    terms = _unit_terms(kind, manifold, split)
+    specs = [ProblemSpec(r, a0, tuple(replace(t, weight=t.weight * gamma) for t in terms))
+             for r, gamma in zip(_packaged_covariances(scenario, 4), gammas)]
+    batch = admm_solve(specs, BENCHMARK_OPTIONS)
+    for spec, gamma, got in zip(specs, gammas, batch):
+        alone = admm_solve(spec, BENCHMARK_OPTIONS)
+        assert got.status is alone.status is SolverStatus.CONVERGED
+        assert got.iterations == alone.iterations
+        assert (got.iterations == 0) == (gamma == 0.0)
+        assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
+    # the closed form, up to the effect of the z-system's 1e-10 trace(R)/M ridge
+    npt.assert_allclose(batch[0].w, closed_form(specs[0].quadratic, a0), rtol=1e-5)
+
+
 def test_admm_batch_validation(a0):
     with pytest.raises(ValueError):
         admm_solve([])
-    op = np.eye(8, dtype=complex)
-    # weights may differ, but a term must be active in every problem or in none
-    with pytest.raises(ValueError):
-        admm_solve([ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.0),)),
-                    ProblemSpec(np.eye(8), a0, (PenaltyTerm(op, PenaltyKind.L1, 0.2),))])
     with pytest.raises(ValueError):
         admm_solve([ProblemSpec(np.eye(8), a0), ProblemSpec(np.eye(8), 1j * a0)])
