@@ -18,9 +18,9 @@ MSPR_RELAXED              gamma * ((||A_M^H w||^2 - 1)^2 + ||A_S^H w||^2)
 
 A_M / A_S are the mainlobe/sidelobe column blocks of the manifold, D_i the
 stacked forward/backward order-i finite-difference matrices. Convex kinds go
-through admm_solve, batched across trials or gammas by solve_trials;
-MSPR_RELAXED takes the smooth nonconvex path initialized at the closed form,
-one problem at a time.
+through admm_solve and MSPR_RELAXED through the smooth nonconvex path
+(smooth_solve, initialized at the closed form), each batched across trials
+or gammas by solve_trials.
 """
 
 from __future__ import annotations
@@ -252,16 +252,6 @@ def mspr_capon(
     return solve_method(BeamformerSpec(BeamformerKind.MSPR_RELAXED, gamma), r, None, split, a, None, options)
 
 
-def _mspr(r, a: np.ndarray, split: ManifoldSplit, gamma: float, options: SolverOptions) -> WeightVector:
-    terms = (
-        PenaltyTerm(operator=split.a_main, kind=PenaltyKind.QUARTIC_UNIT, weight=gamma),
-        PenaltyTerm(operator=split.a_side, kind=PenaltyKind.SQUARED_L2, weight=gamma),
-    )
-    spec = ProblemSpec(_covariance_matrix(r), a, terms)
-    init = capon_closed_form(r, a)
-    return _weights(smooth_solve(spec, options, w_init=init.weights))
-
-
 def _convex_terms(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> tuple:
     """The penalty terms of a method solved by ADMM, at gamma = 1 (each
     problem scales their weights by its own gamma). WEIGHTED_SPARSE's SNM
@@ -320,9 +310,10 @@ def solve_trials(
     ``snm_weighting``) and is required only by WEIGHTED_SPARSE. The ADMM
     kinds build their penalty terms once and reweight them per problem, so
     the batch shares the operator objects and solves in one ``admm_solve``,
-    where a gamma-0 problem ends at the closed form. CAPON and MSPR_RELAXED
-    solve one by one. A problem that fails numerically comes back with
-    status NUMERICAL_FAILURE rather than raising, so it fails alone.
+    where a gamma-0 problem ends at the closed form. MSPR_RELAXED solves in
+    one ``smooth_solve`` batch, each problem started at its closed form;
+    CAPON solves one by one. A problem that fails numerically comes back
+    with status NUMERICAL_FAILURE rather than raising, so it fails alone.
     """
     methods = list(methods)
     mats = [_covariance_matrix(r) for r in covariances]
@@ -338,8 +329,7 @@ def solve_trials(
     if any(m.gamma is None for m in methods):
         raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
     if kind is BeamformerKind.MSPR_RELAXED:
-        mspr_split = resolve_split(first, manifold, split)
-        return _each_trial(lambda r, gamma: _mspr(r, a, mspr_split, gamma, options), mats, methods, a.size)
+        return _mspr_trials(methods, mats, resolve_split(first, manifold, split), a, options)
     terms = _convex_terms(first, manifold, split)
     if kind is BeamformerKind.WEIGHTED_SPARSE:
         if snm is None:
@@ -352,6 +342,26 @@ def solve_trials(
         for r, m, q in zip(mats, methods, scales, strict=True)
     ]
     return [_weights(result) for result in admm_solve(specs, options)]
+
+
+def _mspr_trials(methods: list, mats: list, split: ManifoldSplit, a: np.ndarray, options: SolverOptions) -> list:
+    """MSPR_RELAXED for each covariance, started at its closed form: one
+    ``smooth_solve`` batch over the trials whose closed form exists (a trial
+    without one fails alone)."""
+    out = _each_trial(lambda r, gamma: capon_closed_form(r, a), mats, methods, a.size)
+    solvable = [t for t, start in enumerate(out) if start.status is not SolverStatus.NUMERICAL_FAILURE]
+    if solvable:
+        specs = [
+            ProblemSpec(mats[t], a, (
+                PenaltyTerm(operator=split.a_main, kind=PenaltyKind.QUARTIC_UNIT, weight=methods[t].gamma),
+                PenaltyTerm(operator=split.a_side, kind=PenaltyKind.SQUARED_L2, weight=methods[t].gamma),
+            ))
+            for t in solvable
+        ]
+        results = smooth_solve(specs, options, w_init=[out[t].weights for t in solvable])
+        for t, result in zip(solvable, results):
+            out[t] = _weights(result)
+    return out
 
 
 def _each_trial(solve, mats: list, methods: list, size: int) -> list:

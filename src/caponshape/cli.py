@@ -78,12 +78,21 @@ class RunConfig:
 
 
 def _float_list(text: str, flag: str) -> tuple:
-    """The values of a comma-separated list flag; ``flag`` names it in the
-    error for an empty list."""
+    """The values of a comma-separated list flag, each a finite number; an
+    error names ``flag`` and the token it refuses."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not tokens:
         raise ValueError(f"{flag} needs at least one value")
-    return tuple(float(tok) for tok in tokens)
+    values = []
+    for tok in tokens:
+        try:
+            value = float(tok)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} takes finite numbers, got {tok!r}")
+        values.append(value)
+    return tuple(values)
 
 
 _REQUIRED = object()

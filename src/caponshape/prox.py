@@ -31,34 +31,46 @@ def prox_l1(v: np.ndarray, t) -> np.ndarray:
     phase, zero anything inside the threshold."""
     t = _per_row(t, "threshold")
     v = np.asarray(v)
-    mod = np.abs(v)
-    # mod + (mod == 0) keeps zero entries zero without dividing by zero
-    return v * np.maximum(0.0, 1.0 - t / (mod + (mod == 0)))
+    # 1 - t/max(|v|, t) is the factor max(0, 1 - t/|v|), and 0 at a zero
+    # entry; a zero threshold divides by max(|v|, 1) instead
+    return v * (1.0 - t / np.maximum(np.abs(v), np.where(t > 0, t, 1.0)))
+
+
+def _water_level(mod: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per-row water-filling level of the projection onto the L1 ball of
+    radius r: the largest running threshold (S_j - r)/j over the partial sums
+    S_j of the moduli sorted in decreasing order (the sort-based rule of
+    Condat 2016, "Fast projection onto the simplex and the l1 ball"), floored
+    at zero, so that it is zero for a row inside the ball."""
+    running = (np.cumsum(np.sort(mod, axis=-1)[..., ::-1], axis=-1) - r) / np.arange(1, mod.shape[-1] + 1)
+    return np.maximum(running.max(axis=-1, keepdims=True), 0.0)
 
 
 def project_l1_ball(v: np.ndarray, radius) -> np.ndarray:
     """Euclidean projection of each row onto {x : sum |x_i| <= radius}.
 
-    Moduli are shrunk by the water-filling threshold, which is the largest
-    running threshold (S_j - radius)/j over the partial sums S_j of the
-    moduli sorted in decreasing order (the sort-based rule of Condat 2016,
-    "Fast projection onto the simplex and the l1 ball"), floored at zero so
-    that a row inside the ball keeps its moduli. Phases are preserved.
+    Moduli are shrunk by the water-filling level, so a row inside the ball
+    keeps them. Phases are preserved.
     """
     r = _per_row(radius, "radius")
     v = np.asarray(v)
     mod = np.abs(v)
-    if (mod.sum(axis=-1, keepdims=True) <= r).all():
-        return v.copy()
-    running = (np.cumsum(np.sort(mod, axis=-1)[..., ::-1], axis=-1) - r) / np.arange(1, v.shape[-1] + 1)
-    theta = np.maximum(running.max(axis=-1, keepdims=True), 0.0)
-    return v * (np.maximum(mod - theta, 0.0) / (mod + (mod == 0)))
+    # mod + (mod == 0) keeps zero entries zero without dividing by zero
+    return v * (np.maximum(mod - _water_level(mod, r), 0.0) / (mod + (mod == 0)))
 
 
 def prox_linf(v: np.ndarray, t) -> np.ndarray:
-    """Prox of t*max_i |v_i| via Moreau decomposition: v minus the projection
-    of v onto the L1 ball of radius t."""
-    return np.asarray(v) - project_l1_ball(v, t)
+    """Prox of t*max_i |v_i|. By the Moreau decomposition it is v minus the
+    projection of v onto the L1 ball of radius t, so each modulus is clipped
+    at the ball's water-filling level (a row inside the ball becomes zero).
+    Phases are preserved."""
+    t = _per_row(t, "threshold")
+    v = np.asarray(v)
+    mod = np.abs(v)
+    # theta/max(|v|, theta) is min(|v|, theta)/|v|, and 1 at a zero entry; a
+    # zero level divides by max(|v|, 1) instead
+    theta = _water_level(mod, t)
+    return v * (theta / np.maximum(mod, np.where(theta > 0, theta, 1.0)))
 
 
 def _shrink_factor(block: np.ndarray, t: np.ndarray) -> np.ndarray:

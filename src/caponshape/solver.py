@@ -12,7 +12,8 @@ and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. Nonsmooth penalties are handled by scaled ADMM
 over the stacked operator K = [G_j^H B], for one problem or a batch of
 problems that share K; the quartic term takes a smooth descent path with
-Armijo backtracking preconditioned by the quadratic-part Hessian.
+Armijo backtracking preconditioned by a curvature model, likewise for one
+problem or a batch.
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,10 +166,16 @@ class SolverOptions:
     smooth_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tol <= 0:
-            raise ValueError("rho and tol must be positive")
-        if self.smooth_grad_tol <= 0:
-            raise ValueError("smooth_grad_tol must be positive")
+        for name in ("rho", "tol", "smooth_grad_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                math.isfinite(value) and value > 0
+            ):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        for name, least in (("max_iters", 1), ("smooth_max_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +267,21 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(flat[:, np.newaxis, :] @ flat[:, :, np.newaxis])[:, 0, 0]
 
 
+def _real_form(mat: np.ndarray) -> np.ndarray:
+    """The real 2p x 2q matrix of a complex p x q matrix, for ``_times``."""
+    out = np.empty((2 * mat.shape[0], 2 * mat.shape[1]))
+    out[0::2, 0::2] = out[1::2, 1::2] = mat.real
+    out[0::2, 1::2] = mat.imag
+    out[1::2, 0::2] = -mat.imag
+    return out
+
+
+def _times(x: np.ndarray, real_form: np.ndarray) -> np.ndarray:
+    """x @ mat for complex rows x with contiguous entries, as one real GEMM
+    on the interleaved real and imaginary parts."""
+    return (x.view(float) @ real_form).view(complex)
+
+
 def _shares_operators(first: ProblemSpec, other: ProblemSpec) -> bool:
     """Whether two specs have the same constraint vector and penalty terms,
     up to each term's weight and column scale."""
@@ -301,13 +324,18 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     0 gets splitting penalty and prox threshold 0, which leaves it inert. The
     fixed point does not depend on this choice. Blocks are stacked into one
     operator K shared by the batch (per-problem scales and splitting
-    penalties enter as row weights), so each iteration costs two (T, m) x
-    m-by-n products, one batched m x m inverse-times-vector, and the
-    row-wise block proxes. The z-system of problem t is
-    quad_t + sum_j rho_tj K_j^H K_j, built from the per-block Gram matrices
-    when the batch shares its scales. Stops a problem when its absolute
-    primal and dual residual norms (in the original, unscaled block units)
-    both drop below ``tol``.
+    penalties enter as row weights). Each iteration costs two (T, m) x
+    m-by-n products (the z-update's K^H product, with K^H c folded into the
+    linear term once, and K z), one batched m x m inverse-times-vector, and
+    the row-wise block proxes; the products run as real GEMMs on the
+    interleaved real and imaginary parts. The dual residual, a third product
+    K^H diag(rho) (v - v_old), is taken only on an iteration where some
+    problem's primal residual is below ``tol`` or non-finite (only such a
+    problem can stop) and on the cap iteration. The z-system of problem t
+    is quad_t + sum_j rho_tj K_j^H K_j, built from the per-block Gram
+    matrices when the batch shares its scales. Stops a problem when its
+    absolute primal and dual residual norms (in the original, unscaled block
+    units) both drop below ``tol``.
     """
     if isinstance(spec, ProblemSpec):
         return admm_solve([spec], opts)[0]
@@ -419,30 +447,36 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     status_out = [SolverStatus.MAX_ITERS if p else SolverStatus.CONVERGED for p in penalized]
 
     active = np.flatnonzero(ok & penalized)
-    lin_a, inv_a, ts_a = (x[active] for x in (lin, inv_sys, prox_ts))
+    inv_a, ts_a = inv_sys[active], prox_ts[active]
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
-    # active problem t; a scale or rho the batch shares folds into K
+    # active problem t, as real GEMMs; a scale or rho the batch shares folds
+    # into K
+    k_fwd = _real_form(k_t)
     if scaled:
         c_a, scale_a = c[active], scale[active]
 
         def forward(z):
-            return (z @ k_t) * scale_a + c_a
+            return _times(z, k_fwd) * scale_a + c_a
     else:
         c_a = c
 
         def forward(z):
-            return z @ k_t + c_a
+            return _times(z, k_fwd) + c_a
     if shared_rho:
-        k_rho = k_conj * rho_k[0][:, np.newaxis]
+        k_back = _real_form(k_conj * rho_k[0][:, np.newaxis])
 
         def back(y):
-            return y @ k_rho
+            return _times(y, k_back)
     else:
         rho_a = rho_k[active]
+        k_back = _real_form(k_conj)
 
         def back(y):
-            return (rho_a * y) @ k_conj
+            return _times(rho_a * y, k_back)
 
+    # the z-update right-hand side is back(v - u - c) - lin; back(c) is
+    # folded into the linear term once
+    lin_a = lin[active] + back(c_a)
     term_slices = list(zip(terms, slices))
     z = z[active]
     v = forward(z)
@@ -451,7 +485,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     for it in range(1, opts.max_iters + 1):
         if not active.size:
             break
-        z = (inv_a @ (back(v - u - c_a) - lin_a)[:, :, np.newaxis])[:, :, 0]
+        z = (inv_a @ (back(v - u) - lin_a)[:, :, np.newaxis])[:, :, 0]
         kzc = forward(z)
         v_old = v
         arg = kzc + u
@@ -460,15 +494,18 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         resid = kzc - v
         u = u + resid
         rp = _row_norms(resid)
-        rd = _row_norms(back(v - v_old))
-        # a problem stops converged or with a non-finite primal residual;
-        # while no residual is small or non-finite, none can stop (a test on
-        # a list is cheaper than on a short array)
+        # a problem can stop only when its primal residual is small
+        # (converged, if the dual residual is small too) or non-finite, so the
+        # dual residual back(v - v_old) is taken only on an iteration where
+        # some problem's is, and on the cap iteration, whose results report
+        # it (tests on lists are cheaper than on short arrays)
         primal = rp.tolist()
-        if min(primal) >= opts.tol and math.isfinite(sum(primal)):
+        if it < opts.max_iters and min(primal) >= opts.tol and math.isfinite(sum(primal)):
             continue
-        stopped = np.where(rp < opts.tol, rd < opts.tol, ~(rp < math.inf))
-        if stopped.any():
+        rd = _row_norms(back(v - v_old))
+        stopped = [d < opts.tol if p < opts.tol else not p < math.inf for p, d in zip(primal, rd.tolist())]
+        if any(stopped):
+            stopped = np.array(stopped)
             for i in np.flatnonzero(stopped):
                 t = active[i]
                 z_out[t], u_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], u[i], rp[i], rd[i], it
@@ -494,34 +531,63 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     ]
 
 
-class _SmoothObjective:
-    """Cached pieces of the smooth objective: the squared-L2-folded quadratic
-    plus the quartic terms, with value and z-gradient evaluations."""
+def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of x times its own matrix, or times one shared matrix, as a
+    stacked product taken problem by problem, so that a problem's result does
+    not depend on the batch it is part of."""
+    return (mats @ x[..., np.newaxis])[..., 0]
 
-    def __init__(self, spec: ProblemSpec, basis: np.ndarray):
-        for term in spec.penalties:
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex (T, n) array, summed the way
+    np.linalg.norm sums one vector (the real parts, then the imaginary)."""
+    re, im = x.real, x.imag
+    return np.sqrt(_mv(re[:, np.newaxis, :], re)[:, 0] + _mv(im[:, np.newaxis, :], im)[:, 0])
+
+
+class _SmoothObjective:
+    """The smooth objectives of a batch that shares the constraint and the
+    penalty operators: per problem the squared-L2-folded quadratic and the
+    quartic weights, with value and z-gradient evaluations on stacked (T, M)
+    points. ``rows`` picks the problems a (k, M) point belongs to."""
+
+    def __init__(self, specs: list, basis: np.ndarray):
+        first = specs[0]
+        for term in first.penalties:
             if term.kind not in (PenaltyKind.SQUARED_L2, PenaltyKind.QUARTIC_UNIT):
                 raise ValueError(
                     f"smooth_solve accepts SQUARED_L2/QUARTIC_UNIT only, got {term.kind}"
                 )
-        quartics = [t for t in spec.penalties if t.kind is PenaltyKind.QUARTIC_UNIT and t.weight > 0]
+        quartics = [j for j, t in enumerate(first.penalties)
+                    if t.kind is PenaltyKind.QUARTIC_UNIT and any(s.penalties[j].weight > 0 for s in specs)]
         self.basis = basis
-        self.r_eff = _fold_squared_l2(spec)
-        self.q_ops = [t.operator for t in quartics]
-        self.q_wts = [t.weight for t in quartics]
+        self.r_eff = np.stack([_fold_squared_l2(s) for s in specs])
+        self.q_ops = [first.penalties[j].operator for j in quartics]
+        self.q_adj = [g_op.conj().T for g_op in self.q_ops]
+        self.q_wts = np.array([[s.penalties[j].weight for j in quartics] for s in specs], dtype=float).reshape(
+            len(specs), len(quartics))
 
-    def value(self, w: np.ndarray) -> float:
-        total = float(np.real(w.conj() @ (self.r_eff @ w)))
-        for g_op, wt in zip(self.q_ops, self.q_wts):
-            total += wt * (np.linalg.norm(g_op.conj().T @ w) ** 2 - 1.0) ** 2
+    def parts(self, w: np.ndarray, rows) -> tuple:
+        """R_eff w, and G^H w with ||G^H w||^2 for each quartic term."""
+        quartic = []
+        for g_adj in self.q_adj:
+            v = _mv(g_adj, w)
+            quartic.append((v, _norms(v) ** 2))
+        return _mv(self.r_eff[rows], w), quartic
+
+    def value(self, w: np.ndarray, rows) -> np.ndarray:
+        rw, quartic = self.parts(w, rows)
+        total = np.real(_mv(w.conj()[:, np.newaxis, :], rw)[:, 0])
+        for (_, s), wt in zip(quartic, self.q_wts[rows].T):
+            total = total + wt * (s - 1.0) ** 2
         return total
 
-    def gradient(self, w: np.ndarray) -> np.ndarray:
-        grad_w = 2.0 * (self.r_eff @ w)
-        for g_op, wt in zip(self.q_ops, self.q_wts):
-            v = g_op.conj().T @ w
-            grad_w += 4.0 * wt * (np.linalg.norm(v) ** 2 - 1.0) * (g_op @ v)
-        return self.basis.conj().T @ grad_w
+    def gradient(self, w: np.ndarray, rows, parts=None) -> np.ndarray:
+        rw, quartic = self.parts(w, rows) if parts is None else parts
+        grad_w = 2.0 * rw
+        for g_op, (v, s), wt in zip(self.q_ops, quartic, self.q_wts[rows].T):
+            grad_w = grad_w + (4.0 * wt * (s - 1.0))[:, np.newaxis] * _mv(g_op, v)
+        return _mv(self.basis.conj().T, grad_w)
 
 
 def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -532,16 +598,29 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
     with respect to Re(z) and Im(z), so it can be checked coordinate by
     coordinate against central finite differences.
     """
-    return _SmoothObjective(spec, basis).gradient(w)
+    w = np.asarray(w, dtype=complex).reshape(1, -1)
+    return _SmoothObjective([spec], basis).gradient(w, slice(None))[0]
 
 
-def smooth_solve(
-    spec: ProblemSpec,
-    opts: SolverOptions = SolverOptions(),
-    w_init: np.ndarray | None = None,
-) -> SolverResult:
+# steps an Armijo search tries in one pass after its full step is rejected
+_HALVINGS = 16
+
+
+def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     """Descent on the smooth (possibly nonconvex) objective containing
-    squared-L2 and quartic (||v||^2 - 1)^2 penalties.
+    squared-L2 and quartic (||v||^2 - 1)^2 penalties, for one spec or a
+    batch of them.
+
+    ``spec`` is one ProblemSpec, solved as a batch of one and returning one
+    SolverResult (``w_init`` is then one start point or None), or a sequence
+    of T specs, returning a list of T results (``w_init`` is then None or one
+    start point per spec). The specs of a batch must share the constraint
+    vector and the penalty operators; their quadratics and penalty weights
+    are free. The descent runs on stacked (T, m) arrays, each problem with its
+    own step, stopping test and Cholesky factorizations; every product and
+    factorization is taken problem by problem, so a problem's iterates do not
+    depend on its batch (a batch reproduces single solves bit for bit), and
+    a problem leaves the batch when it stops.
 
     Works in the eliminated variable z. The Wirtinger gradient
 
@@ -551,102 +630,145 @@ def smooth_solve(
     (halving, initial step 1). The search direction is -H^-1 g with H a
     Hermitian curvature model refreshed at each iterate (the quadratic-part
     Hessian plus the quartic's complex-linear curvature), falling back to
-    the quadratic-only factor when the model goes indefinite; with no
-    quartic terms this is an exact Newton step. Stops with status CONVERGED
-    when ||g|| < smooth_grad_tol, or when an accepted step leaves z
-    bit-for-bit unchanged: from such a fixed point w, f and g repeat exactly,
-    so every later iteration would repeat it, and ``subgrad_residual`` keeps
-    ||g|| there. The objective sequence is nonincreasing. Returns a
-    stationary point (not guaranteed to be the global minimum of a nonconvex
-    spec).
+    the quadratic-only model when the model goes indefinite (its Cholesky
+    factorization is the definiteness test); with no quartic terms this is
+    an exact Newton step. A problem stops with status CONVERGED when
+    ||g|| < smooth_grad_tol, or when an accepted step leaves its z
+    bit-for-bit unchanged: from such a fixed point w, f and g repeat
+    exactly, so every later iteration would repeat it, and
+    ``subgrad_residual`` keeps ||g|| there. A problem whose quadratic-only
+    model is not positive definite ends at w0 with status NUMERICAL_FAILURE;
+    one whose line search finds no decrease ends at its last iterate with
+    that status. The objective sequence is nonincreasing. Returns stationary
+    points (not guaranteed to be global minima of a nonconvex spec).
     """
-    a = spec.constraint_vector
+    if isinstance(spec, ProblemSpec):
+        return smooth_solve([spec], opts, None if w_init is None else [w_init])[0]
+    specs = list(spec)
+    if not specs:
+        raise ValueError("smooth_solve needs at least one spec")
+    first = specs[0]
+    if not all(_shares_operators(first, other) for other in specs[1:]):
+        raise ValueError("a batch must share the constraint vector and the penalty operators")
+    a = first.constraint_vector
     w0, basis = eliminate_constraint(a)
+    smooth = _SmoothObjective(specs, basis)
+    count = len(specs)
     m = basis.shape[1]
-    smooth = _SmoothObjective(spec, basis)
+    basis_h = basis.conj().T
 
     if w_init is None:
-        z = np.zeros(m, dtype=complex)
+        z = np.zeros((count, m), dtype=complex)
     else:
-        w_init = np.asarray(w_init, dtype=complex).ravel()
-        if abs(w_init.conj() @ a - 1.0) > 1e-6:
+        starts = [np.asarray(w, dtype=complex).ravel() for w in w_init]
+        if len(starts) != count:
+            raise ValueError(f"smooth_solve needs one w_init per spec, got {len(starts)} for {count}")
+        if any(abs(w.conj() @ a - 1.0) > 1e-6 for w in starts):
             raise ValueError("w_init does not satisfy the distortionless constraint")
-        z = basis.conj().T @ (w_init - w0)
+        z = _mv(basis_h, np.stack(starts) - w0)
 
-    quad = 2.0 * (basis.conj().T @ smooth.r_eff @ basis) + _ridge(spec.quadratic) * np.eye(m)
-    try:
-        base_factor = scipy.linalg.cho_factor(quad) if m else None
-    except scipy.linalg.LinAlgError:
-        return SolverResult(
-            w=w0, objective=objective_value(spec, w0), iterations=0,
-            primal_residual=0.0, dual_residual=math.inf,
-            constraint_residual=abs(w0.conj() @ a - 1.0),
-            status=SolverStatus.NUMERICAL_FAILURE, subgrad_residual=math.inf,
-        )
+    ridge = np.array([_ridge(s.quadratic) for s in specs])
+    quad = 2.0 * (basis_h @ smooth.r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(m)
+    # Cholesky factors problem by problem, through the LAPACK calls that
+    # scipy.linalg.cho_factor/cho_solve make, so a problem's directions do
+    # not depend on its batch
+    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (quad,))
+    base = [potrf(mat, lower=False, clean=False) for mat in quad]
+    factored = np.array([info == 0 for _, info in base], dtype=bool)
     # z-space Gram matrices of the quartic operators, for the refreshed
     # curvature model below
-    p_z = [basis.conj().T @ (g_op @ (g_op.conj().T @ basis)) for g_op in smooth.q_ops]
+    p_z = [basis_h @ (g_op @ (g_adj @ basis)) for g_op, g_adj in zip(smooth.q_ops, smooth.q_adj)]
 
-    def direction_for(g, w):
-        if m == 0:
-            return np.zeros(0, dtype=complex)
-        # Hermitian curvature model of the quartic around the current point;
-        # falls back to the quadratic-only factor when indefinite
+    def directions(g, parts, rows):
+        # -H^-1 g with the Hermitian curvature model H of the quartic around
+        # the current point, or the quadratic-only factor where H is
+        # indefinite
+        factors = [base[t][0] for t in rows]
         if smooth.q_ops:
-            h = quad.copy()
-            for g_op, wt, pz in zip(smooth.q_ops, smooth.q_wts, p_z):
-                v = g_op.conj().T @ w
-                s = float(np.linalg.norm(v) ** 2)
-                y = basis.conj().T @ (g_op @ v)
-                h += 4.0 * wt * (s - 1.0) * pz + 8.0 * wt * np.outer(y, y.conj())
-            try:
-                return -scipy.linalg.cho_solve(scipy.linalg.cho_factor(h), g)
-            except scipy.linalg.LinAlgError:
-                pass
-        return -scipy.linalg.cho_solve(base_factor, g)
+            h = quad[rows]
+            for g_op, (v, s), wt, pz in zip(smooth.q_ops, parts[1], smooth.q_wts[rows].T, p_z):
+                y = _mv(basis_h, _mv(g_op, v))
+                h = h + ((4.0 * wt * (s - 1.0))[:, np.newaxis, np.newaxis] * pz
+                         + (8.0 * wt)[:, np.newaxis, np.newaxis] * (y[:, :, np.newaxis] * y.conj()[:, np.newaxis, :]))
+            for i, mat in enumerate(h):
+                factor, info = potrf(mat, lower=False, clean=False)
+                if info == 0:
+                    factors[i] = factor
+        return -np.array([potrs(factor, rhs, lower=False)[0] for factor, rhs in zip(factors, g)]).reshape(g.shape)
 
-    w = w0 + basis @ z
-    f_curr = smooth.value(w)
-    status = SolverStatus.MAX_ITERS
-    iters = opts.smooth_max_iters
-    grad_norm = math.inf
+    # results by problem, where one that cannot be factored fails at w0
+    w_out = np.tile(w0, (count, 1))
+    iters_out = np.zeros(count, dtype=int)
+    grad_out = np.full(count, math.inf)
+    status_out = [SolverStatus.NUMERICAL_FAILURE] * count
 
+    def finish(rows, idx, w, grad_norm, iters, status):
+        for i in idx:
+            t = rows[i]
+            w_out[t], grad_out[t], iters_out[t], status_out[t] = w[i], grad_norm[i], iters, status
+
+    rows = np.flatnonzero(factored)
+    z = z[rows]
+    w = w0 + _mv(basis, z)
+    f_curr = smooth.value(w, rows)
     for it in range(opts.smooth_max_iters + 1):
-        g = smooth.gradient(w)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm < opts.smooth_grad_tol:
-            status = SolverStatus.CONVERGED
-            iters = it
+        if not rows.size:
             break
+        parts = smooth.parts(w, rows)
+        g = smooth.gradient(w, rows, parts)
+        grad_norm = _norms(g)
+        done = grad_norm < opts.smooth_grad_tol
+        finish(rows, np.flatnonzero(done), w, grad_norm, it, SolverStatus.CONVERGED)
         if it == opts.smooth_max_iters:
+            finish(rows, np.flatnonzero(~done), w, grad_norm, it, SolverStatus.MAX_ITERS)
             break
-        direction = direction_for(g, w)
-        slope = float(np.real(g.conj() @ direction))
-        step = 1.0
-        for _ in range(60):
-            z_new = z + step * direction
-            w_new = w0 + basis @ z_new
-            f_new = smooth.value(w_new)
-            if f_new <= f_curr + 1e-4 * step * slope:
-                break
-            step *= 0.5
-        else:
-            status = SolverStatus.NUMERICAL_FAILURE
-            iters = it
+        if done.all():  # always so with no free coordinate (m = 0)
             break
-        if np.array_equal(z_new, z):
-            status = SolverStatus.CONVERGED
-            iters = it + 1
-            break
-        z, w, f_curr = z_new, w_new, f_new
+        # a problem that is done takes this step too, but keeps its result
+        direction = directions(g, parts, rows)
+        slope = np.real(_mv(g.conj()[:, np.newaxis, :], direction)[:, 0])
+        # Armijo backtracking: each problem tries the steps 2^-k, k < 60, in
+        # turn and takes the first with sufficient decrease. After a rejected
+        # full step, the next _HALVINGS steps of a problem are tried in one
+        # pass; each test depends on its own step alone, so the step taken is
+        # the one the sequential search takes
+        tried = np.zeros(rows.size, dtype=int)
+        failed = np.zeros(rows.size, dtype=bool)
+        z_new, w_new, f_new = np.empty_like(z), np.empty_like(w), np.empty_like(f_curr)
+        pending = np.arange(rows.size)
+        width = 1
+        while pending.size:
+            exponents = tried[pending, np.newaxis] + np.arange(width)
+            steps = 0.5 ** exponents
+            z_try = z[pending, np.newaxis, :] + steps[:, :, np.newaxis] * direction[pending, np.newaxis, :]
+            w_try = w0 + _mv(basis, z_try)
+            f_try = smooth.value(w_try.reshape(-1, w.shape[1]), np.repeat(rows[pending], width)).reshape(steps.shape)
+            accept = (f_try <= f_curr[pending, np.newaxis] + 1e-4 * steps * slope[pending, np.newaxis]) & (exponents < 60)
+            hit = accept.any(axis=1)
+            pick = accept.argmax(axis=1)[hit]
+            took = pending[hit]
+            z_new[took], w_new[took], f_new[took] = (x[hit, pick] for x in (z_try, w_try, f_try))
+            tried[pending] += width
+            failed[pending[~hit & (tried[pending] >= 60)]] = True
+            pending = pending[~hit & (tried[pending] < 60)]
+            width = _HALVINGS
+        failed &= ~done
+        finish(rows, np.flatnonzero(failed), w, grad_norm, it, SolverStatus.NUMERICAL_FAILURE)
+        fixed = (z_new == z).all(axis=1) & ~(done | failed)
+        finish(rows, np.flatnonzero(fixed), w, grad_norm, it + 1, SolverStatus.CONVERGED)
+        going = ~(done | failed | fixed)
+        rows, z, w, f_curr = rows[going], z_new[going], w_new[going], f_new[going]
 
-    return SolverResult(
-        w=w,
-        objective=objective_value(spec, w),
-        iterations=iters,
-        primal_residual=0.0,
-        dual_residual=grad_norm,
-        constraint_residual=abs(w.conj() @ a - 1.0),
-        status=status,
-        subgrad_residual=grad_norm,
-    )
+    return [
+        SolverResult(
+            w=w_out[t],
+            objective=objective_value(spec_t, w_out[t]),
+            iterations=int(iters_out[t]),
+            primal_residual=0.0,
+            dual_residual=float(grad_out[t]),
+            constraint_residual=abs(w_out[t].conj() @ a - 1.0),
+            status=status_out[t],
+            subgrad_residual=float(grad_out[t]),
+        )
+        for t, spec_t in enumerate(specs)
+    ]

@@ -3,7 +3,12 @@ functions under the (module, name) pairs listed in bench/spans.py; each pair
 must stay a module-level name of that module."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
+
+from caponshape.arrays import sample_covariance, snm_weighting, synthesize_snapshots
+from caponshape.beamformers import BeamformerKind, BeamformerSpec, solve_trials
+from caponshape.cli import BENCHMARK_OPTIONS
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -14,3 +19,40 @@ def test_bench_patch_points_resolve(monkeypatch):
     pairs = [(module, name) for module, name, _ in spans.TIMED + spans.LEAVES] + list(spans.SOLVE_SITES)
     missing = [f"{module}.{name}" for module, name in pairs if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+def test_hooked_names_see_every_batched_call(monkeypatch, scenario, manifold, split, a0):
+    # the per-layer figures prox.calls and solver.smooth_s come from wrapping
+    # these names: each prox runs once per batch iteration and block, and
+    # smooth_solve once per batch of mspr_relaxed
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [(m, a) for m, a, _ in spans.LEAVES] + [("caponshape.beamformers", "smooth_solve")]:
+        target = importlib.import_module(module)
+        monkeypatch.setattr(target, name, counted(name, getattr(target, name)))
+    draws = [synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data for t in range(3)]
+    covariances = [sample_covariance(x) for x in draws]
+    snm = [snm_weighting(manifold, x) for x in draws]
+    # blocks per prox leaf for each kind
+    blocks = {BeamformerKind.SPARSE: {"prox_l1": 1}, BeamformerKind.WEIGHTED_SPARSE: {"prox_l1": 1},
+              BeamformerKind.MIXED_NORM: {"prox_linf": 1, "prox_l1": 1},
+              BeamformerKind.TVM_SPARSE: {"group_shrink": 2, "prox_l1": 1}}
+    for kind, per_iteration in blocks.items():
+        calls.clear()
+        out = solve_trials([BeamformerSpec(kind, 0.2)] * 3, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        rounds = max(w.iterations for w in out)
+        assert rounds > 0
+        assert calls == Counter({name: n * rounds for name, n in per_iteration.items()}), kind
+    calls.clear()
+    solve_trials([BeamformerSpec(BeamformerKind.MSPR_RELAXED, 0.02)] * 3, covariances, manifold, split, a0,
+                 None, BENCHMARK_OPTIONS)
+    assert calls == Counter({"smooth_solve": 1})

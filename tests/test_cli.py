@@ -344,6 +344,17 @@ def test_flags_per_subcommand(tmp_path):
         assert f"error: {argv[1]} needs at least one value" in result.stderr, argv
 
 
+def test_list_flags_name_the_token_they_refuse(tmp_path):
+    path = write_config(tmp_path)
+    for argv, token in ((["montecarlo", "--mismatch", "0,abc"], "abc"), (["sweep", "--gammas", "0.1,x"], "x"),
+                        (["montecarlo", "--mismatch", "nan"], "nan"), (["sweep", "--gammas", "1e400"], "1e400")):
+        result = CliRunner().invoke(main, argv + ["--config", str(path)])
+        assert result.exit_code == 2, argv
+        assert f"error: {argv[1]} takes finite numbers, got '{token}'" in result.stderr, argv
+        assert "Traceback" not in result.output, argv
+    assert not (tmp_path / "out").exists()
+
+
 def test_montecarlo_exit_2_on_zero_trials(tmp_path):
     path = write_config(tmp_path)
     result = CliRunner().invoke(main, ["montecarlo", "--config", str(path), "--trials", "0"])

@@ -4,7 +4,7 @@ certificates, and brute-force spot checks."""
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import grid_minimize, linf_polish
@@ -186,6 +186,32 @@ def test_project_l1_ball_lands_in_the_ball_and_is_idempotent(case):
     p = project_l1_ball(v, radius)
     assert np.all(np.abs(p).sum(axis=1) <= radius * (1.0 + 1e-12) + 1e-12)
     npt.assert_allclose(project_l1_ball(p, radius), p, rtol=1e-12, atol=1e-12)
+
+
+@given(rows_and_thresholds())
+@example((np.array([[0.1 + 0.1j, -0.2j, 0.0, 0.05], [0.0, 0.0, 0.0, 0.0],
+                    [3.0, -3.0j, 2.0 + 2.0j, 0.0], [1.0j, 1.0j, 1.0j, 1.0j]]), np.array([1.0, 0.5, 2.0, 0.0])))
+@settings(max_examples=300, deadline=None)
+def test_prox_linf_row_certificate(case):
+    # per row, x = prox(v, t) is v with its moduli clipped at one level: zero
+    # when ||v||_1 <= t, else the residual v - x carries total modulus t on
+    # the peak moduli of x, phase-aligned, so Re<v - x, x> = t ||x||_inf
+    v, t = case
+    x = prox_linf(v, t)
+    assert x.shape == v.shape
+    for vi, xi, ti in zip(v, x, t):
+        tol = 1e-12 * (1.0 + np.abs(vi).sum() + ti)
+        npt.assert_array_less(np.abs(xi), np.abs(vi) + tol)
+        assert np.all(np.abs(np.imag(xi * vi.conj())) <= tol * (1.0 + np.abs(vi)))
+        assert np.all(np.real(xi * vi.conj()) >= 0.0)
+        if np.abs(vi).sum() <= ti:
+            assert np.all(xi == 0.0)
+            continue
+        r = vi - xi
+        peak = np.abs(xi).max()
+        assert abs(np.abs(r).sum() - ti) <= tol
+        assert np.all(np.abs(np.abs(xi[np.abs(r) > tol]) - peak) <= tol)
+        assert abs(np.real(np.vdot(xi, r)) - ti * peak) <= tol * (1.0 + peak)
 
 
 def test_row_wise_prox_rejects_a_negative_row_threshold():

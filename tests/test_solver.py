@@ -10,6 +10,7 @@ from caponshape.arrays import difference_operator, sample_covariance, snm_weight
 from caponshape.beamformers import mspr_capon
 from caponshape.cli import BENCHMARK_OPTIONS
 from caponshape.evaluation import DEFAULT_GAMMA_GRID
+from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     PenaltyKind,
     PenaltyTerm,
@@ -133,6 +134,15 @@ def test_solver_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(smooth_grad_tol=0.0)
+    for bad in (dict(max_iters=-5), dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=True),
+                dict(smooth_max_iters=-1), dict(smooth_max_iters=1.5), dict(smooth_max_iters=False),
+                dict(rho=np.nan), dict(rho=np.inf), dict(tol=np.inf), dict(tol=np.nan),
+                dict(smooth_grad_tol=np.inf), dict(smooth_grad_tol=np.nan)):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverOptions(**bad)
+    # the boundary values and numpy scalars are accepted
+    opts = SolverOptions(max_iters=np.int64(1), smooth_max_iters=0, rho=np.float64(0.5))
+    assert (opts.max_iters, opts.smooth_max_iters, opts.rho) == (1, 0, 0.5)
 
 
 def test_admm_no_penalty_matches_direct_solution():
@@ -238,6 +248,9 @@ def test_admm_iteration_cap_reports_max_iters():
     assert res.status is SolverStatus.MAX_ITERS
     assert res.iterations == 1
     assert np.all(np.isfinite(res.w))
+    # a capped result reports both residuals of its last iteration
+    assert 0.0 < res.primal_residual < np.inf
+    assert 0.0 < res.dual_residual < np.inf
 
 
 def test_smooth_solve_quadratic_only_matches_direct_solution():
@@ -320,6 +333,50 @@ def test_smooth_solve_stops_at_its_fixed_point(scenario, split, a0, seed, mismat
     tight = mspr_capon(r, split, a0, gamma, replace(BENCHMARK_OPTIONS, smooth_grad_tol=1e-15, smooth_max_iters=2000))
     assert tight.status is SolverStatus.CONVERGED
     npt.assert_array_equal(got.weights, tight.weights)
+
+
+def test_smooth_batch_reproduces_single_solves(scenario, split, a0):
+    # every product and factorization is taken problem by problem, so a batch
+    # (here mixing gamma 0 with positive gammas, and one problem whose
+    # quadratic cannot be factored) reproduces each single solve bit for bit
+    gammas = (0.0, 0.025118864315095794, 0.1, 1.0)
+    covariances = _packaged_covariances(scenario, len(gammas))
+    specs = [ProblemSpec(r, a0, (PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
+                                 PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma)))
+             for r, gamma in zip(covariances, gammas)]
+    specs.insert(2, ProblemSpec(-1e6 * np.eye(8), a0, specs[1].penalties))
+    starts = [closed_form(r, a0) for r in covariances]
+    starts.insert(2, a0 / np.vdot(a0, a0))
+    batch = smooth_solve(specs, BENCHMARK_OPTIONS, w_init=starts)
+    assert [r.status for r in batch].count(SolverStatus.NUMERICAL_FAILURE) == 1
+    assert batch[2].status is SolverStatus.NUMERICAL_FAILURE
+    for spec, start, got in zip(specs, starts, batch):
+        alone = smooth_solve(spec, BENCHMARK_OPTIONS, w_init=start)
+        assert got.status is alone.status
+        assert got.iterations == alone.iterations
+        npt.assert_array_equal(got.w, alone.w)
+        assert got.subgrad_residual == alone.subgrad_residual
+
+
+def test_smooth_solve_with_no_free_coordinate():
+    # with one sensor w = a/|a|^2 is the only feasible point
+    spec = ProblemSpec(2.0 * np.eye(1), np.array([2.0j]), (PenaltyTerm(np.eye(1), PenaltyKind.QUARTIC_UNIT, 0.5),))
+    for got in smooth_solve([spec, spec]) + [smooth_solve(spec)]:
+        assert got.status is SolverStatus.CONVERGED
+        assert got.iterations == 0
+        npt.assert_array_equal(got.w, [0.5j])
+
+
+def test_smooth_batch_validation(a0):
+    quartic = (PenaltyTerm(np.eye(8), PenaltyKind.QUARTIC_UNIT, 0.5),)
+    with pytest.raises(ValueError):
+        smooth_solve([])
+    with pytest.raises(ValueError):
+        smooth_solve([ProblemSpec(np.eye(8), a0, quartic), ProblemSpec(np.eye(8), 1j * a0, quartic)])
+    with pytest.raises(ValueError):
+        smooth_solve([ProblemSpec(np.eye(8), a0, quartic), ProblemSpec(np.eye(8), a0)])
+    with pytest.raises(ValueError):
+        smooth_solve([ProblemSpec(np.eye(8), a0, quartic)] * 2, w_init=[a0 / 8.0])
 
 
 def test_smooth_solve_rejects_nonsmooth_kinds():
@@ -486,3 +543,61 @@ def test_admm_batch_validation(a0):
         admm_solve([])
     with pytest.raises(ValueError):
         admm_solve([ProblemSpec(np.eye(8), a0), ProblemSpec(np.eye(8), 1j * a0)])
+
+
+def textbook_admm(spec, opts):
+    """Scaled ADMM (Boyd et al. 2011, section 3.1.1) for one problem, on the
+    splitting admm_solve documents: three products per iteration and the dual
+    residual taken on every iteration."""
+    w0, basis = eliminate_constraint(spec.constraint_vector)
+    r = spec.quadratic
+    quad = 2.0 * (basis.conj().T @ r @ basis) + 1e-10 * np.real(np.trace(r)) / r.shape[0] * np.eye(basis.shape[1])
+    lin = 2.0 * (basis.conj().T @ (r @ w0))
+    terms = [t for t in spec.penalties if t.weight > 0]
+    scales = [np.ones(t.operator.shape[1]) if t.scale is None else t.scale for t in terms]
+    blocks = [s[:, np.newaxis] * (t.operator.conj().T @ basis) for t, s in zip(terms, scales)]
+    k = np.vstack(blocks)
+    c = np.concatenate([s * (t.operator.conj().T @ w0) for t, s in zip(terms, scales)])
+    rhos = [opts.rho * t.weight * np.linalg.norm(b, 2) for t, b in zip(terms, blocks)]
+    rho = np.concatenate([np.full(b.shape[0], x) for b, x in zip(blocks, rhos)])
+    edges = np.cumsum([0] + [b.shape[0] for b in blocks])
+    proxes = {PenaltyKind.L1: prox_l1, PenaltyKind.LINF: lambda x, t: x - project_l1_ball(x, t),
+              PenaltyKind.GROUP_L2: lambda x, t: prox_group_l2(x, [np.arange(x.size)], t)}
+    lhs = quad + k.conj().T @ (rho[:, np.newaxis] * k)
+    z = np.linalg.solve(quad, -lin)
+    v, u = k @ z + c, np.zeros(k.shape[0], dtype=complex)
+    for it in range(1, opts.max_iters + 1):
+        z = np.linalg.solve(lhs, k.conj().T @ (rho * (v - u - c)) - lin)
+        kzc = k @ z + c
+        v_old, arg = v, kzc + u
+        v = np.concatenate([proxes[t.kind](arg[lo:hi], t.weight / x)
+                            for t, x, lo, hi in zip(terms, rhos, edges[:-1], edges[1:])])
+        u = u + kzc - v
+        primal, dual = np.linalg.norm(kzc - v), np.linalg.norm(k.conj().T @ (rho * (v - v_old)))
+        if primal < opts.tol and dual < opts.tol:
+            return w0 + basis @ z, it, SolverStatus.CONVERGED
+    return w0 + basis @ z, opts.max_iters, SolverStatus.MAX_ITERS
+
+
+# the gammas the packaged sweep selects (acceptance criterion 10)
+CRITERION_10_GAMMAS = {"sparse": 0.3162277660168379, "weighted_sparse": 10.0,
+                       "mixed_norm": 0.19952623149688797, "tvm_sparse": 0.19952623149688797}
+
+
+@pytest.mark.parametrize("mismatch", [0.0, 3.0])
+@pytest.mark.parametrize("kind", list(CRITERION_10_GAMMAS))
+def test_admm_matches_the_textbook_iteration(scenario, manifold, split, a0, kind, mismatch):
+    # the batched loop takes the dual residual only on iterations where some
+    # problem may stop, folds back(c) into the linear term and clips the LINF
+    # prox; none of that may change a single problem's iterates
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
+    draws = [synthesize_snapshots(truth.with_seed(scenario.seed + t)).data for t in range(5)]
+    gamma = CRITERION_10_GAMMAS[kind]
+    specs = [ProblemSpec(sample_covariance(x), a0, tuple(
+        replace(t, weight=t.weight * gamma, scale=snm_weighting(manifold, x) if kind == "weighted_sparse" else None)
+        for t in _unit_terms(kind, manifold, split))) for x in draws]
+    for spec, got in zip(specs, admm_solve(specs, BENCHMARK_OPTIONS)):
+        w, iterations, status = textbook_admm(spec, BENCHMARK_OPTIONS)
+        assert got.status is status
+        assert got.iterations == iterations
+        assert np.linalg.norm(got.w - w) <= 1e-10 * np.linalg.norm(w)
