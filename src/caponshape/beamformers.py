@@ -116,15 +116,15 @@ class WeightVector:
 
     ``constraint_residual`` is |w^H a - 1| at the presumed steering vector;
     ``ridged`` flags a closed-form solve that needed the singularity-rescue
-    ridge. ``subgrad_residual`` is the solver's stationarity certificate
-    (see ``SolverResult``); the closed form has none and reports 0.
+    ridge. ``subgrad_residual`` is the solver's stationarity certificate,
+    its ``SolverResult.dual_residual``; the closed form has none and reports
+    0.
     """
 
     weights: np.ndarray
     constraint_residual: float
     status: SolverStatus
     iterations: int
-    objective: float
     ridged: bool = False
     subgrad_residual: float = 0.0
 
@@ -137,14 +137,8 @@ def _covariance_matrix(r) -> np.ndarray:
 
 
 def _weights(result: SolverResult) -> WeightVector:
-    return WeightVector(
-        weights=result.w,
-        constraint_residual=result.constraint_residual,
-        status=result.status,
-        iterations=result.iterations,
-        objective=result.objective,
-        subgrad_residual=result.subgrad_residual,
-    )
+    return WeightVector(weights=result.w, constraint_residual=result.constraint_residual, status=result.status,
+                        iterations=result.iterations, subgrad_residual=result.dual_residual)
 
 
 def capon_closed_form(r, a: np.ndarray) -> WeightVector:
@@ -177,7 +171,6 @@ def capon_closed_form(r, a: np.ndarray) -> WeightVector:
         constraint_residual=abs(w.conj() @ a - 1.0),
         status=SolverStatus.CONVERGED,
         iterations=0,
-        objective=float(np.real(w.conj() @ mat @ w)),
         ridged=ridged,
     )
 
@@ -373,7 +366,7 @@ def _each_trial(solve, mats: list, methods: list, size: int) -> list:
             out.append(solve(r, method.gamma))
         except NumericalError:
             out.append(WeightVector(np.full(size, np.nan, dtype=complex), math.nan,
-                                    SolverStatus.NUMERICAL_FAILURE, 0, math.nan))
+                                    SolverStatus.NUMERICAL_FAILURE, 0))
     return out
 
 

@@ -35,7 +35,9 @@ import click
 from .arrays import (ArrayGeometry, Scenario, SourceSpec, build_manifold, db_to_linear, linear_to_db, sample_covariance,
                      split_manifold, steering_vector, synthesize_snapshots)
 from .beamformers import BeamformerKind, BeamformerSpec, solve_method
-from .evaluation import (
+# mspr, sidelobe_mean_db and sinr are not called here but stay importable from
+# this module, where bench/spans.py hooks them
+from .evaluation import (  # noqa: F401
     DEFAULT_GAMMA_GRID,
     beam_pattern,
     best_point_index,
@@ -435,7 +437,7 @@ def sweep(config_path, out_dir, seed, gammas_csv):
     config = load_run_config(config_path, out_dir, seed=seed)
     # each gamma is checked where it becomes a BeamformerSpec
     grid = DEFAULT_GAMMA_GRID if gammas_csv is None else _float_list(gammas_csv, "--gammas")
-    manifold, split, a = _prepare(config)
+    manifold, _, _ = _prepare(config)
     out = _out_path(config)
     held_out = config.scenario.with_seed(config.scenario.seed - 1)
 
@@ -443,27 +445,13 @@ def sweep(config_path, out_dir, seed, gammas_csv):
     capped = []
     on_edge = []
     for method in config.methods:
-        if method.kind is BeamformerKind.CAPON:
-            snapshots = synthesize_snapshots(held_out.with_soi_doa(held_out.presumed_doa_deg))
-            r = sample_covariance(snapshots.data)
-            result = solve_method(method, r, manifold, split, a, snapshots.data)
-            rows.append(
-                (
-                    method.kind.value,
-                    0.0,
-                    sinr(result.weights, held_out.with_soi_doa(held_out.presumed_doa_deg)),
-                    sidelobe_mean_db(result.weights, manifold, split),
-                    mspr(result.weights, split),
-                    1,
-                )
-            )
-            continue
-        points = gamma_sweep(method, held_out, manifold, config.b, grid, BENCHMARK_OPTIONS)
+        method_grid = (0.0,) if method.kind is BeamformerKind.CAPON else grid
+        points = gamma_sweep(method, held_out, manifold, config.b, method_grid, BENCHMARK_OPTIONS)
         best = best_point_index(points)
         count = sum(point.status is SolverStatus.MAX_ITERS for point in points)
         if count:
             capped.append((method.kind.value, count, len(points)))
-        if len(grid) > 2 and best in (0, len(points) - 1):
+        if len(points) > 2 and best in (0, len(points) - 1):
             on_edge.append((method.kind.value, points[best].gamma))
         for i, point in enumerate(points):
             rows.append(

@@ -180,14 +180,16 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class SolverResult:
+    """``dual_residual`` is the stationarity certificate: ADMM's dual
+    residual at its last iteration (0 for a problem with no active penalty),
+    or the smooth path's gradient norm."""
+
     w: np.ndarray
-    objective: float
     iterations: int
     primal_residual: float
     dual_residual: float
     constraint_residual: float
     status: SolverStatus
-    subgrad_residual: float = 0.0
 
 
 def objective_value(spec: ProblemSpec, w: np.ndarray) -> float:
@@ -212,11 +214,6 @@ def eliminate_constraint(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w0 = a / norm**2
     q, _ = np.linalg.qr(a.reshape(-1, 1), mode="complete")
     return w0, q[:, 1:]
-
-
-def _ridge(r: np.ndarray) -> float:
-    """Ridge added to the eliminated quadratic: 1e-10 * trace(R)/M."""
-    return 1e-10 * float(np.real(np.trace(r))) / r.shape[0]
 
 
 def _fold_squared_l2(spec: ProblemSpec) -> np.ndarray:
@@ -282,18 +279,39 @@ def _times(x: np.ndarray, real_form: np.ndarray) -> np.ndarray:
     return (x.view(float) @ real_form).view(complex)
 
 
-def _shares_operators(first: ProblemSpec, other: ProblemSpec) -> bool:
-    """Whether two specs have the same constraint vector and penalty terms,
-    up to each term's weight and column scale."""
-    return (
-        np.array_equal(first.constraint_vector, other.constraint_vector)
-        and len(first.penalties) == len(other.penalties)
-        and all(
-            x.kind is y.kind
-            and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
-            for x, y in zip(first.penalties, other.penalties)
-        )
-    )
+def _batch(spec, solver: str) -> list:
+    """The specs of a batch as a list, checked to be nonempty and to share
+    the constraint vector and the penalty terms up to each term's weight and
+    column scale."""
+    specs = list(spec)
+    if not specs:
+        raise ValueError(f"{solver} needs at least one spec")
+    first = specs[0]
+    for other in specs[1:]:
+        if not (
+            np.array_equal(first.constraint_vector, other.constraint_vector)
+            and len(first.penalties) == len(other.penalties)
+            and all(x.kind is y.kind and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
+                    for x, y in zip(first.penalties, other.penalties))
+        ):
+            raise ValueError("a batch must share the constraint vector and the penalty operators")
+    return specs
+
+
+def _eliminated(specs: list) -> tuple:
+    """w0 and B of the shared constraint, the (T, M, M) stack of
+    squared-L2-folded quadratics R_eff, and the z-space quadratics
+    2 B^H R_eff B + ridge I with ridge = 1e-10 * trace(R)/M per problem."""
+    w0, basis = eliminate_constraint(specs[0].constraint_vector)
+    r_eff = np.stack([_fold_squared_l2(s) for s in specs])
+    ridge = np.array([1e-10 * float(np.real(np.trace(s.quadratic))) / s.quadratic.shape[0] for s in specs])
+    quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(basis.shape[1])
+    return w0, basis, r_eff, quad
+
+
+def _result(spec: ProblemSpec, w: np.ndarray, iters, rp, rd, status: SolverStatus) -> SolverResult:
+    return SolverResult(w=w, iterations=int(iters), primal_residual=float(rp), dual_residual=float(rd),
+                        constraint_residual=abs(w.conj() @ spec.constraint_vector - 1.0), status=status)
 
 
 def _same_scale(x, y) -> bool:
@@ -336,58 +354,38 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     matrices when the batch shares its scales. Stops a problem when its
     absolute primal and dual residual norms (in the original, unscaled block
     units) both drop below ``tol``.
+
+    The dual residual is also the stationarity certificate: with
+    u+ = u + K z+ + c - v+, the z-update gives quad z+ + lin + K^H diag(rho)
+    u+ = K^H diag(rho) (v - v+) (Boyd et al. 2011, "Distributed Optimization
+    and Statistical Learning via ADMM", sec. 3.3).
     """
     if isinstance(spec, ProblemSpec):
         return admm_solve([spec], opts)[0]
-    specs = list(spec)
-    if not specs:
-        raise ValueError("admm_solve needs at least one spec")
+    specs = _batch(spec, "admm_solve")
     first = specs[0]
     if first.is_smooth_nonconvex:
         raise ValueError("admm_solve handles convex specs only; use smooth_solve")
     for term in first.penalties:
         if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
             raise ValueError(f"unsupported penalty kind for admm_solve: {term.kind}")
-    if not all(_shares_operators(first, other) for other in specs[1:]):
-        raise ValueError("a batch must share the constraint vector and the penalty operators")
 
-    count = len(specs)
-    w0, basis = eliminate_constraint(first.constraint_vector)
+    w0, basis, r_eff, quad = _eliminated(specs)
     m = basis.shape[1]
-    r_eff = np.stack([_fold_squared_l2(s) for s in specs])
-    ridge = np.array([_ridge(s.quadratic) for s in specs])
-    quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(m)
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
     active_terms = [j for j, t in enumerate(first.penalties)
                     if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     terms = [first.penalties[j] for j in active_terms]
-
-    def finish(t, z, iters, rp, rd, status, cert):
-        w = w0 + basis @ z
-        return SolverResult(
-            w=w,
-            objective=objective_value(specs[t], w),
-            iterations=int(iters),
-            primal_residual=float(rp),
-            dual_residual=float(rd),
-            constraint_residual=abs(w.conj() @ first.constraint_vector - 1.0),
-            status=status,
-            subgrad_residual=float(cert),
-        )
-
-    def failure(t):
-        return finish(t, np.zeros(m, dtype=complex), 0, math.inf, math.inf,
-                      SolverStatus.NUMERICAL_FAILURE, math.inf)
 
     # the unpenalized optimum: the answer for a problem with no active
     # penalty, and the warm start (zero if quad is not factorable) otherwise
     inv_quad, factored = _inverses(quad)
     z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
     if not terms or m == 0:
-        cert = _row_norms((quad @ z[:, :, np.newaxis])[:, :, 0] + lin)
         return [
-            finish(t, z[t], 0, 0.0, 0.0, SolverStatus.CONVERGED, cert[t]) if factored[t] else failure(t)
-            for t in range(count)
+            _result(s, w0 + basis @ z[t], 0, 0.0, 0.0, SolverStatus.CONVERGED) if factored[t]
+            else _result(s, w0.copy(), 0, math.inf, math.inf, SolverStatus.NUMERICAL_FAILURE)
+            for t, s in enumerate(specs)
         ]
 
     # stacked penalty operator shared by the batch, with per-problem row
@@ -440,7 +438,6 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     # results by problem, where an unpenalized problem ends at its warm start;
     # the loop runs on the rows of the problems still active
     z_out = np.where(penalized[:, np.newaxis], 0.0, z)
-    u_out = np.zeros((count, k_mat.shape[0]), dtype=complex)
     rp_out = np.where(penalized, math.inf, 0.0)
     rd_out = rp_out.copy()
     iters_out = np.where(penalized, opts.max_iters, 0)
@@ -508,7 +505,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
             stopped = np.array(stopped)
             for i in np.flatnonzero(stopped):
                 t = active[i]
-                z_out[t], u_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], u[i], rp[i], rd[i], it
+                z_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], rp[i], rd[i], it
                 status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol else SolverStatus.NUMERICAL_FAILURE
             going = ~stopped
             active, z, v, u, rp, rd, lin_a, inv_a, ts_a = (
@@ -519,15 +516,11 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
             if scaled:
                 c_a, scale_a = c_a[going], scale_a[going]
     # the problems still active stopped at the cap
-    z_out[active], u_out[active], rp_out[active], rd_out[active] = z, u, rp, rd
-
-    # stationarity certificate from the splitting duals:
-    # rho_j * u_j in gamma_j * dh_j(v_j)
-    certs = _row_norms((quad @ z_out[:, :, np.newaxis])[:, :, 0] + lin + (rho_k * u_out) @ k_conj)
+    z_out[active], rp_out[active], rd_out[active] = z, rp, rd
     return [
-        finish(t, z_out[t], iters_out[t], rp_out[t], rd_out[t], status_out[t], certs[t])
-        if ok[t] else failure(t)
-        for t in range(count)
+        _result(s, w0 + basis @ z_out[t], iters_out[t], rp_out[t], rd_out[t], status_out[t]) if ok[t]
+        else _result(s, w0.copy(), 0, math.inf, math.inf, SolverStatus.NUMERICAL_FAILURE)
+        for t, s in enumerate(specs)
     ]
 
 
@@ -551,7 +544,7 @@ class _SmoothObjective:
     quartic weights, with value and z-gradient evaluations on stacked (T, M)
     points. ``rows`` picks the problems a (k, M) point belongs to."""
 
-    def __init__(self, specs: list, basis: np.ndarray):
+    def __init__(self, specs: list, basis: np.ndarray, r_eff: np.ndarray):
         first = specs[0]
         for term in first.penalties:
             if term.kind not in (PenaltyKind.SQUARED_L2, PenaltyKind.QUARTIC_UNIT):
@@ -561,7 +554,7 @@ class _SmoothObjective:
         quartics = [j for j, t in enumerate(first.penalties)
                     if t.kind is PenaltyKind.QUARTIC_UNIT and any(s.penalties[j].weight > 0 for s in specs)]
         self.basis = basis
-        self.r_eff = np.stack([_fold_squared_l2(s) for s in specs])
+        self.r_eff = r_eff
         self.q_ops = [first.penalties[j].operator for j in quartics]
         self.q_adj = [g_op.conj().T for g_op in self.q_ops]
         self.q_wts = np.array([[s.penalties[j].weight for j in quartics] for s in specs], dtype=float).reshape(
@@ -599,7 +592,7 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
     coordinate against central finite differences.
     """
     w = np.asarray(w, dtype=complex).reshape(1, -1)
-    return _SmoothObjective([spec], basis).gradient(w, slice(None))[0]
+    return _SmoothObjective([spec], basis, _fold_squared_l2(spec)[np.newaxis]).gradient(w, slice(None))[0]
 
 
 # steps an Armijo search tries in one pass after its full step is rejected
@@ -636,7 +629,7 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     ||g|| < smooth_grad_tol, or when an accepted step leaves its z
     bit-for-bit unchanged: from such a fixed point w, f and g repeat
     exactly, so every later iteration would repeat it, and
-    ``subgrad_residual`` keeps ||g|| there. A problem whose quadratic-only
+    ``dual_residual`` keeps ||g|| there. A problem whose quadratic-only
     model is not positive definite ends at w0 with status NUMERICAL_FAILURE;
     one whose line search finds no decrease ends at its last iterate with
     that status. The objective sequence is nonincreasing. Returns stationary
@@ -644,15 +637,9 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     """
     if isinstance(spec, ProblemSpec):
         return smooth_solve([spec], opts, None if w_init is None else [w_init])[0]
-    specs = list(spec)
-    if not specs:
-        raise ValueError("smooth_solve needs at least one spec")
-    first = specs[0]
-    if not all(_shares_operators(first, other) for other in specs[1:]):
-        raise ValueError("a batch must share the constraint vector and the penalty operators")
-    a = first.constraint_vector
-    w0, basis = eliminate_constraint(a)
-    smooth = _SmoothObjective(specs, basis)
+    specs = _batch(spec, "smooth_solve")
+    w0, basis, r_eff, quad = _eliminated(specs)
+    smooth = _SmoothObjective(specs, basis, r_eff)
     count = len(specs)
     m = basis.shape[1]
     basis_h = basis.conj().T
@@ -663,12 +650,10 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
         starts = [np.asarray(w, dtype=complex).ravel() for w in w_init]
         if len(starts) != count:
             raise ValueError(f"smooth_solve needs one w_init per spec, got {len(starts)} for {count}")
-        if any(abs(w.conj() @ a - 1.0) > 1e-6 for w in starts):
+        if any(abs(w.conj() @ specs[0].constraint_vector - 1.0) > 1e-6 for w in starts):
             raise ValueError("w_init does not satisfy the distortionless constraint")
         z = _mv(basis_h, np.stack(starts) - w0)
 
-    ridge = np.array([_ridge(s.quadratic) for s in specs])
-    quad = 2.0 * (basis_h @ smooth.r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(m)
     # Cholesky factors problem by problem, through the LAPACK calls that
     # scipy.linalg.cho_factor/cho_solve make, so a problem's directions do
     # not depend on its batch
@@ -759,16 +744,4 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
         going = ~(done | failed | fixed)
         rows, z, w, f_curr = rows[going], z_new[going], w_new[going], f_new[going]
 
-    return [
-        SolverResult(
-            w=w_out[t],
-            objective=objective_value(spec_t, w_out[t]),
-            iterations=int(iters_out[t]),
-            primal_residual=0.0,
-            dual_residual=float(grad_out[t]),
-            constraint_residual=abs(w_out[t].conj() @ a - 1.0),
-            status=status_out[t],
-            subgrad_residual=float(grad_out[t]),
-        )
-        for t, spec_t in enumerate(specs)
-    ]
+    return [_result(s, w_out[t], iters_out[t], 0.0, grad_out[t], status_out[t]) for t, s in enumerate(specs)]

@@ -28,7 +28,7 @@ from caponshape.beamformers import (
     weighted_sparse_capon,
 )
 from caponshape.cli import BENCHMARK_OPTIONS
-from caponshape.evaluation import sidelobe_mean_db
+from caponshape.evaluation import sidelobe_mean_db, sinr
 from caponshape.solver import (
     NumericalError,
     PenaltyKind,
@@ -334,6 +334,24 @@ def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, 
             assert got.status is ref.status, kind
             assert got.iterations == ref.iterations, kind
             assert np.linalg.norm(got.weights - phase * ref.weights) <= bound * np.linalg.norm(ref.weights), kind
+
+
+@pytest.mark.parametrize("mismatch", (0.0, 3.0))
+def test_benchmark_options_move_sinr_by_under_1e3_db(scenario, manifold, split, a0, mismatch):
+    # the claim beside BENCHMARK_OPTIONS: against the default tolerances,
+    # per-trial SINR moves by under 1e-3 dB for every method but
+    # weighted_sparse, whose default-tolerance solves stop at their cap
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
+    draws = [truth.with_seed(seed) for seed in range(7, 15)]
+    covariances = [sample_covariance(synthesize_snapshots(draw).data) for draw in draws]
+    for kind in (BeamformerKind.SPARSE, BeamformerKind.MIXED_NORM, BeamformerKind.TVM_SPARSE,
+                 BeamformerKind.MSPR_RELAXED):
+        methods = [BeamformerSpec(kind, GAMMAS[kind])] * len(draws)
+        tight = solve_trials(methods, covariances, manifold, split, a0, None, SolverOptions())
+        loose = solve_trials(methods, covariances, manifold, split, a0, None, BENCHMARK_OPTIONS)
+        for draw, ref, got in zip(draws, tight, loose):
+            assert ref.status is got.status is SolverStatus.CONVERGED, kind
+            assert abs(sinr(got.weights, draw) - sinr(ref.weights, draw)) < 1e-3, kind
 
 
 def test_solve_trials_fails_a_trial_alone(covariance, manifold, split, a0):

@@ -267,7 +267,7 @@ def test_montecarlo_writes_reports_and_summary(tmp_path):
 
 def test_montecarlo_writes_strict_json_when_every_trial_fails(tmp_path, monkeypatch):
     def every_trial_fails(method, covariances, *args, **kwargs):
-        return [WeightVector(np.full(4, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0, math.nan)
+        return [WeightVector(np.full(4, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0)
                 for _ in covariances]
 
     def reject(token):

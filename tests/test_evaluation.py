@@ -224,7 +224,7 @@ def test_monte_carlo_validates_inputs(scenario, manifold, config):
 
 
 def every_trial_fails(method, covariances, *args, **kwargs):
-    return [WeightVector(np.full(8, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0, math.nan)
+    return [WeightVector(np.full(8, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0)
             for _ in covariances]
 
 
@@ -250,6 +250,20 @@ def test_monte_carlo_resolves_auto_gamma_once(scenario, manifold, config):
                             scenario.with_seed(scenario.seed - 1), manifold, config.b,
                             options=BENCHMARK_OPTIONS)
     assert resolved.gamma == expected
+
+
+def test_monte_carlo_admm_certificates_meet_the_tolerance(scenario, manifold, config):
+    # an ADMM solve's certificate is the dual residual its stop test held
+    # below tol
+    gammas = {BeamformerKind.SPARSE: 0.3162277660168379, BeamformerKind.WEIGHTED_SPARSE: 10.0,
+              BeamformerKind.MIXED_NORM: 0.19952623149688797, BeamformerKind.TVM_SPARSE: 0.19952623149688797}
+    methods = [BeamformerSpec(kind, gamma) for kind, gamma in gammas.items()]
+    for mismatch in (0.0, 3.0):
+        report = monte_carlo(scenario, methods, 3, scenario.seed, mismatch, manifold, config.b, BENCHMARK_OPTIONS)
+        for entry in report.methods:
+            stats = entry.solver_stats()
+            assert stats["converged"] == entry.trials, entry.method.kind
+            assert 0.0 < stats["subgrad_residual_max"] < BENCHMARK_OPTIONS.tol, entry.method.kind
 
 
 def test_sinr_report_to_dict_schema(scenario, manifold, config):

@@ -184,7 +184,6 @@ def test_admm_l1_certificate_and_feasibility():
     assert res.constraint_residual <= 1e-9
     assert res.primal_residual < opts.tol
     assert res.dual_residual < opts.tol
-    assert res.subgrad_residual <= 10.0 * opts.tol
 
 
 def test_admm_penalized_optimum_dominates_closed_form_point():
@@ -220,8 +219,9 @@ def test_admm_optimal_objective_monotone_in_gamma():
         spec = ProblemSpec(r, a, (PenaltyTerm(op, PenaltyKind.L1, gamma),))
         res = admm_solve(spec)
         assert res.status is SolverStatus.CONVERGED
-        assert res.objective >= prev - 1e-8
-        prev = res.objective
+        objective = objective_value(spec, res.w)
+        assert objective >= prev - 1e-8
+        prev = objective
 
 
 def test_admm_rejects_quartic_terms():
@@ -289,7 +289,7 @@ def test_smooth_solve_objective_nonincreasing():
     # the iterate after k steps is what a solve capped at k steps returns
     rng = np.random.default_rng(12)
     spec = _quartic_spec(rng)
-    objs = [smooth_solve(spec, SolverOptions(smooth_max_iters=k)).objective for k in range(8)]
+    objs = [objective_value(spec, smooth_solve(spec, SolverOptions(smooth_max_iters=k)).w) for k in range(8)]
     assert objs[-1] < objs[0]
     assert np.all(np.diff(objs) <= 1e-12 * max(1.0, abs(objs[0])))
 
@@ -355,7 +355,7 @@ def test_smooth_batch_reproduces_single_solves(scenario, split, a0):
         assert got.status is alone.status
         assert got.iterations == alone.iterations
         npt.assert_array_equal(got.w, alone.w)
-        assert got.subgrad_residual == alone.subgrad_residual
+        assert got.dual_residual == alone.dual_residual
 
 
 def test_smooth_solve_with_no_free_coordinate():
@@ -477,7 +477,6 @@ def test_admm_batch_with_per_problem_column_scales(scenario, manifold, a0):
         assert got.status is alone.status
         assert got.iterations == alone.iterations
         assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
-        assert got.objective == pytest.approx(objective_value(spec, got.w))
 
 
 def test_admm_batch_confines_a_failure_to_its_problem(monkeypatch, scenario, manifold, a0):
