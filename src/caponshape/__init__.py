@@ -51,6 +51,7 @@ from .solver import (
     SolverResult,
     SolverStatus,
     admm_solve,
+    cone_solve,
     eliminate_constraint,
     smooth_solve,
 )

@@ -17,10 +17,12 @@ MSPR_RELAXED              gamma * ((||A_M^H w||^2 - 1)^2 + ||A_S^H w||^2)
 ========================  ====================================================
 
 A_M / A_S are the mainlobe/sidelobe column blocks of the manifold, D_i the
-stacked forward/backward order-i finite-difference matrices. Convex kinds go
-through admm_solve and MSPR_RELAXED through the smooth nonconvex path
-(smooth_solve, initialized at the closed form), each batched across trials
-or gammas by solve_trials.
+stacked forward/backward order-i finite-difference matrices. SPARSE,
+MIXED_NORM and TVM_SPARSE go through the interior-point cone_solve,
+WEIGHTED_SPARSE (whose per-trial SNM weights are a column scale) through
+admm_solve, and MSPR_RELAXED through the smooth nonconvex path (smooth_solve,
+initialized at the closed form), each batched across trials or gammas by
+solve_trials.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .solver import (
     SolverResult,
     SolverStatus,
     admm_solve,
+    cone_solve,
     smooth_solve,
 )
 
@@ -116,9 +119,10 @@ class WeightVector:
 
     ``constraint_residual`` is |w^H a - 1| at the presumed steering vector;
     ``ridged`` flags a closed-form solve that needed the singularity-rescue
-    ridge. ``subgrad_residual`` is the solver's stationarity certificate,
-    its ``SolverResult.dual_residual``; the closed form has none and reports
-    0.
+    ridge. ``subgrad_residual`` is the solver's certificate, its
+    ``SolverResult.dual_residual``: the relative duality gap of
+    ``cone_solve``, the final dual residual of ``admm_solve`` or the gradient
+    norm of ``smooth_solve``; the closed form has none and reports 0.
     """
 
     weights: np.ndarray
@@ -246,7 +250,7 @@ def mspr_capon(
 
 
 def _convex_terms(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> tuple:
-    """The penalty terms of a method solved by ADMM, at gamma = 1 (each
+    """The penalty terms of a convex method, at gamma = 1 (each
     problem scales their weights by its own gamma). WEIGHTED_SPARSE's SNM
     weights are per trial, so they enter as the column scale of its one term
     (Q A^H w = (A Q)^H w since Q = diag(q) is real)."""
@@ -300,11 +304,13 @@ def solve_trials(
     auto). A batch of Monte Carlo trials repeats one spec over many
     covariances; a gamma sweep repeats one covariance over a grid of gammas.
     ``snm`` holds each covariance's SNM weight vector (see
-    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. The ADMM
+    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. The convex
     kinds build their penalty terms once and reweight them per problem, so
-    the batch shares the operator objects and solves in one ``admm_solve``,
-    where a gamma-0 problem ends at the closed form. MSPR_RELAXED solves in
-    one ``smooth_solve`` batch, each problem started at its closed form;
+    the batch shares the operator objects and solves in one call, where a
+    gamma-0 problem ends at the closed form: SPARSE, MIXED_NORM and
+    TVM_SPARSE in one ``cone_solve``, WEIGHTED_SPARSE in one ``admm_solve``
+    (with each trial's SNM weights as its column scale). MSPR_RELAXED solves
+    in one ``smooth_solve`` batch, each problem started at its closed form;
     CAPON solves one by one. A problem that fails numerically comes back
     with status NUMERICAL_FAILURE rather than raising, so it fails alone.
     """
@@ -334,7 +340,8 @@ def solve_trials(
         ProblemSpec(r, a, tuple(replace(t, weight=t.weight * m.gamma, scale=q) for t in terms))
         for r, m, q in zip(mats, methods, scales, strict=True)
     ]
-    return [_weights(result) for result in admm_solve(specs, options)]
+    solve = admm_solve if kind is BeamformerKind.WEIGHTED_SPARSE else cone_solve
+    return [_weights(result) for result in solve(specs, options)]
 
 
 def _mspr_trials(methods: list, mats: list, split: ManifoldSplit, a: np.ndarray, options: SolverOptions) -> list:

@@ -92,8 +92,9 @@ class MethodSinr:
 
     def solver_stats(self) -> dict:
         """Solver status counts, nearest-rank iteration quantiles over the
-        trials, and the worst stationarity certificate over the trials that
-        did not fail (NaN when every trial failed)."""
+        trials, and the worst solver certificate (each trial's
+        ``subgrad_residual``) over the trials that did not fail (NaN when
+        every trial failed)."""
         stats = {status.value: 0 for status in SolverStatus}
         for status in self.statuses:
             stats[status.value] += 1

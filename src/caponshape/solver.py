@@ -9,11 +9,14 @@ Linf, group-L2, squared-L2, and the quartic (||v||^2 - 1)^2 term).
 
 The affine constraint is eliminated exactly: w = w0 + B z with w0 = a/||a||^2
 and B an orthonormal basis of a's orthogonal complement, so every iterate is
-feasible to machine precision. Nonsmooth penalties are handled by scaled ADMM
-over the stacked operator K = [G_j^H B], for one problem or a batch of
-problems that share K; the quartic term takes a smooth descent path with
-Armijo backtracking preconditioned by a curvature model, likewise for one
-problem or a batch.
+feasible to machine precision. Each solver takes one problem or a batch of
+problems that share the constraint and the penalty operators. The nonsmooth
+penalties (L1, LINF, group-L2) make the problem a second-order cone program,
+which cone_solve solves by a primal-dual interior-point method over the
+stacked operator K = [G_j^H B]; admm_solve solves the same problems by scaled
+ADMM over K, and is the one of the two that takes a per-problem column scale.
+The quartic term takes a smooth descent path with Armijo backtracking
+preconditioned by a curvature model.
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -46,6 +49,7 @@ __all__ = [
     "NumericalError",
     "eliminate_constraint",
     "admm_solve",
+    "cone_solve",
     "smooth_solve",
     "smooth_gradient",
     "objective_value",
@@ -180,9 +184,10 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class SolverResult:
-    """``dual_residual`` is the stationarity certificate: ADMM's dual
-    residual at its last iteration (0 for a problem with no active penalty),
-    or the smooth path's gradient norm."""
+    """``dual_residual`` is the solver's certificate: the interior-point
+    relative duality gap, ADMM's dual residual at its last iteration (0 for a
+    problem with no active penalty in either), or the smooth path's gradient
+    norm."""
 
     w: np.ndarray
     iterations: int
@@ -265,11 +270,12 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _real_form(mat: np.ndarray) -> np.ndarray:
-    """The real 2p x 2q matrix of a complex p x q matrix, for ``_times``."""
-    out = np.empty((2 * mat.shape[0], 2 * mat.shape[1]))
-    out[0::2, 0::2] = out[1::2, 1::2] = mat.real
-    out[0::2, 1::2] = mat.imag
-    out[1::2, 0::2] = -mat.imag
+    """The real 2p x 2q matrix of a complex p x q matrix (or a stack of
+    them), for ``_times``."""
+    out = np.empty(mat.shape[:-2] + (2 * mat.shape[-2], 2 * mat.shape[-1]))
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = mat.real
+    out[..., 0::2, 1::2] = mat.imag
+    out[..., 1::2, 0::2] = -mat.imag
     return out
 
 
@@ -312,6 +318,36 @@ def _eliminated(specs: list) -> tuple:
 def _result(spec: ProblemSpec, w: np.ndarray, iters, rp, rd, status: SolverStatus) -> SolverResult:
     return SolverResult(w=w, iterations=int(iters), primal_residual=float(rp), dual_residual=float(rd),
                         constraint_residual=abs(w.conj() @ spec.constraint_vector - 1.0), status=status)
+
+
+def _convex(spec, solver: str) -> tuple:
+    """The front end of the convex solvers: the specs of a batch, checked to
+    hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only, their ``_eliminated``
+    w0, B, R_eff and z-space quadratics, lin = 2 B^H R_eff w0, and each
+    problem's unpenalized optimum z = -quad^-1 lin (0 where quad is not
+    positive definite) with whether its quad is."""
+    specs = _batch(spec, solver)
+    first = specs[0]
+    if first.is_smooth_nonconvex:
+        raise ValueError(f"{solver} handles convex specs only; use smooth_solve")
+    for term in first.penalties:
+        if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
+            raise ValueError(f"unsupported penalty kind for {solver}: {term.kind}")
+    w0, basis, r_eff, quad = _eliminated(specs)
+    lin = 2.0 * ((r_eff @ w0) @ basis.conj())
+    inv_quad, factored = _inverses(quad)
+    z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
+    return specs, w0, basis, r_eff, quad, lin, z, factored
+
+
+def _convex_results(specs: list, w0, basis, ok, z, iters, rp, rd, statuses) -> list:
+    """One SolverResult per spec at w0 + B z, or a numerical failure at w0
+    where ``ok`` is false."""
+    return [
+        _result(s, w0 + basis @ z[t], iters[t], rp[t], rd[t], statuses[t]) if ok[t]
+        else _result(s, w0.copy(), 0, math.inf, math.inf, SolverStatus.NUMERICAL_FAILURE)
+        for t, s in enumerate(specs)
+    ]
 
 
 def _same_scale(x, y) -> bool:
@@ -362,31 +398,18 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     """
     if isinstance(spec, ProblemSpec):
         return admm_solve([spec], opts)[0]
-    specs = _batch(spec, "admm_solve")
+    # the unpenalized optimum z is the answer for a problem with no active
+    # penalty, and the warm start otherwise
+    specs, w0, basis, _, quad, lin, z, factored = _convex(spec, "admm_solve")
     first = specs[0]
-    if first.is_smooth_nonconvex:
-        raise ValueError("admm_solve handles convex specs only; use smooth_solve")
-    for term in first.penalties:
-        if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
-            raise ValueError(f"unsupported penalty kind for admm_solve: {term.kind}")
-
-    w0, basis, r_eff, quad = _eliminated(specs)
     m = basis.shape[1]
-    lin = 2.0 * ((r_eff @ w0) @ basis.conj())
     active_terms = [j for j, t in enumerate(first.penalties)
                     if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     terms = [first.penalties[j] for j in active_terms]
-
-    # the unpenalized optimum: the answer for a problem with no active
-    # penalty, and the warm start (zero if quad is not factorable) otherwise
-    inv_quad, factored = _inverses(quad)
-    z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
     if not terms or m == 0:
-        return [
-            _result(s, w0 + basis @ z[t], 0, 0.0, 0.0, SolverStatus.CONVERGED) if factored[t]
-            else _result(s, w0.copy(), 0, math.inf, math.inf, SolverStatus.NUMERICAL_FAILURE)
-            for t, s in enumerate(specs)
-        ]
+        zeros = np.zeros(len(specs))
+        return _convex_results(specs, w0, basis, factored, z, zeros, zeros, zeros,
+                               [SolverStatus.CONVERGED] * len(specs))
 
     # stacked penalty operator shared by the batch, with per-problem row
     # scales and per-block splitting penalties
@@ -517,11 +540,448 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
                 c_a, scale_a = c_a[going], scale_a[going]
     # the problems still active stopped at the cap
     z_out[active], rp_out[active], rd_out[active] = z, rp, rd
-    return [
-        _result(s, w0 + basis @ z_out[t], iters_out[t], rp_out[t], rd_out[t], status_out[t]) if ok[t]
-        else _result(s, w0.copy(), 0, math.inf, math.inf, SolverStatus.NUMERICAL_FAILURE)
-        for t, s in enumerate(specs)
-    ]
+    return _convex_results(specs, w0, basis, ok, z_out, iters_out, rp_out, rd_out, status_out)
+
+
+# relative duality gap at which cone_solve stops a problem
+_GAP_TOL = 1e-9
+# fraction of the step to the cone boundary that cone_solve takes
+_STEP_FRACTION = 0.99
+# a cone_solve step shorter than this is a stall
+_MIN_STEP = 1e-8
+# halvings of a step whose end is not strictly inside every cone
+_PULLBACKS = 20
+
+
+def _re_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re(conj(x) * y) entry by entry: the real inner product of the
+    (Re, Im) pairs of two complex arrays."""
+    out = np.conjugate(x)
+    out *= y
+    return out.real
+
+
+class _Cones:
+    """The second-order cones of a batch's penalty terms, and the operators
+    between them and the eliminated variable z.
+
+    Row i of the stacked operator K = [G_j^H B] gives the complex entry
+    v_i = (K z + c)_i. Each row of an L1 or a LINF term is a 3-dimensional
+    cone (t, Re v_i, Im v_i), and a GROUP_L2 term is one cone over all its
+    rows; ``terms`` lists the groups last, so the first ``pairs`` rows and
+    cones correspond one to one. The epigraph variable t is the cone's own
+    for an L1 row or a group ("private"), and the cones of a LINF term share
+    one. Cone quantities are (T, C) arrays of the scalar parts and (T, N)
+    complex arrays of the rows: ``per_cone`` sums rows into their cone and
+    ``per_row`` spreads a cone's scalar over its rows.
+    """
+
+    def __init__(self, terms: list, basis: np.ndarray, w0: np.ndarray):
+        k_mat = np.vstack([t.operator.conj().T @ basis for t in terms])
+        self.c = np.concatenate([t.operator.conj().T @ w0 for t in terms])
+        self.k_fwd = _real_form(k_mat.T)
+        # back(y) = (y @ conj(K)) as reals: row 2i (2i+1) of k_back is the
+        # image of Re y_i (Im y_i)
+        self.k_back = _real_form(k_mat.conj())
+        # (kind, cone slice, row slice) per term
+        self.blocks = []
+        rows = cones = 0
+        for term in terms:
+            size = term.operator.shape[1]
+            width = 1 if term.kind is PenaltyKind.GROUP_L2 else size
+            self.blocks.append((term.kind, slice(cones, cones + width), slice(rows, rows + size)))
+            rows, cones = rows + size, cones + width
+        self.count = cones
+        self.private = np.ones(cones, dtype=bool)
+        self.linf, self.groups = [], []
+        self.pairs = sum(r.stop - r.start for kind, _, r in self.blocks if kind is not PenaltyKind.GROUP_L2)
+        for kind, cone_sl, row_sl in self.blocks:
+            if kind is PenaltyKind.LINF:
+                self.private[cone_sl] = False
+                self.linf.append((cone_sl, row_sl))
+            elif kind is PenaltyKind.GROUP_L2:
+                k_rows = self.k_back[2 * row_sl.start:2 * row_sl.stop]
+                self.groups.append((cone_sl.start, row_sl, k_rows.T @ k_rows))
+        self.group_sizes = np.array([row_sl.stop - row_sl.start for _, row_sl, _ in self.groups], dtype=int)
+        self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
+        # Gram stacks of the pair rows, upper triangles: with r_i and q_i the
+        # rows 2i and 2i+1 of k_back, sum_i L_i^T D_i L_i for the 2 x 2
+        # blocks D_i = a_i I + Re(e_i) diag(1, -1) + Im(e_i) [[0, 1], [1, 0]]
+        # is a @ gram + e.view(float) @ gram_e
+        dim = self.k_back.shape[1]
+        self.upper = np.triu_indices(dim)
+        r, q = self.k_back[0:2 * self.pairs:2], self.k_back[1:2 * self.pairs:2]
+        iu, ju = self.upper
+        rr, qq = r[:, iu] * r[:, ju], q[:, iu] * q[:, ju]
+        self.gram = rr + qq
+        self.gram_e = np.empty((self.pairs, 2, iu.size))
+        self.gram_e[:, 0] = rr - qq
+        self.gram_e[:, 1] = r[:, iu] * q[:, ju] + q[:, iu] * r[:, ju]
+        self.gram_e = self.gram_e.reshape(2 * self.pairs, iu.size)
+
+    def cone_weights(self, weights: np.ndarray) -> np.ndarray:
+        """The (T, C) cost of each cone's scalar part from the (T, terms)
+        penalty weights: a LINF term's weight is split evenly over its rows,
+        whose cones share the one epigraph variable."""
+        out = np.empty((weights.shape[0], self.count))
+        for j, (kind, cone_sl, _) in enumerate(self.blocks):
+            out[:, cone_sl] = weights[:, j:j + 1] / (cone_sl.stop - cone_sl.start if kind is PenaltyKind.LINF else 1)
+        return out
+
+    def per_cone(self, x: np.ndarray) -> np.ndarray:
+        if not self.groups:
+            return x
+        pairs = self.pairs
+        return np.concatenate([x[:, :pairs], np.add.reduceat(x[:, pairs:], self.group_starts, axis=1)], axis=1)
+
+    def per_row(self, x: np.ndarray) -> np.ndarray:
+        if not self.groups:
+            return x
+        pairs = self.pairs
+        return np.concatenate([x[:, :pairs], np.repeat(x[:, pairs:], self.group_sizes, axis=1)], axis=1)
+
+    def dot(self, x0, x1, y0, y1) -> np.ndarray:
+        """x^T y for each cone."""
+        return x0 * y0 + self.per_cone(_re_dot(x1, y1))
+
+    def outside(self, x0, x1) -> np.ndarray:
+        """Per problem, whether some cone of x is not strictly interior."""
+        return (x0 <= np.sqrt(self.per_cone(_re_dot(x1, x1)))).any(axis=1)
+
+    def forward(self, dz: np.ndarray) -> np.ndarray:
+        """K dz, by rows."""
+        return _times(dz, self.k_fwd)
+
+    def back(self, y: np.ndarray, rows: slice | None = None) -> np.ndarray:
+        """K^H y, or the part of it over a slice of K's rows that y then
+        spans, as the real (T, 2m) z-gradient of Re(y^H K z)."""
+        k_back = self.k_back if rows is None else self.k_back[2 * rows.start:2 * rows.stop]
+        return y.view(float) @ k_back
+
+    def start(self, z: np.ndarray, cone_weight: np.ndarray) -> tuple:
+        """The strictly feasible start at z: s = (t, K z + c) with
+        t = |v| + mean |v| over each term's cones (the max |v| for the
+        shared variable of a LINF term), and lambda = (cone weight, 0)."""
+        s1 = self.forward(z) + self.c
+        norms = np.sqrt(self.per_cone(_re_dot(s1, s1)))
+        s0 = np.empty_like(norms)
+        for kind, cone_sl, _ in self.blocks:
+            block = norms[:, cone_sl]
+            mean = block.mean(axis=1, keepdims=True)
+            mean = np.where(mean > 0, mean, 1.0)  # v = 0 on every cone: t = 1
+            s0[:, cone_sl] = (block.max(axis=1, keepdims=True) if kind is PenaltyKind.LINF else block) + mean
+        return s0, s1, cone_weight.copy(), np.zeros_like(s1)
+
+
+class _Scaling:
+    """Nesterov-Todd scaling of every cone at (s, lambda): W = beta P(v)
+    with P(u) = 2 u u^T - J and v the square root of the scaling point wb,
+    for which W^2 = beta^2 P(wb), W lambda = W^-1 s = lt, and
+    W^-2 = beta^-2 (2 J wb wb^T J - J). ``gap`` is s^T lambda per cone."""
+
+    def __init__(self, cones: _Cones, s0, s1, l0, l1, gap):
+        per_row = cones.per_row
+        s_mod = np.sqrt(cones.per_cone(_re_dot(s1, s1)))
+        l_mod = np.sqrt(cones.per_cone(_re_dot(l1, l1)))
+        ns = np.sqrt((s0 - s_mod) * (s0 + s_mod))
+        nl = np.sqrt((l0 - l_mod) * (l0 + l_mod))
+        self.det = ns * nl  # det(lt)
+        g = np.sqrt(0.5 * (1.0 + gap / self.det))
+        # with sb = s / ns and lb = lambda / nl: wb = (sb + J lb) / 2g
+        sb0, lb0 = s0 / ns, l0 / nl
+        self.wb0 = (sb0 + lb0) / (2.0 * g)
+        self.wb1 = s1 * per_row(0.5 / (g * ns))
+        self.wb1 -= l1 * per_row(0.5 / (g * nl))
+        self.binv2 = nl / ns  # beta^-2
+        self.beta = np.sqrt(ns / nl)
+        self.den = 2.0 * self.wb0**2 - 1.0
+        # v = (wb + e) / (2 v0) with v0 = sqrt((wb0 + 1) / 2)
+        self.v0 = np.sqrt(0.5 * (self.wb0 + 1.0))
+        # lt = sqrt(ns nl) (g, ((g + lb0) sb1 + (g + sb0) lb1) / (sb0 + lb0 + 2g))
+        root = np.sqrt(self.det)
+        self.lt0 = root * g
+        k = root / (sb0 + lb0 + 2.0 * g)
+        self.lt1 = s1 * per_row(k * (g + lb0) / ns)
+        self.lt1 += l1 * per_row(k * (g + sb0) / nl)
+
+    def inv(self, cones: _Cones, x0, x1) -> tuple:
+        """W^-1 x = (2 J v (v^T J x) - J x) / beta."""
+        d = self.v0 * x0 - cones.per_cone(_re_dot(self.wb1, x1)) * (0.5 / self.v0)
+        y1 = self.wb1 * cones.per_row(d / self.v0)
+        np.subtract(x1, y1, out=y1)
+        y1 /= cones.per_row(self.beta)
+        return (2.0 * self.v0 * d - x0) / self.beta, y1
+
+
+def _max_step(cones: _Cones, sc: _Scaling, d0, d1) -> np.ndarray:
+    """Per problem, the largest alpha with lt + alpha d in every cone (inf if
+    there is none): the first positive root of det(lt + alpha d), taken in
+    the form that does not cancel."""
+    b = sc.lt0 * d0 - cones.per_cone(_re_dot(sc.lt1, d1))
+    a = d0**2 - cones.per_cone(_re_dot(d1, d1))
+    disc = b**2 - a * sc.det
+    denom = np.sqrt(np.maximum(disc, 0.0)) - b
+    hit = (disc >= 0) & (denom > 0)
+    alpha = np.divide(sc.det, denom, out=np.full_like(denom, np.inf), where=hit)
+    return alpha.min(axis=1)
+
+
+class _Newton:
+    """The reduced Newton system of one iteration, solved for any
+    right-hand side rho = W^-1 ds (Vandenberghe 2010, sec. 4).
+
+    With H = W^-2, a step satisfies dlambda = rho - H ds with ds = (dt, K dz),
+    the t-row of the dual equation (sum of dlambda_0 over the cones that
+    share t is 0) and the z-row quad dz = K^H dlambda_1. Eliminating a
+    private t leaves the 2 x 2 block beta^-2 (I - 2 wb1 wb1^T / den) per L1
+    row (den = 2 wb0^2 - 1), and beta^-2 (K^H K - 2 p p^T / den) with
+    p = K^H wb1 per group; a LINF term keeps beta^-2 (I + 2 wb1 wb1^T) per
+    row and eliminates its shared variable by a rank-one update.
+    """
+
+    def __init__(self, cones: _Cones, sc: _Scaling, p_real: np.ndarray):
+        self.cones, self.sc = cones, sc
+        # the 2 x 2 block of a pair row is binv2 I + f wb1 wb1^T, with
+        # f = -2 binv2 / den for an L1 row and 2 binv2 for a LINF row
+        pairs = cones.pairs
+        binv2, den = sc.binv2[:, :pairs], sc.den[:, :pairs]
+        f = np.where(cones.private[:pairs], -2.0 * binv2 / den, 2.0 * binv2)
+        w1 = sc.wb1[:, :pairs]
+        e = w1 * w1
+        e *= 0.5 * f
+        vals = (binv2 + 0.5 * f * _re_dot(w1, w1)) @ cones.gram + e.view(float) @ cones.gram_e
+        mat = np.empty_like(p_real)
+        iu, ju = cones.upper
+        mat[:, iu, ju] = vals
+        mat[:, ju, iu] = vals
+        mat += p_real
+        for cone, rows, gram in cones.groups:
+            p = cones.back(sc.wb1[:, rows], rows)
+            mat += sc.binv2[:, cone, np.newaxis, np.newaxis] * gram
+            coef = 2.0 * sc.binv2[:, cone] / sc.den[:, cone]
+            mat -= coef[:, np.newaxis, np.newaxis] * (p[:, :, np.newaxis] * p[:, np.newaxis, :])
+        # a LINF term: c = K^H H_yt over its rows with H_yt = -2 binv2 wb0 wb1,
+        # h = sum of H_tt = binv2 den over its cones
+        self.linf = []
+        for cone_sl, row_sl in cones.linf:
+            hyt = (-2.0 * sc.binv2[:, cone_sl] * sc.wb0[:, cone_sl]) * sc.wb1[:, row_sl]
+            c = cones.back(hyt, row_sl)
+            h = (sc.binv2[:, cone_sl] * sc.den[:, cone_sl]).sum(axis=1)
+            mat -= (c[:, :, np.newaxis] * c[:, np.newaxis, :]) / h[:, np.newaxis, np.newaxis]
+            self.linf.append((cone_sl, c, h))
+        # a matrix that is not finite fails its problem (its rows solve the
+        # identity instead)
+        self.ok = np.isfinite(mat).all(axis=(1, 2))
+        self.mat = np.where(self.ok[:, np.newaxis, np.newaxis], mat, np.eye(mat.shape[-1]))
+
+    def solve(self, rho0, rho1, dual: bool = True) -> tuple:
+        """dz, ds = (dt, dy) and, if ``dual``, dlambda for rho."""
+        cones, sc = self.cones, self.sc
+        per_row = cones.per_row
+        # fold each private t into the rows: rho1 + 2 wb0 rho0 / den * wb1
+        rhs = sc.wb1 * per_row(np.where(cones.private, 2.0 * sc.wb0 * rho0 / sc.den, 0.0))
+        rhs += rho1
+        rhs = cones.back(rhs)
+        for cone_sl, c, h in self.linf:
+            rhs -= c * (rho0[:, cone_sl].sum(axis=1) / h)[:, np.newaxis]
+        try:
+            dx = np.linalg.solve(self.mat, rhs[:, :, np.newaxis])[:, :, 0]
+        except np.linalg.LinAlgError:
+            dx = np.full_like(rhs, np.nan)
+            for i, (mat, b) in enumerate(zip(self.mat, rhs)):
+                try:
+                    dx[i] = np.linalg.solve(mat, b)
+                except np.linalg.LinAlgError:
+                    self.ok[i] = False
+        dz = dx.view(complex)
+        dy = cones.forward(dz)
+        q = cones.per_cone(_re_dot(sc.wb1, dy))
+        dt = (rho0 / sc.binv2 + 2.0 * sc.wb0 * q) / sc.den
+        for cone_sl, c, h in self.linf:
+            dt[:, cone_sl] = ((rho0[:, cone_sl].sum(axis=1) - (c * dx).sum(axis=1)) / h)[:, np.newaxis]
+        if not dual:
+            return dz, dt, dy
+        dl0 = np.zeros_like(rho0)
+        for cone_sl, _, _ in self.linf:
+            dl0[:, cone_sl] = rho0[:, cone_sl] - sc.binv2[:, cone_sl] * (
+                sc.den[:, cone_sl] * dt[:, cone_sl] - 2.0 * sc.wb0[:, cone_sl] * q[:, cone_sl])
+        # dlambda_1 = rho1 + binv2 (2 (wb0 dt - q) wb1 - dy)
+        dl1 = sc.wb1 * per_row(2.0 * sc.binv2 * (sc.wb0 * dt - q))
+        dl1 += rho1
+        dl1 -= dy * per_row(sc.binv2)
+        return dz, dt, dy, dl0, dl1
+
+
+def cone_solve(spec, opts: SolverOptions = SolverOptions()):
+    """Solve a convex spec with L1, LINF and GROUP_L2 penalties (squared-L2
+    terms fold into the quadratic), or a batch of them, by a primal-dual
+    interior-point method on its second-order cone form.
+
+    ``spec`` is one ProblemSpec, solved as a batch of one and returning one
+    SolverResult, or a sequence of T specs, returning a list of T results;
+    the specs of a batch must share the constraint vector and the penalty
+    operators, and their quadratics and penalty weights are free. Column
+    scales are rejected. A problem's penalty weights must be all zero (it
+    ends at the unpenalized optimum after 0 iterations) or all positive.
+
+    After constraint elimination w = w0 + B z, each entry v_i of an L1 term
+    becomes the 3-dimensional cone (t_i, Re v_i, Im v_i) with the cost
+    gamma * t_i, the entries of a LINF term 3-dimensional cones that share
+    one epigraph variable, and a GROUP_L2 term one cone of dimension 2q + 1.
+    The primal start is the unpenalized optimum with t = |v| + mean |v| over
+    each term's cones, the dual start (weight, 0) on each cone (a LINF
+    term's weight split evenly over its cones). Both are strictly feasible
+    and satisfy the equality constraints, which every Newton step keeps, so
+    only the duality gap s^T lambda has to reach 0.
+
+    Each iteration takes the Nesterov-Todd scaling of every cone and one
+    Mehrotra predictor-corrector step (Vandenberghe 2010, "The CVXOPT linear
+    and quadratic cone program solvers"): the reduced Newton system (see
+    ``_Newton``, a 2m x 2m real matrix per problem: the z-space quadratic,
+    one GEMM of per-row weights with Gram stacks of the rows built once per
+    call, and rank-one terms) is solved twice, and the step goes 0.99 of the
+    way to the cone boundary (at most 1); where rounding still carries a
+    problem's new point out of a cone, the problem keeps half its step, then
+    a quarter, and so on. A problem stops with status CONVERGED when its relative gap, s^T lambda over its
+    primal objective, is at most 1e-9. It stops with MAX_ITERS at its last
+    iterate, which is feasible, after ``opts.max_iters`` iterations, or when
+    its direction is not finite or its step stalls. It leaves the batch
+    when it stops. ``dual_residual`` reports the relative gap and
+    ``primal_residual`` 0. A problem whose quadratic cannot be factored ends
+    at w0 with status NUMERICAL_FAILURE.
+    """
+    if isinstance(spec, ProblemSpec):
+        return cone_solve([spec], opts)[0]
+    # the unpenalized optimum z is the answer for a problem with no active
+    # penalty, and the primal start otherwise
+    specs, w0, basis, r_eff, quad, lin, z_out, factored = _convex(spec, "cone_solve")
+    if any(term.scale is not None for s in specs for term in s.penalties):
+        raise ValueError("cone_solve takes no column scale")
+    first = specs[0]
+    count = len(specs)
+    active_terms = sorted((j for j, t in enumerate(first.penalties)
+                           if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)),
+                          key=lambda j: first.penalties[j].kind is PenaltyKind.GROUP_L2)
+    weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(count, -1)
+    penalized = (weights > 0).any(axis=1)
+    if ((weights > 0) != penalized[:, np.newaxis]).any():
+        raise ValueError("cone_solve needs each problem's penalty weights all zero or all positive")
+
+    gap_out = np.zeros(count)
+    iters_out = np.zeros(count, dtype=int)
+    status_out = [SolverStatus.CONVERGED] * count
+    rows = np.flatnonzero(factored & penalized)
+    if rows.size and basis.shape[1]:
+        cones = _Cones([first.penalties[j] for j in active_terms], basis, w0)
+        const = np.real(np.einsum("i,tij,j->t", w0.conj(), r_eff[rows], w0))
+        _interior_point(cones, rows, quad[rows], lin[rows], const, cones.cone_weights(weights[rows]),
+                        opts.max_iters, z_out, gap_out, iters_out, status_out)
+    return _convex_results(specs, w0, basis, factored, z_out, iters_out, np.zeros(count), gap_out, status_out)
+
+
+def _interior_point(cones: _Cones, rows, quad, lin, const, cone_weight, max_iters: int,
+                    z_out, gap_out, iters_out, status_out) -> None:
+    """The predictor-corrector loop of ``cone_solve`` over the problems
+    ``rows``, started at their z in ``z_out``; ``const`` is each problem's
+    w0^H R_eff w0. Each problem's z, relative gap, iterations and status go
+    into the ``*_out`` entries of its row when it stops, and it leaves the
+    loop."""
+    z = z_out[rows]
+    state = [rows, z, *cones.start(z, cone_weight), quad, _real_form(quad.transpose(0, 2, 1)), lin, const,
+             cone_weight]
+
+    def finish(stop, rel, it) -> bool:
+        # record the problems that stop and drop them; True if none is left
+        for i in np.flatnonzero(stop):
+            t = state[0][i]
+            z_out[t], gap_out[t], iters_out[t] = state[1][i], rel[i], it
+            status_out[t] = SolverStatus.CONVERGED if rel[i] <= _GAP_TOL else SolverStatus.MAX_ITERS
+        state[:] = [x[~stop] for x in state]
+        return stop.all()
+
+    for it in range(max_iters + 1):
+        rows, z, s0, s1, l0, l1, quad, p_real, lin, const, cone_weight = state
+        cone_gap = cones.dot(s0, s1, l0, l1)
+        objective = (0.5 * np.real(np.einsum("ti,tij,tj->t", z.conj(), quad, z)) + _re_dot(lin, z).sum(axis=1)
+                     + const + (cone_weight * s0).sum(axis=1))
+        rel = cone_gap.sum(axis=1) / objective
+        stop = rel <= _GAP_TOL
+        if it == max_iters or stop.all():
+            finish(np.ones_like(stop), rel, it)
+            return
+        if stop.any():
+            finish(stop, rel, it)
+            keep = ~stop
+            rows, z, s0, s1, l0, l1, quad, p_real, lin, const, cone_weight = state
+            cone_gap, rel = cone_gap[keep], rel[keep]
+        step = _step(cones, p_real, s0, s1, l0, l1, cone_gap)
+        # a problem whose step stalls keeps its iterate
+        stalled = ~(step[0] > _MIN_STEP)
+        if stalled.any():
+            if finish(stalled, rel, it):
+                return
+            step = [x[~stalled] for x in step]
+        alpha = step[0][:, np.newaxis]
+        for x, dx in zip(state[1:6], step[1:]):
+            dx *= alpha
+            x += dx
+        # rounding can carry a point that the step keeps 1% inside its cone
+        # out of it; such a problem keeps half of its step, then a quarter, ...
+        for _ in range(_PULLBACKS):
+            outside = cones.outside(s0, s1) | cones.outside(l0, l1)
+            if not outside.any():
+                break
+            for x, dx in zip(state[1:6], step[1:]):
+                dx[outside] *= 0.5
+                x[outside] -= dx[outside]
+        del step
+
+
+def _step(cones: _Cones, p_real, s0, s1, l0, l1, gap) -> tuple:
+    """One Mehrotra predictor-corrector direction at (s, lambda) and its
+    step length: (alpha, dz, dt, dy, dlambda0, dlambda1), with alpha 0
+    where the direction is not finite. ``gap`` is s^T lambda per cone."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sc = _Scaling(cones, s0, s1, l0, l1, gap)
+        newton = _Newton(cones, sc, p_real)
+        # predictor (affine) direction: ds~ = -lt, so rho = W^-1 ds~ = -lambda;
+        # in scaled form ds~_a = W^-1 ds_a and dl~_a = -lt - ds~_a
+        _, dt, dy = newton.solve(-l0, -l1, dual=False)
+        ds0, ds1 = sc.inv(cones, dt, dy)
+        del dt, dy
+        dl0 = -sc.lt0 - ds0
+        dl1 = np.negative(sc.lt1)
+        dl1 -= ds1
+        alpha = np.minimum(1.0, np.minimum(_max_step(cones, sc, ds0, ds1), _max_step(cones, sc, dl0, dl1)))
+        mu = gap.sum(axis=1) / cones.count
+        # corrector: r = sigma mu e - ds~_a o dl~_a with sigma = (1 - alpha)^3,
+        # x = lt \ r (the inverse of the Jordan product by lt), ds~ = x - lt
+        # and rho = W^-1 ds~ = W^-1 x - lambda
+        r0 = ((1.0 - alpha) ** 3 * mu)[:, np.newaxis] - cones.dot(ds0, ds1, dl0, dl1)
+        r1 = ds1 * cones.per_row(-dl0)
+        del ds1
+        r1 -= dl1 * cones.per_row(ds0)
+        del ds0, dl0, dl1
+        x0 = (sc.lt0 * r0 - cones.per_cone(_re_dot(sc.lt1, r1))) / sc.det
+        x1 = sc.lt1 * cones.per_row(-x0)
+        x1 += r1
+        x1 /= cones.per_row(sc.lt0)
+        del r0, r1
+        rho0, rho1 = sc.inv(cones, x0, x1)
+        rho0 -= l0
+        rho1 -= l1
+        dz, dt, dy, dl0, dl1 = newton.solve(rho0, rho1)
+        del rho0, rho1
+        ds0, ds1 = sc.inv(cones, dt, dy)
+        alpha = _max_step(cones, sc, ds0, ds1)
+        # dl~ = ds~ - ds~_c = x - lt - ds~_c, in place of x
+        x1 -= sc.lt1
+        x1 -= ds1
+        del ds1
+        alpha = np.minimum(alpha, _max_step(cones, sc, x0 - sc.lt0 - ds0, x1))
+        alpha = np.minimum(1.0, _STEP_FRACTION * alpha)
+        finite = newton.ok & np.isfinite(alpha) & np.isfinite(dz).all(axis=1)
+    return np.where(finite, alpha, 0.0), dz, dt, dy, dl0, dl1
 
 
 def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -119,7 +119,10 @@ def test_weighted_sparse_with_identity_weighting_matches_sparse(covariance, mani
     x[0, 0] = 1.0
     npt.assert_allclose(snm_weighting(manifold, x), np.ones(181), atol=1e-12)
     w_ws = weighted_sparse_capon(covariance, manifold, x, a0, 0.05).weights
-    w_sp = sparse_capon(covariance, manifold, a0, 0.05).weights
+    # weighted_sparse solves by ADMM and sparse by cone_solve, so the
+    # unweighted reference is the same L1 problem through admm_solve
+    l1 = PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.05)
+    w_sp = admm_solve(ProblemSpec(covariance, a0, (l1,))).w
     npt.assert_allclose(w_ws, w_sp, atol=1e-10)
 
 
@@ -334,6 +337,25 @@ def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, 
             assert got.status is ref.status, kind
             assert got.iterations == ref.iterations, kind
             assert np.linalg.norm(got.weights - phase * ref.weights) <= bound * np.linalg.norm(ref.weights), kind
+
+
+def test_cone_kinds_are_invariant_to_joint_scaling(scenario, manifold, split, a0):
+    # R -> 4R with gamma -> 4 gamma scales the objective by 4 and keeps its
+    # minimizer; every iterate of cone_solve maps to a scaled copy of itself
+    # (a power-of-two factor rounds the same) and its stop test is relative,
+    # so statuses, iterations and weights must not move
+    draws = [synthesize_snapshots(scenario.with_seed(seed)).data for seed in range(7, 12)]
+    covariances = [sample_covariance(x) for x in draws]
+    for kind in (BeamformerKind.SPARSE, BeamformerKind.MIXED_NORM, BeamformerKind.TVM_SPARSE):
+        gamma = GAMMAS[kind]
+        base = solve_trials([BeamformerSpec(kind, gamma)] * 5, covariances, manifold, split, a0, None,
+                            BENCHMARK_OPTIONS)
+        scaled = solve_trials([BeamformerSpec(kind, 4.0 * gamma)] * 5, [4.0 * r for r in covariances], manifold,
+                              split, a0, None, BENCHMARK_OPTIONS)
+        for got, ref in zip(scaled, base):
+            assert got.status is ref.status is SolverStatus.CONVERGED, kind
+            assert got.iterations == ref.iterations, kind
+            assert np.linalg.norm(got.weights - ref.weights) <= 1e-9 * np.linalg.norm(ref.weights), kind
 
 
 @pytest.mark.parametrize("mismatch", (0.0, 3.0))

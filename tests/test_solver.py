@@ -1,4 +1,5 @@
-"""Constraint elimination, the ADMM path, and the smooth descent path."""
+"""Constraint elimination, the ADMM path, the interior-point path, and the
+smooth descent path."""
 
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import pytest
 from caponshape.arrays import difference_operator, sample_covariance, snm_weighting, synthesize_snapshots
 from caponshape.beamformers import mspr_capon
 from caponshape.cli import BENCHMARK_OPTIONS
-from caponshape.evaluation import DEFAULT_GAMMA_GRID
+from caponshape.evaluation import DEFAULT_GAMMA_GRID, sinr
 from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     PenaltyKind,
@@ -18,6 +19,7 @@ from caponshape.solver import (
     SolverOptions,
     SolverStatus,
     admm_solve,
+    cone_solve,
     eliminate_constraint,
     objective_value,
     smooth_gradient,
@@ -600,3 +602,129 @@ def test_admm_matches_the_textbook_iteration(scenario, manifold, split, a0, kind
         assert got.status is status
         assert got.iterations == iterations
         assert np.linalg.norm(got.w - w) <= 1e-10 * np.linalg.norm(w)
+
+
+CONE_KINDS = ("sparse", "mixed_norm", "tvm_sparse")
+
+
+def _gamma_specs(kind, covariances, gammas, manifold, split, a0):
+    terms = _unit_terms(kind, manifold, split)
+    return [ProblemSpec(r, a0, tuple(replace(t, weight=t.weight * gamma) for t in terms))
+            for r, gamma in zip(covariances, gammas)]
+
+
+@pytest.mark.parametrize("mismatch", [0.0, 3.0])
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_cone_solve_matches_tight_admm(scenario, manifold, split, a0, kind, mismatch):
+    # against ADMM run to tol 1e-9 (converged on every draw), to bounds fixed
+    # before running: the objective no worse by more than 1e-9 relative, the
+    # SINR within 1e-4 dB, and the relative gap certified at 1e-9
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
+    draws = [truth.with_seed(seed) for seed in range(7, 15)]
+    covariances = [sample_covariance(synthesize_snapshots(draw).data) for draw in draws]
+    specs = _gamma_specs(kind, covariances, [CRITERION_10_GAMMAS[kind]] * len(draws), manifold, split, a0)
+    tight = admm_solve(specs, SolverOptions(tol=1e-9, max_iters=50000))
+    for draw, spec, got, ref in zip(draws, specs, cone_solve(specs), tight):
+        assert ref.status is SolverStatus.CONVERGED
+        assert got.status is SolverStatus.CONVERGED
+        assert 0.0 < got.dual_residual <= 1e-9 and got.primal_residual == 0.0
+        assert objective_value(spec, got.w) <= objective_value(spec, ref.w) * (1.0 + 1e-9)
+        assert abs(sinr(got.w, draw) - sinr(ref.w, draw)) <= 1e-4
+
+
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_cone_batch_mixes_zero_and_positive_gammas(scenario, manifold, split, a0, kind):
+    gammas = (0.0, 0.1, 0.0, 1.0)
+    specs = _gamma_specs(kind, _packaged_covariances(scenario, 4), gammas, manifold, split, a0)
+    for spec, gamma, got in zip(specs, gammas, cone_solve(specs)):
+        assert got.status is SolverStatus.CONVERGED
+        assert (got.iterations == 0) == (gamma == 0.0)
+        if gamma == 0.0:
+            # criterion 1's bound on the closed form
+            expected = closed_form(spec.quadratic, a0)
+            assert np.linalg.norm(got.w - expected) <= 1e-6 * np.linalg.norm(expected)
+            assert got.dual_residual == 0.0
+
+
+@pytest.mark.parametrize("grid", [False, True], ids=["draws", "gamma-grid"])
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_cone_batch_equals_single_solves(scenario, manifold, split, a0, kind, grid):
+    # five draws at one gamma, or one draw over the 41-point gamma grid
+    if grid:
+        covariances = _packaged_covariances(scenario, 1) * len(DEFAULT_GAMMA_GRID)
+        gammas = DEFAULT_GAMMA_GRID
+    else:
+        covariances = _packaged_covariances(scenario, 5)
+        gammas = [CRITERION_10_GAMMAS[kind]] * 5
+    specs = _gamma_specs(kind, covariances, gammas, manifold, split, a0)
+    for spec, got in zip(specs, cone_solve(specs)):
+        alone = cone_solve(spec)
+        assert got.status is alone.status is SolverStatus.CONVERGED
+        assert got.iterations == alone.iterations
+        assert np.linalg.norm(got.w - alone.w) <= 1e-8 * np.linalg.norm(alone.w)
+
+
+def test_cone_iteration_cap_reports_max_iters(covariance, manifold, a0):
+    spec = ProblemSpec(covariance, a0, (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.3),))
+    res = cone_solve(spec, SolverOptions(max_iters=1))
+    assert res.status is SolverStatus.MAX_ITERS
+    assert res.iterations == 1
+    assert 0.0 < res.dual_residual < np.inf and res.primal_residual == 0.0
+    assert res.constraint_residual < 1e-12
+
+
+def test_cone_solve_validation(manifold, a0):
+    scaled = PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.1, scale=np.full(181, 2.0))
+    with pytest.raises(ValueError, match="column scale"):
+        cone_solve(ProblemSpec(np.eye(8), a0, (scaled,)))
+    quartic = PenaltyTerm(manifold.matrix, PenaltyKind.QUARTIC_UNIT, 0.1)
+    with pytest.raises(ValueError, match="convex specs only"):
+        cone_solve(ProblemSpec(np.eye(8), a0, (quartic,)))
+    # a term of weight 0 in every problem is inert, but a problem may not
+    # weight one active term by 0 and another by more
+    halves = [(PenaltyTerm(manifold.matrix[:, :90], PenaltyKind.L1, 0.1),
+               PenaltyTerm(manifold.matrix[:, 90:], PenaltyKind.L1, weight)) for weight in (0.0, 0.1)]
+    assert cone_solve(ProblemSpec(np.eye(8), a0, halves[0])).status is SolverStatus.CONVERGED
+    with pytest.raises(ValueError, match="all zero or all positive"):
+        cone_solve([ProblemSpec(np.eye(8), a0, half) for half in halves])
+    with pytest.raises(ValueError):
+        cone_solve([])
+
+
+def test_cone_solve_unfactorizable_quadratic_reports_numerical_failure(manifold, a0):
+    res = cone_solve(ProblemSpec(-np.eye(8), a0, (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.1),)))
+    assert res.status is SolverStatus.NUMERICAL_FAILURE
+    assert res.iterations == 0
+
+
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_cone_stall_ends_a_problem_at_its_last_iterate(monkeypatch, scenario, manifold, split, a0, kind):
+    # a step floor of 0.5 makes some problems stall after 1-3 steps while
+    # others converge; a stalled problem leaves the batch with its last
+    # iterate and the gap it reached, exactly as it would alone
+    monkeypatch.setattr("caponshape.solver._MIN_STEP", 0.5)
+    specs = _gamma_specs(kind, _packaged_covariances(scenario, 5), [CRITERION_10_GAMMAS[kind]] * 5,
+                         manifold, split, a0)
+    batch = cone_solve(specs)
+    assert SolverStatus.MAX_ITERS in [got.status for got in batch]
+    for spec, got in zip(specs, batch):
+        alone = cone_solve(spec)
+        assert got.status is alone.status
+        assert got.iterations == alone.iterations
+        assert np.linalg.norm(got.w - alone.w) <= 1e-8 * np.linalg.norm(alone.w)
+        if got.status is SolverStatus.MAX_ITERS:
+            assert 1e-9 < got.dual_residual < 1.0 and got.iterations < 5
+            assert got.constraint_residual < 1e-12
+
+
+def test_cone_solve_pulls_a_step_back_inside_the_cones(scenario, manifold, a0):
+    # on this 3 deg draw, rounding carries the dual point of one cone past
+    # its boundary 18 iterations in, although the step length keeps it 1%
+    # inside; taken whole, the step leaves the next scaling undefined and
+    # the solve stalls at a gap of 1.07e-9
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + 3.0).with_seed(275)
+    spec = ProblemSpec(sample_covariance(synthesize_snapshots(truth).data), a0,
+                       (PenaltyTerm(manifold.matrix, PenaltyKind.L1, CRITERION_10_GAMMAS["sparse"]),))
+    res = cone_solve(spec)
+    assert res.status is SolverStatus.CONVERGED
+    assert res.dual_residual <= 1e-9
