@@ -163,14 +163,13 @@ class SolverOptions:
     below ``tol``; the smooth path stops when the gradient norm is below
     ``smooth_grad_tol``."""
 
-    rho: float = 1.0
     max_iters: int = 5000
     tol: float = 1e-7
     smooth_max_iters: int = 2000
     smooth_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("rho", "tol", "smooth_grad_tol"):
+        for name in ("tol", "smooth_grad_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
                 math.isfinite(value) and value > 0
@@ -323,9 +322,11 @@ def _result(spec: ProblemSpec, w: np.ndarray, iters, rp, rd, status: SolverStatu
 def _convex(spec, solver: str) -> tuple:
     """The front end of the convex solvers: the specs of a batch, checked to
     hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only, their ``_eliminated``
-    w0, B, R_eff and z-space quadratics, lin = 2 B^H R_eff w0, and each
+    w0, B, R_eff and z-space quadratics, lin = 2 B^H R_eff w0, each
     problem's unpenalized optimum z = -quad^-1 lin (0 where quad is not
-    positive definite) with whether its quad is."""
+    positive definite) with whether its quad is, the indices of the active
+    terms (L1, LINF or GROUP_L2 terms of positive weight in some problem),
+    in spec order, and the (T, active terms) matrix of their weights."""
     specs = _batch(spec, solver)
     first = specs[0]
     if first.is_smooth_nonconvex:
@@ -337,7 +338,10 @@ def _convex(spec, solver: str) -> tuple:
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
     inv_quad, factored = _inverses(quad)
     z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
-    return specs, w0, basis, r_eff, quad, lin, z, factored
+    active_terms = [j for j, t in enumerate(first.penalties)
+                    if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
+    weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(len(specs), -1)
+    return specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights
 
 
 def _convex_results(specs: list, w0, basis, ok, z, iters, rp, rd, statuses) -> list:
@@ -350,8 +354,8 @@ def _convex_results(specs: list, w0, basis, ok, z, iters, rp, rd, statuses) -> l
     ]
 
 
-def _same_scale(x, y) -> bool:
-    return x is y or (x is not None and y is not None and np.array_equal(x, y))
+# the overall multiplier of admm_solve's splitting penalties
+_RHO = 2.0
 
 
 def admm_solve(spec, opts: SolverOptions = SolverOptions()):
@@ -374,22 +378,23 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     penalty for block j is rho * gamma_j * sigma_j with
     sigma_j = ||S_j K_j||_2, which makes the iteration behavior invariant to
     rescaling any penalty weight or operator (these penalties are positively
-    1-homogeneous); rho is just the overall multiplier, and a block of weight
-    0 gets splitting penalty and prox threshold 0, which leaves it inert. The
-    fixed point does not depend on this choice. Blocks are stacked into one
-    operator K shared by the batch (per-problem scales and splitting
-    penalties enter as row weights). Each iteration costs two (T, m) x
-    m-by-n products (the z-update's K^H product, with K^H c folded into the
-    linear term once, and K z), one batched m x m inverse-times-vector, and
-    the row-wise block proxes; the products run as real GEMMs on the
-    interleaved real and imaginary parts. The dual residual, a third product
-    K^H diag(rho) (v - v_old), is taken only on an iteration where some
-    problem's primal residual is below ``tol`` or non-finite (only such a
-    problem can stop) and on the cap iteration. The z-system of problem t
-    is quad_t + sum_j rho_tj K_j^H K_j, built from the per-block Gram
-    matrices when the batch shares its scales. Stops a problem when its
-    absolute primal and dual residual norms (in the original, unscaled block
-    units) both drop below ``tol``.
+    1-homogeneous); rho is a fixed overall multiplier of 2, and a block of
+    weight 0 gets splitting penalty and prox threshold 0, which leaves it
+    inert. The fixed point does not depend on this choice. Blocks are
+    stacked into one operator K shared by the batch (per-problem scales and
+    splitting penalties enter as row weights, and a scale that every problem
+    of the batch shares folds into the K of the forward product). Each
+    iteration costs two (T, m) x m-by-n products (the z-update's K^H
+    product, with K^H c folded into the linear term once, and K z), one
+    batched m x m inverse-times-vector, and the row-wise block proxes; the
+    products run as real GEMMs on the interleaved real and imaginary parts.
+    The dual residual, a third product K^H diag(rho) (v - v_old), is taken
+    only on an iteration where some problem's primal residual is below
+    ``tol`` or non-finite (only such a problem can stop) and on the cap
+    iteration. The z-system of problem t is
+    quad_t + (S_t K)^H diag(rho_t) (S_t K), one Gram matrix per problem.
+    Stops a problem when its absolute primal and dual residual norms (in the
+    original, unscaled block units) both drop below ``tol``.
 
     The dual residual is also the stationarity certificate: with
     u+ = u + K z+ + c - v+, the z-update gives quad z+ + lin + K^H diag(rho)
@@ -400,62 +405,36 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         return admm_solve([spec], opts)[0]
     # the unpenalized optimum z is the answer for a problem with no active
     # penalty, and the warm start otherwise
-    specs, w0, basis, _, quad, lin, z, factored = _convex(spec, "admm_solve")
-    first = specs[0]
-    m = basis.shape[1]
-    active_terms = [j for j, t in enumerate(first.penalties)
-                    if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
-    terms = [first.penalties[j] for j in active_terms]
-    if not terms or m == 0:
+    specs, w0, basis, _, quad, lin, z, factored, active_terms, weights = _convex(spec, "admm_solve")
+    if not active_terms or basis.shape[1] == 0:
         zeros = np.zeros(len(specs))
         return _convex_results(specs, w0, basis, factored, z, zeros, zeros, zeros,
                                [SolverStatus.CONVERGED] * len(specs))
 
-    # stacked penalty operator shared by the batch, with per-problem row
+    # stacked penalty operator shared by the batch, with per-problem column
     # scales and per-block splitting penalties
+    terms = [specs[0].penalties[j] for j in active_terms]
     sizes = [t.operator.shape[1] for t in terms]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(terms))]
     k_mat = np.vstack([t.operator.conj().T @ basis for t in terms])
-    c_vec = np.concatenate([t.operator.conj().T @ w0 for t in terms])
-
-    def column_scale(s):
-        return np.concatenate([
-            np.ones(size) if s.penalties[j].scale is None else s.penalties[j].scale
-            for j, size in zip(active_terms, sizes)
-        ])
-
-    # a scale the whole batch shares (always so for one problem) folds into K
-    scaled = not all(
-        _same_scale(s.penalties[j].scale, first.penalties[j].scale) for s in specs[1:] for j in active_terms
-    )
-    if scaled:
-        scale = np.stack([column_scale(s) for s in specs])
-        sigmas = np.stack(
-            [np.linalg.norm(scale[:, sl, np.newaxis] * k_mat[sl], 2, axis=(1, 2)) for sl in slices], axis=1
-        )
-        c = scale * c_vec
-    else:
-        shared = column_scale(first)
-        k_mat, c = k_mat * shared[:, np.newaxis], c_vec * shared
-        sigmas = np.array([[np.linalg.norm(k_mat[sl], 2) for sl in slices]])
-    k_t, k_conj = k_mat.T, k_mat.conj()
-    weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs])
-    block_rho = opts.rho * weights * np.where(sigmas > 0, sigmas, 1.0)
+    k_conj = k_mat.conj()
+    scale = np.stack([
+        np.concatenate([np.ones(size) if s.penalties[j].scale is None else s.penalties[j].scale
+                        for j, size in zip(active_terms, sizes)])
+        for s in specs
+    ])
+    sigmas = np.stack([np.linalg.norm(scale[:, sl, np.newaxis] * k_mat[sl], 2, axis=(1, 2)) for sl in slices],
+                      axis=1)
+    c = scale * np.concatenate([t.operator.conj().T @ w0 for t in terms])
+    block_rho = _RHO * weights * np.where(sigmas > 0, sigmas, 1.0)
     prox_ts = np.divide(weights, block_rho, out=np.zeros_like(weights), where=block_rho > 0)
     penalized = block_rho.any(axis=1)
-    # splitting penalty per operator row (K_t^H diag(rho_t) y = K^H (scale *
-    # rho * y) for problem t's scaled operator), one row when the batch
-    # shares it
-    shared_rho = not scaled and (block_rho == block_rho[0]).all()
-    rho_k = np.repeat(block_rho[:1] if shared_rho else block_rho, sizes, axis=1)
-    if scaled:
-        rho_k = rho_k * scale
-        # K_t^H diag(rho_t) K_t, one m x n product at a time
-        gram = np.stack([(k_conj.T * weight) @ k_mat for weight in rho_k * scale])
-    else:
-        block_grams = np.stack([k_conj[sl].T @ k_mat[sl] for sl in slices])
-        gram = np.tensordot(block_rho, block_grams, axes=1)
+    # splitting penalty per operator row, times the scale: for problem t's
+    # operator K_t = S_t K, K_t^H diag(rho_t) y = K^H (scale * rho * y), and
+    # its z-system takes K_t^H diag(rho_t) K_t, one m x n product at a time
+    rho_k = np.repeat(block_rho, sizes, axis=1) * scale
+    gram = np.stack([(k_conj.T * weight) @ k_mat for weight in rho_k * scale])
     inv_sys, ok = _inverses(quad + gram)
 
     # results by problem, where an unpenalized problem ends at its warm start;
@@ -467,32 +446,20 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     status_out = [SolverStatus.MAX_ITERS if p else SolverStatus.CONVERGED for p in penalized]
 
     active = np.flatnonzero(ok & penalized)
-    inv_a, ts_a = inv_sys[active], prox_ts[active]
+    inv_a, ts_a, rho_a, scale_a, c_a = (x[active] for x in (inv_sys, prox_ts, rho_k, scale, c))
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
-    # active problem t, as real GEMMs; a scale or rho the batch shares folds
-    # into K
-    k_fwd = _real_form(k_t)
-    if scaled:
-        c_a, scale_a = c[active], scale[active]
+    # active problem t, as real GEMMs; a scale every problem shares (always
+    # so for one problem, and so for a gamma grid) folds into forward's K
+    shared_scale = (scale == scale[0]).all()
+    k_fwd = _real_form(k_mat.T * scale[0] if shared_scale else k_mat.T)
+    k_back = _real_form(k_conj)
 
-        def forward(z):
-            return _times(z, k_fwd) * scale_a + c_a
-    else:
-        c_a = c
+    def forward(z):
+        kz = _times(z, k_fwd)
+        return (kz if shared_scale else kz * scale_a) + c_a
 
-        def forward(z):
-            return _times(z, k_fwd) + c_a
-    if shared_rho:
-        k_back = _real_form(k_conj * rho_k[0][:, np.newaxis])
-
-        def back(y):
-            return _times(y, k_back)
-    else:
-        rho_a = rho_k[active]
-        k_back = _real_form(k_conj)
-
-        def back(y):
-            return _times(rho_a * y, k_back)
+    def back(y):
+        return _times(rho_a * y, k_back)
 
     # the z-update right-hand side is back(v - u - c) - lin; back(c) is
     # folded into the linear term once
@@ -531,13 +498,9 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
                 z_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], rp[i], rd[i], it
                 status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol else SolverStatus.NUMERICAL_FAILURE
             going = ~stopped
-            active, z, v, u, rp, rd, lin_a, inv_a, ts_a = (
-                x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, ts_a)
+            active, z, v, u, rp, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a = (
+                x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a)
             )
-            if not shared_rho:
-                rho_a = rho_a[going]
-            if scaled:
-                c_a, scale_a = c_a[going], scale_a[going]
     # the problems still active stopped at the cap
     z_out[active], rp_out[active], rd_out[active] = z, rp, rd
     return _convex_results(specs, w0, basis, ok, z_out, iters_out, rp_out, rd_out, status_out)
@@ -854,15 +817,14 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
         return cone_solve([spec], opts)[0]
     # the unpenalized optimum z is the answer for a problem with no active
     # penalty, and the primal start otherwise
-    specs, w0, basis, r_eff, quad, lin, z_out, factored = _convex(spec, "cone_solve")
+    specs, w0, basis, r_eff, quad, lin, z_out, factored, active_terms, weights = _convex(spec, "cone_solve")
     if any(term.scale is not None for s in specs for term in s.penalties):
         raise ValueError("cone_solve takes no column scale")
-    first = specs[0]
     count = len(specs)
-    active_terms = sorted((j for j, t in enumerate(first.penalties)
-                           if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)),
-                          key=lambda j: first.penalties[j].kind is PenaltyKind.GROUP_L2)
-    weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(count, -1)
+    # the groups go last (see _Cones)
+    terms = [specs[0].penalties[j] for j in active_terms]
+    order = sorted(range(len(terms)), key=lambda i: terms[i].kind is PenaltyKind.GROUP_L2)
+    terms, weights = [terms[i] for i in order], weights[:, order]
     penalized = (weights > 0).any(axis=1)
     if ((weights > 0) != penalized[:, np.newaxis]).any():
         raise ValueError("cone_solve needs each problem's penalty weights all zero or all positive")
@@ -872,7 +834,7 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
     status_out = [SolverStatus.CONVERGED] * count
     rows = np.flatnonzero(factored & penalized)
     if rows.size and basis.shape[1]:
-        cones = _Cones([first.penalties[j] for j in active_terms], basis, w0)
+        cones = _Cones(terms, basis, w0)
         const = np.real(np.einsum("i,tij,j->t", w0.conj(), r_eff[rows], w0))
         _interior_point(cones, rows, quad[rows], lin[rows], const, cones.cone_weights(weights[rows]),
                         opts.max_iters, z_out, gap_out, iters_out, status_out)

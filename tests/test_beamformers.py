@@ -360,9 +360,10 @@ def test_cone_kinds_are_invariant_to_joint_scaling(scenario, manifold, split, a0
 
 @pytest.mark.parametrize("mismatch", (0.0, 3.0))
 def test_benchmark_options_move_sinr_by_under_1e3_db(scenario, manifold, split, a0, mismatch):
-    # the claim beside BENCHMARK_OPTIONS: against the default tolerances,
-    # per-trial SINR moves by under 1e-3 dB for every method but
-    # weighted_sparse, whose default-tolerance solves stop at their cap
+    # the claims beside BENCHMARK_OPTIONS: the interior-point methods give the
+    # same solves under both option sets, and against the default tolerances
+    # per-trial SINR moves by under 1e-3 dB for mspr_relaxed (weighted_sparse,
+    # whose default-tolerance solves stop at their cap, is left out)
     truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
     draws = [truth.with_seed(seed) for seed in range(7, 15)]
     covariances = [sample_covariance(synthesize_snapshots(draw).data) for draw in draws]
@@ -373,7 +374,11 @@ def test_benchmark_options_move_sinr_by_under_1e3_db(scenario, manifold, split, 
         loose = solve_trials(methods, covariances, manifold, split, a0, None, BENCHMARK_OPTIONS)
         for draw, ref, got in zip(draws, tight, loose):
             assert ref.status is got.status is SolverStatus.CONVERGED, kind
-            assert abs(sinr(got.weights, draw) - sinr(ref.weights, draw)) < 1e-3, kind
+            if kind is BeamformerKind.MSPR_RELAXED:
+                assert abs(sinr(got.weights, draw) - sinr(ref.weights, draw)) < 1e-3, kind
+            else:
+                assert got.iterations == ref.iterations, kind
+                npt.assert_array_equal(got.weights, ref.weights, err_msg=kind.value)
 
 
 def test_solve_trials_fails_a_trial_alone(covariance, manifold, split, a0):

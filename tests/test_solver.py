@@ -13,6 +13,7 @@ from caponshape.cli import BENCHMARK_OPTIONS
 from caponshape.evaluation import DEFAULT_GAMMA_GRID, sinr
 from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
+    _RHO,
     PenaltyKind,
     PenaltyTerm,
     ProblemSpec,
@@ -129,8 +130,6 @@ def test_is_smooth_nonconvex_flag():
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
-        SolverOptions(rho=0.0)
-    with pytest.raises(ValueError):
         SolverOptions(tol=-1.0)
     with pytest.raises(ValueError):
         SolverOptions(tol=0.0)
@@ -138,13 +137,13 @@ def test_solver_options_validation():
         SolverOptions(smooth_grad_tol=0.0)
     for bad in (dict(max_iters=-5), dict(max_iters=0), dict(max_iters=2.5), dict(max_iters=True),
                 dict(smooth_max_iters=-1), dict(smooth_max_iters=1.5), dict(smooth_max_iters=False),
-                dict(rho=np.nan), dict(rho=np.inf), dict(tol=np.inf), dict(tol=np.nan),
+                dict(tol=np.inf), dict(tol=np.nan),
                 dict(smooth_grad_tol=np.inf), dict(smooth_grad_tol=np.nan)):
         with pytest.raises(ValueError, match=next(iter(bad))):
             SolverOptions(**bad)
     # the boundary values and numpy scalars are accepted
-    opts = SolverOptions(max_iters=np.int64(1), smooth_max_iters=0, rho=np.float64(0.5))
-    assert (opts.max_iters, opts.smooth_max_iters, opts.rho) == (1, 0, 0.5)
+    opts = SolverOptions(max_iters=np.int64(1), smooth_max_iters=0, tol=np.float64(0.5))
+    assert (opts.max_iters, opts.smooth_max_iters, opts.tol) == (1, 0, 0.5)
 
 
 def test_admm_no_penalty_matches_direct_solution():
@@ -466,19 +465,22 @@ def test_admm_batch_equals_single_solves(scenario, manifold, split, a0, kinds):
 
 
 def test_admm_batch_with_per_problem_column_scales(scenario, manifold, a0):
-    # the weighted-sparse shape: one shared operator, one column scale per problem
+    # the weighted-sparse shape: one shared operator, one column scale per
+    # problem; scales equal by value (distinct arrays, or None beside all
+    # ones) take the forward product with the scale folded into K
     rng = np.random.default_rng(16)
-    specs = [
-        ProblemSpec(r, a0, (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 1.0,
-                                        scale=rng.uniform(0.01, 1.0, manifold.angles_deg.size)),))
-        for r in _packaged_covariances(scenario, 4)
-    ]
-    batch = admm_solve(specs, BENCHMARK_OPTIONS)
-    for spec, got in zip(specs, batch):
-        alone = admm_solve(spec, BENCHMARK_OPTIONS)
-        assert got.status is alone.status
-        assert got.iterations == alone.iterations
-        assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
+    per_problem = [rng.uniform(0.01, 1.0, manifold.angles_deg.size) for _ in range(4)]
+    covariances = _packaged_covariances(scenario, 4)
+    for columns in (per_problem, [per_problem[0].copy() for _ in range(4)],
+                    [None, np.ones(manifold.angles_deg.size)] * 2):
+        specs = [ProblemSpec(r, a0, (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 1.0, scale=scale),))
+                 for r, scale in zip(covariances, columns)]
+        batch = admm_solve(specs, BENCHMARK_OPTIONS)
+        for spec, got in zip(specs, batch):
+            alone = admm_solve(spec, BENCHMARK_OPTIONS)
+            assert got.status is alone.status
+            assert got.iterations == alone.iterations
+            assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
 
 
 def test_admm_batch_confines_a_failure_to_its_problem(monkeypatch, scenario, manifold, a0):
@@ -559,7 +561,7 @@ def textbook_admm(spec, opts):
     blocks = [s[:, np.newaxis] * (t.operator.conj().T @ basis) for t, s in zip(terms, scales)]
     k = np.vstack(blocks)
     c = np.concatenate([s * (t.operator.conj().T @ w0) for t, s in zip(terms, scales)])
-    rhos = [opts.rho * t.weight * np.linalg.norm(b, 2) for t, b in zip(terms, blocks)]
+    rhos = [_RHO * t.weight * np.linalg.norm(b, 2) for t, b in zip(terms, blocks)]
     rho = np.concatenate([np.full(b.shape[0], x) for b, x in zip(blocks, rhos)])
     edges = np.cumsum([0] + [b.shape[0] for b in blocks])
     proxes = {PenaltyKind.L1: prox_l1, PenaltyKind.LINF: lambda x, t: x - project_l1_ball(x, t),
