@@ -23,13 +23,9 @@ from .beamformers import (
     BeamformerSpec,
     WeightVector,
     capon_closed_form,
-    mixed_norm_capon,
     mspr_capon,
     solve_method,
     solve_trials,
-    sparse_capon,
-    tvm_capon,
-    weighted_sparse_capon,
 )
 from .evaluation import (
     BeamPattern,

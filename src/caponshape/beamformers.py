@@ -53,10 +53,6 @@ __all__ = [
     "BeamformerSpec",
     "WeightVector",
     "capon_closed_form",
-    "sparse_capon",
-    "weighted_sparse_capon",
-    "mixed_norm_capon",
-    "tvm_capon",
     "mspr_capon",
     "resolve_split",
     "solve_method",
@@ -177,60 +173,6 @@ def capon_closed_form(r, a: np.ndarray) -> WeightVector:
         iterations=0,
         ridged=ridged,
     )
-
-
-def sparse_capon(
-    r,
-    manifold: ArrayManifold,
-    a: np.ndarray,
-    gamma: float,
-    options: SolverOptions = SolverOptions(),
-) -> WeightVector:
-    """min w^H R w + gamma * ||A^H w||_1  s.t.  w^H a = 1."""
-    return solve_method(BeamformerSpec(BeamformerKind.SPARSE, gamma), r, manifold, None, a, None, options)
-
-
-def weighted_sparse_capon(
-    r,
-    manifold: ArrayManifold,
-    x: np.ndarray,
-    a: np.ndarray,
-    gamma: float,
-    options: SolverOptions = SolverOptions(),
-) -> WeightVector:
-    """min w^H R w + gamma * ||Q A^H w||_1 with the SNM weighting Q built
-    from the snapshots x."""
-    return solve_method(BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, gamma), r, manifold, None, a, x, options)
-
-
-def mixed_norm_capon(
-    r,
-    split: ManifoldSplit,
-    a: np.ndarray,
-    gamma: float,
-    options: SolverOptions = SolverOptions(),
-) -> WeightVector:
-    """min w^H R w + gamma * (||A_M^H w||_inf + ||A_S^H w||_1)."""
-    return solve_method(BeamformerSpec(BeamformerKind.MIXED_NORM, gamma), r, None, split, a, None, options)
-
-
-def tvm_capon(
-    r,
-    manifold: ArrayManifold,
-    split: ManifoldSplit,
-    a: np.ndarray,
-    gamma: float,
-    orders: int = 2,
-    options: SolverOptions = SolverOptions(),
-) -> WeightVector:
-    """min w^H R w + gamma * (sum_{i<=orders} ||D_i A^H w||_2 + ||A_S^H w||_1).
-
-    Each difference order contributes a single L2 norm of the whole stacked
-    forward/backward difference of the pattern, so every order is one
-    GROUP_L2 penalty with one group, built from the forward block alone.
-    """
-    method = BeamformerSpec(BeamformerKind.TVM_SPARSE, gamma, tv_orders=orders)
-    return solve_method(method, r, manifold, split, a, None, options)
 
 
 def mspr_capon(

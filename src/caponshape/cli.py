@@ -56,17 +56,11 @@ __all__ = ["main", "RunConfig", "load_run_config", "BENCHMARK_OPTIONS"]
 # Looser than the solver defaults: benchmark runs solve tens of thousands of
 # instances. ``tol`` governs weighted_sparse alone, the one method still
 # solved by ADMM, whose rho is fixed; sparse, mixed_norm and tvm_sparse stop
-# at a fixed relative duality gap, never reach ``max_iters`` and give the same
-# solves under both option sets.
-# Against the default tolerances, per-trial SINR moves by under 1e-3 dB for
-# mspr_relaxed and by up to ~0.04 dB for weighted_sparse (see the README); the
-# mean-SINR margins are >= 1 dB.
-BENCHMARK_OPTIONS = SolverOptions(
-    max_iters=2000,
-    tol=1e-4,
-    smooth_max_iters=300,
-    smooth_grad_tol=1e-6,
-)
+# at a fixed relative duality gap and mspr_relaxed at a fixed relative step,
+# never reach ``max_iters`` and give the same solves under both option sets.
+# Against the default tolerance, per-trial SINR moves by up to ~0.04 dB for
+# weighted_sparse (see the README); the mean-SINR margins are >= 1 dB.
+BENCHMARK_OPTIONS = SolverOptions(max_iters=2000, tol=1e-4)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ which cone_solve solves by a primal-dual interior-point method over the
 stacked operator K = [G_j^H B]; admm_solve solves the same problems by scaled
 ADMM over K, and is the one of the two that takes a per-problem column scale.
 The quartic term takes a smooth descent path with Armijo backtracking
-preconditioned by a curvature model.
+preconditioned by a curvature model, which stops a problem once its accepted
+step moves z by at most 1e-7 ||w||, a test that needs no tolerance option and
+is invariant to a joint scaling of R and the penalty weights.
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -159,26 +161,21 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """ADMM stops a problem when both its primal and dual residual norms are
-    below ``tol``; the smooth path stops when the gradient norm is below
-    ``smooth_grad_tol``."""
+    """``max_iters`` caps every solver. ``tol`` is ADMM's alone: it stops a
+    problem when both its primal and dual residual norms are below it. The
+    interior-point and smooth paths stop on fixed relative tests instead
+    (``cone_solve`` and ``smooth_solve`` say which)."""
 
     max_iters: int = 5000
     tol: float = 1e-7
-    smooth_max_iters: int = 2000
-    smooth_grad_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol", "smooth_grad_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                math.isfinite(value) and value > 0
-            ):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        for name, least in (("max_iters", 1), ("smooth_max_iters", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real) or not (
+            math.isfinite(self.tol) and self.tol > 0
+        ):
+            raise ValueError(f"tol must be a finite number > 0, got {self.tol!r}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -1017,8 +1014,11 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
     return _SmoothObjective([spec], basis, _fold_squared_l2(spec)[np.newaxis]).gradient(w, slice(None))[0]
 
 
-# steps an Armijo search tries in one pass after its full step is rejected
-_HALVINGS = 16
+# a problem stops once its accepted step moves z by at most this much
+# relative to ||w||; steps below about 1e-8 ||w|| are rounding noise, and a
+# stop among them would make iteration counts depend on rounding (on the
+# phase of the constraint vector, for one)
+_STEP_TOL = 1e-7
 
 
 def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
@@ -1047,14 +1047,16 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     Hessian plus the quartic's complex-linear curvature), falling back to
     the quadratic-only model when the model goes indefinite (its Cholesky
     factorization is the definiteness test); with no quartic terms this is
-    an exact Newton step. A problem stops with status CONVERGED when
-    ||g|| < smooth_grad_tol, or when an accepted step leaves its z
-    bit-for-bit unchanged: from such a fixed point w, f and g repeat
-    exactly, so every later iteration would repeat it, and
-    ``dual_residual`` keeps ||g|| there. A problem whose quadratic-only
-    model is not positive definite ends at w0 with status NUMERICAL_FAILURE;
-    one whose line search finds no decrease ends at its last iterate with
-    that status. The objective sequence is nonincreasing. Returns stationary
+    an exact Newton step. A problem stops with status CONVERGED when its
+    accepted step moves z by at most 1e-7 ||w||, w the point the step leaves:
+    the line search then works at the rounding floor of f, where it can no
+    longer tell its steps apart. It returns the point that step reaches, and
+    ``dual_residual`` is ||g|| there. The test reads no option and does not
+    change under R -> cR, gamma -> c gamma. ``opts.max_iters`` caps the
+    iterations with status MAX_ITERS. A problem whose quadratic-only model
+    is not positive definite ends at w0 with status NUMERICAL_FAILURE; one
+    whose line search finds no decrease ends at its last iterate with that
+    status. The objective sequence is nonincreasing. Returns stationary
     points (not guaranteed to be global minima of a nonconvex spec).
     """
     if isinstance(spec, ProblemSpec):
@@ -1075,6 +1077,8 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
         if any(abs(w.conj() @ specs[0].constraint_vector - 1.0) > 1e-6 for w in starts):
             raise ValueError("w_init does not satisfy the distortionless constraint")
         z = _mv(basis_h, np.stack(starts) - w0)
+    if not m:  # w0 is the only feasible point
+        return [_result(s, w0, 0, 0.0, 0.0, SolverStatus.CONVERGED) for s in specs]
 
     # Cholesky factors problem by problem, through the LAPACK calls that
     # scipy.linalg.cho_factor/cho_solve make, so a problem's directions do
@@ -1109,61 +1113,47 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     grad_out = np.full(count, math.inf)
     status_out = [SolverStatus.NUMERICAL_FAILURE] * count
 
-    def finish(rows, idx, w, grad_norm, iters, status):
-        for i in idx:
-            t = rows[i]
-            w_out[t], grad_out[t], iters_out[t], status_out[t] = w[i], grad_norm[i], iters, status
+    def finish(rows, w, grad, iters, status):
+        w_out[rows], grad_out[rows], iters_out[rows] = w, _norms(grad), iters
+        for t in rows:
+            status_out[t] = status
 
     rows = np.flatnonzero(factored)
     z = z[rows]
     w = w0 + _mv(basis, z)
     f_curr = smooth.value(w, rows)
-    for it in range(opts.smooth_max_iters + 1):
+    for it in range(opts.max_iters):
         if not rows.size:
             break
         parts = smooth.parts(w, rows)
         g = smooth.gradient(w, rows, parts)
-        grad_norm = _norms(g)
-        done = grad_norm < opts.smooth_grad_tol
-        finish(rows, np.flatnonzero(done), w, grad_norm, it, SolverStatus.CONVERGED)
-        if it == opts.smooth_max_iters:
-            finish(rows, np.flatnonzero(~done), w, grad_norm, it, SolverStatus.MAX_ITERS)
-            break
-        if done.all():  # always so with no free coordinate (m = 0)
-            break
-        # a problem that is done takes this step too, but keeps its result
         direction = directions(g, parts, rows)
         slope = np.real(_mv(g.conj()[:, np.newaxis, :], direction)[:, 0])
-        # Armijo backtracking: each problem tries the steps 2^-k, k < 60, in
-        # turn and takes the first with sufficient decrease. After a rejected
-        # full step, the next _HALVINGS steps of a problem are tried in one
-        # pass; each test depends on its own step alone, so the step taken is
-        # the one the sequential search takes
-        tried = np.zeros(rows.size, dtype=int)
-        failed = np.zeros(rows.size, dtype=bool)
-        z_new, w_new, f_new = np.empty_like(z), np.empty_like(w), np.empty_like(f_curr)
+        # Armijo backtracking: each pass tries the step 2^-k, k < 60, on
+        # every problem still searching; a problem takes the first step
+        # with sufficient decrease, and one that finds none stays put
+        z_new, w_new, f_new = z.copy(), w.copy(), f_curr.copy()
         pending = np.arange(rows.size)
-        width = 1
-        while pending.size:
-            exponents = tried[pending, np.newaxis] + np.arange(width)
-            steps = 0.5 ** exponents
-            z_try = z[pending, np.newaxis, :] + steps[:, :, np.newaxis] * direction[pending, np.newaxis, :]
+        for k in range(60):
+            step = 0.5 ** k
+            z_try = z[pending] + step * direction[pending]
             w_try = w0 + _mv(basis, z_try)
-            f_try = smooth.value(w_try.reshape(-1, w.shape[1]), np.repeat(rows[pending], width)).reshape(steps.shape)
-            accept = (f_try <= f_curr[pending, np.newaxis] + 1e-4 * steps * slope[pending, np.newaxis]) & (exponents < 60)
-            hit = accept.any(axis=1)
-            pick = accept.argmax(axis=1)[hit]
+            f_try = smooth.value(w_try, rows[pending])
+            hit = f_try <= f_curr[pending] + 1e-4 * step * slope[pending]
             took = pending[hit]
-            z_new[took], w_new[took], f_new[took] = (x[hit, pick] for x in (z_try, w_try, f_try))
-            tried[pending] += width
-            failed[pending[~hit & (tried[pending] >= 60)]] = True
-            pending = pending[~hit & (tried[pending] < 60)]
-            width = _HALVINGS
-        failed &= ~done
-        finish(rows, np.flatnonzero(failed), w, grad_norm, it, SolverStatus.NUMERICAL_FAILURE)
-        fixed = (z_new == z).all(axis=1) & ~(done | failed)
-        finish(rows, np.flatnonzero(fixed), w, grad_norm, it + 1, SolverStatus.CONVERGED)
-        going = ~(done | failed | fixed)
+            z_new[took], w_new[took], f_new[took] = z_try[hit], w_try[hit], f_try[hit]
+            pending = pending[~hit]
+            if not pending.size:
+                break
+        failed = np.zeros(rows.size, dtype=bool)
+        failed[pending] = True
+        finish(rows[failed], w[failed], g[failed], it, SolverStatus.NUMERICAL_FAILURE)
+        settled = ~failed & (_norms(z_new - z) <= _STEP_TOL * _norms(w))
+        if settled.any():
+            finish(rows[settled], w_new[settled], smooth.gradient(w_new[settled], rows[settled]), it + 1,
+                   SolverStatus.CONVERGED)
+        going = ~(failed | settled)
         rows, z, w, f_curr = rows[going], z_new[going], w_new[going], f_new[going]
+    finish(rows, w, smooth.gradient(w, rows), opts.max_iters, SolverStatus.MAX_ITERS)
 
     return [_result(s, w_out[t], iters_out[t], 0.0, grad_out[t], status_out[t]) for t, s in enumerate(specs)]
