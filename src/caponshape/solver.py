@@ -527,8 +527,9 @@ class _Cones:
 
     Row i of the stacked operator K = [G_j^H B] gives the complex entry
     v_i = (K z + c)_i. Each row of an L1 or a LINF term is a 3-dimensional
-    cone (t, Re v_i, Im v_i), and a GROUP_L2 term is one cone over all its
-    rows; ``terms`` lists the groups last, so the first ``pairs`` rows and
+    cone (t, Re v_i, Im v_i), and a GROUP_L2 term is one cone over the at
+    most m + 1 rows of the R factor of its [K_g c_g] (see ``cone_solve``);
+    ``terms`` lists the groups last, so the first ``pairs`` rows and
     cones correspond one to one. The epigraph variable t is the cone's own
     for an L1 row or a group ("private"), and the cones of a LINF term share
     one. Cone quantities are (T, C) arrays of the scalar parts and (T, N)
@@ -537,8 +538,16 @@ class _Cones:
     """
 
     def __init__(self, terms: list, basis: np.ndarray, w0: np.ndarray):
-        k_mat = np.vstack([t.operator.conj().T @ basis for t in terms])
-        self.c = np.concatenate([t.operator.conj().T @ w0 for t in terms])
+        ks, cs = [], []
+        for term in terms:
+            k, c = term.operator.conj().T @ basis, term.operator.conj().T @ w0
+            if term.kind is PenaltyKind.GROUP_L2:  # the same norm in fewer rows
+                r = np.linalg.qr(np.column_stack([k, c]), mode="r")
+                k, c = r[:, :-1], r[:, -1]
+            ks.append(k)
+            cs.append(c)
+        k_mat = np.vstack(ks)
+        self.c = np.concatenate(cs)
         self.k_fwd = _real_form(k_mat.T)
         # back(y) = (y @ conj(K)) as reals: row 2i (2i+1) of k_back is the
         # image of Re y_i (Im y_i)
@@ -546,8 +555,8 @@ class _Cones:
         # (kind, cone slice, row slice) per term
         self.blocks = []
         rows = cones = 0
-        for term in terms:
-            size = term.operator.shape[1]
+        for term, k in zip(terms, ks):
+            size = k.shape[0]
             width = 1 if term.kind is PenaltyKind.GROUP_L2 else size
             self.blocks.append((term.kind, slice(cones, cones + width), slice(rows, rows + size)))
             rows, cones = rows + size, cones + width
@@ -787,7 +796,12 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
     After constraint elimination w = w0 + B z, each entry v_i of an L1 term
     becomes the 3-dimensional cone (t_i, Re v_i, Im v_i) with the cost
     gamma * t_i, the entries of a LINF term 3-dimensional cones that share
-    one epigraph variable, and a GROUP_L2 term one cone of dimension 2q + 1.
+    one epigraph variable, and a GROUP_L2 term one cone of dimension 2r + 1:
+    its q rows [K_g c_g] give way to the r = min(q, m + 1) rows of R in
+    [K_g c_g] = Q R, Q with orthonormal columns. Then ||K_g z + c_g|| =
+    ||R [z; 1]||, the same constraint, and the start, the scaling and the
+    Newton system use only inner products of the rows, which Q keeps, so the
+    iterates are those of the 2q + 1 dimensional cone in exact arithmetic.
     The primal start is the unpenalized optimum with t = |v| + mean |v| over
     each term's cones, the dual start (weight, 0) on each cone (a LINF
     term's weight split evenly over its cones). Both are strictly feasible

@@ -14,6 +14,9 @@ from caponshape.evaluation import DEFAULT_GAMMA_GRID, sinr
 from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     _RHO,
+    _Cones,
+    _max_step,
+    _Scaling,
     PenaltyKind,
     PenaltyTerm,
     ProblemSpec,
@@ -738,3 +741,95 @@ def test_cone_solve_pulls_a_step_back_inside_the_cones(scenario, manifold, a0):
     res = cone_solve(spec)
     assert res.status is SolverStatus.CONVERGED
     assert res.dual_residual <= 1e-9
+
+
+def _tv_terms(manifold):
+    n = manifold.angles_deg.size
+    return [PenaltyTerm(manifold.matrix @ difference_operator(i, n).T, PenaltyKind.GROUP_L2, 1.0) for i in (1, 2)]
+
+
+def test_group_cones_hold_the_range_of_their_rows(manifold, a0):
+    # each TV group's 180 / 179 rows span at most m + 1 = 8 complex
+    # dimensions, and its cone keeps the R factor of [K_g c_g] in their
+    # place; ||R [z; 1]|| is ||G^H (w0 + B z)|| for every z
+    w0, basis = eliminate_constraint(a0)
+    terms = _tv_terms(manifold)
+    cones = _Cones(terms, basis, w0)
+    assert [term.operator.shape[1] for term in terms] == [180, 179]
+    assert len(cones.groups) == 2 and cones.count == 2
+    assert all(size <= basis.shape[1] + 1 for size in cones.group_sizes)
+    z = random_vec(np.random.default_rng(3), 5 * basis.shape[1]).reshape(5, -1)
+    v = cones.forward(z) + cones.c
+    for term, (_, rows, _) in zip(terms, cones.groups):
+        expected = np.linalg.norm((w0 + z @ basis.T) @ term.operator.conj(), axis=1)
+        npt.assert_allclose(np.linalg.norm(v[:, rows], axis=1), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("columns", [[120, 135, 150], [120, 135, 150, 135]], ids=["narrow", "rank-deficient"])
+def test_cone_solve_with_a_small_group_matches_tight_admm(scenario, manifold, a0, columns):
+    # a group of 3 columns has fewer rows than m + 1, and a duplicated column
+    # leaves [K_g c_g] rank-deficient, so its R factor has a zero row
+    term = PenaltyTerm(manifold.matrix[:, columns], PenaltyKind.GROUP_L2, 1.0)
+    specs = [ProblemSpec(r, a0, (term,)) for r in _packaged_covariances(scenario, 4)]
+    tight = admm_solve(specs, SolverOptions(tol=1e-9, max_iters=50000))
+    for spec, got, ref in zip(specs, cone_solve(specs), tight):
+        assert ref.status is SolverStatus.CONVERGED
+        assert got.status is SolverStatus.CONVERGED
+        assert objective_value(spec, got.w) <= objective_value(spec, ref.w) * (1.0 + 1e-9)
+
+
+def _interior(rng, cones, count):
+    """Random strictly interior (x0, x1) of every cone, per problem."""
+    x1 = random_vec(rng, count * (cones.k_fwd.shape[1] // 2)).reshape(count, -1)
+    x0 = np.sqrt(cones.per_cone(np.abs(x1) ** 2)) + rng.uniform(0.1, 2.0, (count, cones.count))
+    return x0, x1
+
+
+@pytest.fixture
+def kernel_cones(manifold):
+    # 3-dimensional cones of an L1 term, LINF cones that share one epigraph
+    # variable, and a group, over a random basis
+    rng = np.random.default_rng(11)
+    w0, basis = random_vec(rng, 8), np.linalg.qr(random_vec(rng, 56).reshape(8, 7))[0]
+    terms = [PenaltyTerm(manifold.matrix[:, 85:95], PenaltyKind.LINF, 1.0),
+             PenaltyTerm(manifold.matrix[:, 130:142], PenaltyKind.L1, 1.0)] + _tv_terms(manifold)[:1]
+    return _Cones(terms, basis, w0)
+
+
+def _scaling(rng, cones, count):
+    s0, s1 = _interior(rng, cones, count)
+    l0, l1 = _interior(rng, cones, count)
+    return _Scaling(cones, s0, s1, l0, l1, cones.dot(s0, s1, l0, l1)), (s0, s1), (l0, l1)
+
+
+def test_scaling_meets_the_nesterov_todd_identities(kernel_cones):
+    # W^-1 s = lt and W^-1 lt = lambda at random interior points
+    sc, s, lam = _scaling(np.random.default_rng(12), kernel_cones, 6)
+    for x, y in ((s, (sc.lt0, sc.lt1)), ((sc.lt0, sc.lt1), lam)):
+        got0, got1 = sc.inv(kernel_cones, *x)
+        npt.assert_allclose(got0, y[0], rtol=1e-10)
+        assert np.linalg.norm(got1 - y[1]) <= 1e-10 * np.linalg.norm(y[1])
+
+
+def test_max_step_matches_a_bisection_on_cone_membership(kernel_cones):
+    cones = kernel_cones
+    rng = np.random.default_rng(13)
+    sc, _, _ = _scaling(rng, cones, 6)
+    d0, d1 = rng.standard_normal(sc.lt0.shape), random_vec(rng, sc.lt1.size).reshape(sc.lt1.shape)
+    alpha = _max_step(cones, sc, d0, d1)
+
+    def outside(step):
+        return cones.outside(sc.lt0 + step[:, np.newaxis] * d0, sc.lt1 + step[:, np.newaxis] * d1)
+
+    lo, hi = np.zeros(alpha.size), np.ones(alpha.size)
+    for _ in range(60):
+        hi = np.where(outside(hi), hi, 2.0 * hi)
+    assert outside(hi).all()
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        out = outside(mid)
+        lo, hi = np.where(out, lo, mid), np.where(out, mid, hi)
+    npt.assert_allclose(alpha, lo, rtol=1e-9)
+    # a direction inside every cone never leaves it
+    d0 = np.sqrt(cones.per_cone(np.abs(d1) ** 2)) + 0.5
+    assert np.isinf(_max_step(cones, sc, d0, d1)).all()
