@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .arrays import ArrayManifold, ManifoldSplit, difference_operator, snm_weighting, split_manifold
 from .solver import (
@@ -44,6 +43,7 @@ from .solver import (
     SolverResult,
     SolverStatus,
     admm_solve,
+    cholesky_solve,
     cone_solve,
     smooth_solve,
 )
@@ -141,38 +141,51 @@ def _weights(result: SolverResult) -> WeightVector:
                         iterations=result.iterations, subgrad_residual=result.dual_residual)
 
 
-def capon_closed_form(r, a: np.ndarray) -> WeightVector:
+def capon_closed_form(r, a: np.ndarray):
     """Minimum-variance distortionless weights w = R^-1 a / (a^H R^-1 a).
 
-    A singular covariance gets one rescue attempt with a ridge of
-    1e-12 * trace(R)/M (flagged on the result); failure past that raises
-    NumericalError.
+    ``r`` is one M x M covariance, returning one WeightVector, or a
+    sequence of T of them, returning a list of T; a batch solves as one
+    stack through ``cholesky_solve``, which factors and substitutes each
+    matrix on its own, so it reproduces single solves bit for bit. A
+    covariance that is not positive definite gets one rescue attempt with a
+    ridge of 1e-12 * trace(R)/M (flagged on the result). A covariance or
+    steering vector with a NaN or infinite entry is never factored. Where a
+    covariance fails, past the ridge or for a non-finite entry, one
+    covariance raises NumericalError, and a batch reports that trial alone
+    with status NUMERICAL_FAILURE and NaN weights.
     """
-    mat = _covariance_matrix(r)
+    mats = np.asarray(r, dtype=complex)
+    if mats.ndim == 2:
+        out = capon_closed_form(mats[np.newaxis], a)[0]
+        if out.status is SolverStatus.NUMERICAL_FAILURE:
+            raise NumericalError("covariance is not finite, or singular beyond the ridge rescue")
+        return out
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise ValueError(f"covariance must be square, got shape {mats.shape[1:]}")
     a = np.asarray(a, dtype=complex).ravel()
-    if a.size != mat.shape[0]:
+    count, size = mats.shape[:2]
+    if a.size != size:
         raise ValueError("steering vector length does not match the covariance")
-    ridged = False
-    try:
-        x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), a)
-    except (scipy.linalg.LinAlgError, ValueError):
-        ridge = 1e-12 * float(np.real(np.trace(mat))) / mat.shape[0]
-        try:
-            x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat + ridge * np.eye(mat.shape[0])), a)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError("covariance is singular beyond the ridge rescue") from exc
-        ridged = True
-    denom = np.real(a.conj() @ x)
-    if not np.isfinite(denom) or denom <= 0:
-        raise NumericalError("covariance is singular beyond the ridge rescue")
-    w = x / denom
-    return WeightVector(
-        weights=w,
-        constraint_residual=abs(w.conj() @ a - 1.0),
-        status=SolverStatus.CONVERGED,
-        iterations=0,
-        ridged=ridged,
-    )
+    rhs = np.broadcast_to(a, (count, size))
+    finite = np.isfinite(mats).all(axis=(1, 2)) & np.isfinite(a).all()
+    x = np.full((count, size), np.nan, dtype=complex)
+    ok = np.zeros(count, dtype=bool)
+    x[finite], ok[finite] = cholesky_solve(mats[finite], rhs[finite])
+    ridged = finite & ~ok
+    if ridged.any():
+        ridge = 1e-12 * np.trace(mats[ridged], axis1=1, axis2=2).real / size
+        x[ridged], ok[ridged] = cholesky_solve(mats[ridged] + ridge[:, np.newaxis, np.newaxis] * np.eye(size),
+                                               rhs[ridged])
+    denom = (a.conj() * x).sum(axis=1).real
+    ok &= np.isfinite(denom) & (denom > 0)
+    w = np.divide(x, denom[:, np.newaxis], out=np.full_like(x, np.nan), where=ok[:, np.newaxis])
+    return [
+        WeightVector(weights=w[t], constraint_residual=abs(w[t].conj() @ a - 1.0), status=SolverStatus.CONVERGED,
+                     iterations=0, ridged=bool(ridged[t]))
+        if ok[t] else WeightVector(w[t], math.nan, SolverStatus.NUMERICAL_FAILURE, 0)
+        for t in range(count)
+    ]
 
 
 def mspr_capon(
@@ -252,9 +265,10 @@ def solve_trials(
     gamma-0 problem ends at the closed form: SPARSE, MIXED_NORM and
     TVM_SPARSE in one ``cone_solve``, WEIGHTED_SPARSE in one ``admm_solve``
     (with each trial's SNM weights as its column scale). MSPR_RELAXED solves
-    in one ``smooth_solve`` batch, each problem started at its closed form;
-    CAPON solves one by one. A problem that fails numerically comes back
-    with status NUMERICAL_FAILURE rather than raising, so it fails alone.
+    in one ``smooth_solve`` batch, each problem started at its closed form,
+    and CAPON as one stack in ``capon_closed_form``. A problem that fails
+    numerically comes back with status NUMERICAL_FAILURE rather than
+    raising, so it fails alone.
     """
     methods = list(methods)
     mats = [_covariance_matrix(r) for r in covariances]
@@ -266,7 +280,7 @@ def solve_trials(
         raise ValueError("a batch solves one kind with one b and tv_orders; only gamma may differ")
     a = np.asarray(a, dtype=complex).ravel()
     if kind is BeamformerKind.CAPON:
-        return _each_trial(lambda r, gamma: capon_closed_form(r, a), mats, methods, a.size)
+        return capon_closed_form(mats, a)
     if any(m.gamma is None for m in methods):
         raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
     if kind is BeamformerKind.MSPR_RELAXED:
@@ -290,7 +304,7 @@ def _mspr_trials(methods: list, mats: list, split: ManifoldSplit, a: np.ndarray,
     """MSPR_RELAXED for each covariance, started at its closed form: one
     ``smooth_solve`` batch over the trials whose closed form exists (a trial
     without one fails alone)."""
-    out = _each_trial(lambda r, gamma: capon_closed_form(r, a), mats, methods, a.size)
+    out = capon_closed_form(mats, a)
     solvable = [t for t, start in enumerate(out) if start.status is not SolverStatus.NUMERICAL_FAILURE]
     if solvable:
         specs = [
@@ -303,19 +317,6 @@ def _mspr_trials(methods: list, mats: list, split: ManifoldSplit, a: np.ndarray,
         results = smooth_solve(specs, options, w_init=[out[t].weights for t in solvable])
         for t, result in zip(solvable, results):
             out[t] = _weights(result)
-    return out
-
-
-def _each_trial(solve, mats: list, methods: list, size: int) -> list:
-    """``solve(r, gamma)`` for each covariance r and its method's gamma; a
-    NumericalError fails that problem alone."""
-    out = []
-    for r, method in zip(mats, methods):
-        try:
-            out.append(solve(r, method.gamma))
-        except NumericalError:
-            out.append(WeightVector(np.full(size, np.nan, dtype=complex), math.nan,
-                                    SolverStatus.NUMERICAL_FAILURE, 0))
     return out
 
 

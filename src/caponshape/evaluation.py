@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .arrays import (
     ArrayManifold,
@@ -31,7 +30,7 @@ from .arrays import (
 # solve_method is not called here but stays importable from this module,
 # where bench/spans.py hooks it
 from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method, solve_trials  # noqa: F401
-from .solver import NumericalError, SolverOptions, SolverStatus
+from .solver import NumericalError, SolverOptions, SolverStatus, cholesky_solve
 
 __all__ = [
     "DB_FLOOR",
@@ -202,8 +201,10 @@ def optimal_sinr(scenario: Scenario) -> float:
     for interferer in scenario.interferers:
         a_j = steering_vector(geom, interferer.doa_deg)
         r_in += interferer.power * np.outer(a_j, a_j.conj())
-    x = scipy.linalg.cho_solve(scipy.linalg.cho_factor(r_in), a0)
-    return 10.0 * math.log10(scenario.soi.power * float(np.real(a0.conj() @ x)))
+    x, ok = cholesky_solve(r_in[np.newaxis], a0[np.newaxis])
+    if not ok[0]:
+        raise NumericalError("interference-plus-noise covariance is not positive definite in floating point")
+    return 10.0 * math.log10(scenario.soi.power * float(np.real(a0.conj() @ x[0])))
 
 
 def mspr(w: np.ndarray, split: ManifoldSplit) -> float:

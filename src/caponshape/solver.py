@@ -37,7 +37,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .prox import group_shrink, prox_l1, prox_linf
 
@@ -50,6 +49,7 @@ __all__ = [
     "SolverResult",
     "NumericalError",
     "eliminate_constraint",
+    "cholesky_solve",
     "admm_solve",
     "cone_solve",
     "smooth_solve",
@@ -241,19 +241,53 @@ def _prox_block(kind: PenaltyKind, v: np.ndarray, t: float) -> np.ndarray:
     raise AssertionError(kind)
 
 
+def _cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factor L (mat = L L^H) of each Hermitian matrix in a
+    (T, m, m) stack, and whether the matrix is finite and positive definite;
+    a failed slice gets the identity as its factor. Each slice is factored on
+    its own, so a factor does not depend on its batch."""
+    ok = np.isfinite(mats).all(axis=(1, 2))
+    if ok.all():
+        try:
+            return np.linalg.cholesky(mats), ok
+        except np.linalg.LinAlgError:
+            pass
+    factors = np.empty_like(mats)
+    for t in np.flatnonzero(ok):
+        try:
+            factors[t] = np.linalg.cholesky(mats[t])
+        except np.linalg.LinAlgError:
+            ok[t] = False
+    factors[~ok] = np.eye(mats.shape[-1])
+    return factors, ok
+
+
+def cholesky_solve(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian stack and its
+    (T, m) right-hand sides by Cholesky: forward substitution with L, then
+    back substitution with L^H, each a loop over the m rows vectorised over
+    the batch. Returns x, NaN where a matrix is not finite and positive
+    definite, and whether each is (see ``_cholesky``). Every slice is
+    factored and substituted on its own, so a batch reproduces single
+    solves bit for bit."""
+    low, ok = _cholesky(mats)
+    diag = np.diagonal(low, axis1=1, axis2=2).real
+    x = np.array(rhs, dtype=complex)
+    m = x.shape[1]
+    for i in range(m):
+        x[:, i] = (x[:, i] - (low[:, i, :i] * x[:, :i]).sum(axis=1)) / diag[:, i]
+    for i in reversed(range(m)):
+        x[:, i] = (x[:, i] - (low[:, i + 1:, i].conj() * x[:, i + 1:]).sum(axis=1)) / diag[:, i]
+    x[~ok] = np.nan
+    return x, ok
+
+
 def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of each Hermitian matrix in a (T, m, m) stack, and whether it
-    is positive definite (Cholesky succeeds); a failed slice inverts the
-    identity instead."""
-    ok = np.ones(mats.shape[0], dtype=bool)
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        for t, mat in enumerate(mats):
-            try:
-                np.linalg.cholesky(mat)
-            except np.linalg.LinAlgError:
-                ok[t] = False
+    is finite and positive definite (``_cholesky`` succeeds); a failed slice
+    inverts the identity instead."""
+    _, ok = _cholesky(mats)
+    if not ok.all():
         mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
     return np.linalg.inv(mats), ok
 
@@ -1046,10 +1080,10 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     start point per spec). The specs of a batch must share the constraint
     vector and the penalty operators; their quadratics and penalty weights
     are free. The descent runs on stacked (T, m) arrays, each problem with its
-    own step, stopping test and Cholesky factorizations; every product and
-    factorization is taken problem by problem, so a problem's iterates do not
-    depend on its batch (a batch reproduces single solves bit for bit), and
-    a problem leaves the batch when it stops.
+    own step, stopping test and Cholesky solves (``cholesky_solve``); every
+    product, factorization and substitution is taken problem by problem, so
+    a problem's iterates do not depend on its batch (a batch reproduces
+    single solves bit for bit), and a problem leaves the batch when it stops.
 
     Works in the eliminated variable z. The Wirtinger gradient
 
@@ -1094,32 +1128,28 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     if not m:  # w0 is the only feasible point
         return [_result(s, w0, 0, 0.0, 0.0, SolverStatus.CONVERGED) for s in specs]
 
-    # Cholesky factors problem by problem, through the LAPACK calls that
-    # scipy.linalg.cho_factor/cho_solve make, so a problem's directions do
-    # not depend on its batch
-    potrf, potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), (quad,))
-    base = [potrf(mat, lower=False, clean=False) for mat in quad]
-    factored = np.array([info == 0 for _, info in base], dtype=bool)
+    # whether each quadratic-only model is positive definite; one that is not
+    # fails its problem at w0
+    factored = _cholesky(quad)[1]
     # z-space Gram matrices of the quartic operators, for the refreshed
     # curvature model below
     p_z = [basis_h @ (g_op @ (g_adj @ basis)) for g_op, g_adj in zip(smooth.q_ops, smooth.q_adj)]
 
     def directions(g, parts, rows):
         # -H^-1 g with the Hermitian curvature model H of the quartic around
-        # the current point, or the quadratic-only factor where H is
+        # the current point, or the quadratic-only model where H is
         # indefinite
-        factors = [base[t][0] for t in rows]
-        if smooth.q_ops:
-            h = quad[rows]
-            for g_op, (v, s), wt, pz in zip(smooth.q_ops, parts[1], smooth.q_wts[rows].T, p_z):
-                y = _mv(basis_h, _mv(g_op, v))
-                h = h + ((4.0 * wt * (s - 1.0))[:, np.newaxis, np.newaxis] * pz
-                         + (8.0 * wt)[:, np.newaxis, np.newaxis] * (y[:, :, np.newaxis] * y.conj()[:, np.newaxis, :]))
-            for i, mat in enumerate(h):
-                factor, info = potrf(mat, lower=False, clean=False)
-                if info == 0:
-                    factors[i] = factor
-        return -np.array([potrs(factor, rhs, lower=False)[0] for factor, rhs in zip(factors, g)]).reshape(g.shape)
+        if not smooth.q_ops:
+            return -cholesky_solve(quad[rows], g)[0]
+        h = quad[rows]
+        for g_op, (v, s), wt, pz in zip(smooth.q_ops, parts[1], smooth.q_wts[rows].T, p_z):
+            y = _mv(basis_h, _mv(g_op, v))
+            h = h + ((4.0 * wt * (s - 1.0))[:, np.newaxis, np.newaxis] * pz
+                     + (8.0 * wt)[:, np.newaxis, np.newaxis] * (y[:, :, np.newaxis] * y.conj()[:, np.newaxis, :]))
+        x, ok = cholesky_solve(h, g)
+        if not ok.all():
+            x[~ok] = cholesky_solve(quad[rows[~ok]], g[~ok])[0]
+        return -x
 
     # results by problem, where one that cannot be factored fails at w0
     w_out = np.tile(w0, (count, 1))

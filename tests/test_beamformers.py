@@ -66,14 +66,41 @@ def test_capon_diagonal_hand_value():
 
 
 def test_capon_ridge_rescue_is_flagged():
-    w = capon_closed_form(np.diag([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0], dtype=complex))
+    a = np.array([1.0, 0.0, 0.0], dtype=complex)
+    w = capon_closed_form(np.diag([1.0, 1.0, 0.0]), a)
     assert w.ridged
     assert w.constraint_residual <= 1e-9
+    # in a batch only the singular covariance takes the ridge
+    batch = capon_closed_form([np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 0.0])], a)
+    assert [out.ridged for out in batch] == [False, True]
+    npt.assert_array_equal(batch[1].weights, w.weights)
 
 
 def test_capon_rejects_dead_covariance():
     with pytest.raises(NumericalError):
         capon_closed_form(np.zeros((3, 3)), np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, bad):
+    # never factored: a Cholesky factor reads one triangle only, and an
+    # infinite diagonal factors without complaint
+    with pytest.raises(NumericalError):
+        capon_closed_form(np.diag([1.0, 1.0, 1.0, bad]), np.ones(4))
+    with pytest.raises(NumericalError):
+        capon_closed_form(covariance, np.where(np.arange(8) == 3, bad, a0))
+    for row, col in ((3, 3), (1, 6)):
+        broken = covariance.copy()
+        broken[row, col] = bad
+        with pytest.raises(NumericalError):
+            capon_closed_form(broken, a0)
+        # in a batch the bad trial fails alone
+        for kind in (BeamformerKind.CAPON, BeamformerKind.MSPR_RELAXED):
+            batch = solve_trials([BeamformerSpec(kind, GAMMAS.get(kind))] * 3, [covariance, broken, covariance],
+                                 manifold, split, a0, None, BENCHMARK_OPTIONS)
+            assert [out.status for out in batch] == [SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE,
+                                                     SolverStatus.CONVERGED], kind
+            assert np.isnan(batch[1].weights).all()
 
 
 def test_capon_rejects_shape_mismatch():

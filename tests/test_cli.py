@@ -4,13 +4,18 @@ files, flags)."""
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import caponshape
 from caponshape import evaluation
 from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector
 from caponshape.cli import _method, _method_doc, _scenario, _scenario_doc, load_run_config, main
@@ -428,3 +433,17 @@ def test_sweep_warns_about_capped_grid_points(tmp_path, monkeypatch):
     assert capped == [f"warning: {kind} stopped at its iteration cap on 2 of 3 grid points" for kind in kinds]
     rows = read_rows(tmp_path / "out" / "gamma_sweep.csv")
     assert rows[0] == ["kind", "gamma", "sinr_db", "sidelobe_mean_db", "mspr", "selected"]
+
+
+def test_the_package_runs_without_scipy():
+    # importing scipy.linalg would add about a quarter second and 21 MB to
+    # every process, so neither the import nor any source file may pull it in
+    package = Path(caponshape.__file__).resolve().parent
+    paths = [str(package.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = "import sys, caponshape, caponshape.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for path in package.glob("*.py"):
+        assert not re.search(r"^\s*(import|from)\s+scipy\b", path.read_text(), re.MULTILINE), path.name

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -31,7 +32,7 @@ from caponshape.evaluation import (
     sinr,
     write_pattern_csv,
 )
-from caponshape.solver import SolverStatus
+from caponshape.solver import NumericalError, SolverStatus
 
 
 def test_beam_pattern_peaks_at_the_matched_direction(scenario, manifold):
@@ -122,6 +123,13 @@ def test_optimal_sinr_bounds_any_beamformer(scenario, manifold, a0):
     r = sample_covariance(synthesize_snapshots(validation).data)
     w = capon_closed_form(r, a0).weights
     assert sinr(w, validation) <= optimal_sinr(validation) + 1e-9
+
+
+def test_optimal_sinr_rejects_a_covariance_that_does_not_factor(scenario):
+    # positive definite on paper, but a 1e200 interferer swamps noise of 1e-12
+    swamped = replace(scenario, noise_power=1e-12, interferers=(SourceSpec(30.0, 1e200),))
+    with pytest.raises(NumericalError):
+        optimal_sinr(swamped)
 
 
 def test_mspr_is_scale_invariant(covariance, split, a0):

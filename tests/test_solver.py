@@ -23,6 +23,7 @@ from caponshape.solver import (
     SolverOptions,
     SolverStatus,
     admm_solve,
+    cholesky_solve,
     cone_solve,
     eliminate_constraint,
     objective_value,
@@ -345,6 +346,35 @@ def test_smooth_solve_stops_at_its_fixed_point(scenario, split, a0, seed, mismat
     _, basis = eliminate_constraint(a0)
     start = np.linalg.norm(smooth_gradient(spec, basis, closed_form(r, a0)))
     assert got.subgrad_residual <= 3e-7 * start
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cholesky_solve_matches_a_dense_solve(m):
+    rng = np.random.default_rng(40 + m)
+    for count in range(1, 6):
+        mats = np.stack([random_psd(rng, m) for _ in range(count)])
+        rhs = np.stack([random_vec(rng, m) for _ in range(count)])
+        x, ok = cholesky_solve(mats, rhs)
+        assert ok.all()
+        ref = np.linalg.solve(mats, rhs[:, :, np.newaxis])[:, :, 0]
+        assert np.all(np.linalg.norm(x - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1)), count
+
+
+def test_cholesky_solve_fails_a_slice_alone():
+    # an indefinite slice and a NaN slice are flagged and come back NaN; each
+    # other slice is factored and substituted on its own, so it solves bit for
+    # bit as it does alone
+    rng = np.random.default_rng(9)
+    mats = np.stack([random_psd(rng, 7) for _ in range(5)])
+    rhs = np.stack([random_vec(rng, 7) for _ in range(5)])
+    mats[1] -= (np.linalg.eigvalsh(mats[1])[0] + 1.0) * np.eye(7)
+    mats[3, 2, 2] = np.nan
+    x, ok = cholesky_solve(mats, rhs)
+    assert ok.tolist() == [True, False, True, False, True]
+    assert np.isnan(x[~ok]).all()
+    for t in np.flatnonzero(ok):
+        alone, _ = cholesky_solve(mats[t:t + 1], rhs[t:t + 1])
+        npt.assert_array_equal(x[t], alone[0])
 
 
 def test_smooth_batch_reproduces_single_solves(scenario, split, a0):
