@@ -146,11 +146,11 @@ def capon_closed_form(r, a: np.ndarray):
 
     ``r`` is one M x M covariance, returning one WeightVector, or a
     sequence of T of them, returning a list of T; a batch solves as one
-    stack through ``cholesky_solve``, which factors and substitutes each
-    matrix on its own, so it reproduces single solves bit for bit. A
-    covariance that is not positive definite gets one rescue attempt with a
-    ridge of 1e-12 * trace(R)/M (flagged on the result). A covariance or
-    steering vector with a NaN or infinite entry is never factored. Where a
+    stack through ``cholesky_solve``, which tests and solves each matrix on
+    its own, so it reproduces single solves bit for bit. A covariance that
+    is not positive definite gets one rescue attempt with a ridge of
+    1e-12 * trace(R)/M (flagged on the result). A covariance or steering
+    vector with a NaN or infinite entry is never solved. Where a
     covariance fails, past the ridge or for a non-finite entry, one
     covariance raises NumericalError, and a batch reports that trial alone
     with status NUMERICAL_FAILURE and NaN weights.

@@ -10,7 +10,11 @@ Linf, group-L2, squared-L2, and the quartic (||v||^2 - 1)^2 term).
 The affine constraint is eliminated exactly: w = w0 + B z with w0 = a/||a||^2
 and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. Each solver takes one problem or a batch of
-problems that share the constraint and the penalty operators. The nonsmooth
+problems that share the constraint and the penalty operators. A stack of
+Hermitian matrices is tested for positive definiteness in one place,
+``_definite``. ``cholesky_solve`` solves such a stack in one LAPACK call;
+the convex solvers' unpenalized start and ADMM's z-systems take inverses
+(see ``_convex``), and the interior-point Newton systems LU. The nonsmooth
 penalties (L1, LINF, group-L2) make the problem a second-order cone program,
 which cone_solve solves by a primal-dual interior-point method over the
 stacked operator K = [G_j^H B]; admm_solve solves the same problems by scaled
@@ -187,7 +191,6 @@ class SolverResult:
 
     w: np.ndarray
     iterations: int
-    primal_residual: float
     dual_residual: float
     constraint_residual: float
     status: SolverStatus
@@ -241,55 +244,39 @@ def _prox_block(kind: PenaltyKind, v: np.ndarray, t: float) -> np.ndarray:
     raise AssertionError(kind)
 
 
-def _cholesky(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower Cholesky factor L (mat = L L^H) of each Hermitian matrix in a
-    (T, m, m) stack, and whether the matrix is finite and positive definite;
-    a failed slice gets the identity as its factor. Each slice is factored on
-    its own, so a factor does not depend on its batch."""
+def _definite(mats: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a (T, m, m) Hermitian stack is finite and
+    positive definite: whether its Cholesky factorization succeeds, tried on
+    the whole stack at once and, if a slice fails, slice by slice."""
     ok = np.isfinite(mats).all(axis=(1, 2))
     if ok.all():
         try:
-            return np.linalg.cholesky(mats), ok
+            np.linalg.cholesky(mats)
+            return ok
         except np.linalg.LinAlgError:
             pass
-    factors = np.empty_like(mats)
     for t in np.flatnonzero(ok):
         try:
-            factors[t] = np.linalg.cholesky(mats[t])
+            np.linalg.cholesky(mats[t])
         except np.linalg.LinAlgError:
             ok[t] = False
-    factors[~ok] = np.eye(mats.shape[-1])
-    return factors, ok
+    return ok
 
 
 def cholesky_solve(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian stack and its
-    (T, m) right-hand sides by Cholesky: forward substitution with L, then
-    back substitution with L^H, each a loop over the m rows vectorised over
-    the batch. Returns x, NaN where a matrix is not finite and positive
-    definite, and whether each is (see ``_cholesky``). Every slice is
-    factored and substituted on its own, so a batch reproduces single
-    solves bit for bit."""
-    low, ok = _cholesky(mats)
-    diag = np.diagonal(low, axis1=1, axis2=2).real
-    x = np.array(rhs, dtype=complex)
-    m = x.shape[1]
-    for i in range(m):
-        x[:, i] = (x[:, i] - (low[:, i, :i] * x[:, :i]).sum(axis=1)) / diag[:, i]
-    for i in reversed(range(m)):
-        x[:, i] = (x[:, i] - (low[:, i + 1:, i].conj() * x[:, i + 1:]).sum(axis=1)) / diag[:, i]
-    x[~ok] = np.nan
-    return x, ok
-
-
-def _inverses(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of each Hermitian matrix in a (T, m, m) stack, and whether it
-    is finite and positive definite (``_cholesky`` succeeds); a failed slice
-    inverts the identity instead."""
-    _, ok = _cholesky(mats)
+    (T, m) right-hand sides: the definiteness test of ``_definite``, then one
+    stacked LAPACK solve in which a failed matrix is swapped for the
+    identity. Returns x, NaN where a matrix is not finite and positive
+    definite, and whether each is. LAPACK solves each slice on its own, so a
+    batch reproduces single solves bit for bit."""
+    ok = _definite(mats)
     if not ok.all():
         mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
-    return np.linalg.inv(mats), ok
+    # a 2-D right-hand side would read as one (m, K) matrix when T == m
+    x = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
+    x[~ok] = np.nan
+    return x, ok
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -345,8 +332,8 @@ def _eliminated(specs: list) -> tuple:
     return w0, basis, r_eff, quad
 
 
-def _result(spec: ProblemSpec, w: np.ndarray, iters, rp, rd, status: SolverStatus) -> SolverResult:
-    return SolverResult(w=w, iterations=int(iters), primal_residual=float(rp), dual_residual=float(rd),
+def _result(spec: ProblemSpec, w: np.ndarray, iters, rd, status: SolverStatus) -> SolverResult:
+    return SolverResult(w=w, iterations=int(iters), dual_residual=float(rd),
                         constraint_residual=abs(w.conj() @ spec.constraint_vector - 1.0), status=status)
 
 
@@ -367,20 +354,23 @@ def _convex(spec, solver: str) -> tuple:
             raise ValueError(f"unsupported penalty kind for {solver}: {term.kind}")
     w0, basis, r_eff, quad = _eliminated(specs)
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
-    inv_quad, factored = _inverses(quad)
-    z = np.where(factored[:, np.newaxis], -(inv_quad @ lin[:, :, np.newaxis])[:, :, 0], 0.0)
+    factored = _definite(quad)
+    # by the inverse, not cholesky_solve: ADMM starts here, and its loose
+    # stop turns a rounding change of the start into different iterations
+    z = np.zeros_like(lin)
+    z[factored] = -_mv(np.linalg.inv(quad[factored]), lin[factored])
     active_terms = [j for j, t in enumerate(first.penalties)
                     if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(len(specs), -1)
     return specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights
 
 
-def _convex_results(specs: list, w0, basis, ok, z, iters, rp, rd, statuses) -> list:
+def _convex_results(specs: list, w0, basis, ok, z, iters, rd, statuses) -> list:
     """One SolverResult per spec at w0 + B z, or a numerical failure at w0
     where ``ok`` is false."""
     return [
-        _result(s, w0 + basis @ z[t], iters[t], rp[t], rd[t], statuses[t]) if ok[t]
-        else _result(s, w0.copy(), 0, math.inf, math.inf, SolverStatus.NUMERICAL_FAILURE)
+        _result(s, w0 + basis @ z[t], iters[t], rd[t], statuses[t]) if ok[t]
+        else _result(s, w0.copy(), 0, math.inf, SolverStatus.NUMERICAL_FAILURE)
         for t, s in enumerate(specs)
     ]
 
@@ -439,8 +429,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     specs, w0, basis, _, quad, lin, z, factored, active_terms, weights = _convex(spec, "admm_solve")
     if not active_terms or basis.shape[1] == 0:
         zeros = np.zeros(len(specs))
-        return _convex_results(specs, w0, basis, factored, z, zeros, zeros, zeros,
-                               [SolverStatus.CONVERGED] * len(specs))
+        return _convex_results(specs, w0, basis, factored, z, zeros, zeros, [SolverStatus.CONVERGED] * len(specs))
 
     # stacked penalty operator shared by the batch, with per-problem column
     # scales and per-block splitting penalties
@@ -466,18 +455,19 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     # its z-system takes K_t^H diag(rho_t) K_t, one m x n product at a time
     rho_k = np.repeat(block_rho, sizes, axis=1) * scale
     gram = np.stack([(k_conj.T * weight) @ k_mat for weight in rho_k * scale])
-    inv_sys, ok = _inverses(quad + gram)
+    system = quad + gram
+    ok = _definite(system)
 
     # results by problem, where an unpenalized problem ends at its warm start;
     # the loop runs on the rows of the problems still active
     z_out = np.where(penalized[:, np.newaxis], 0.0, z)
-    rp_out = np.where(penalized, math.inf, 0.0)
-    rd_out = rp_out.copy()
+    rd_out = np.where(penalized, math.inf, 0.0)
     iters_out = np.where(penalized, opts.max_iters, 0)
     status_out = [SolverStatus.MAX_ITERS if p else SolverStatus.CONVERGED for p in penalized]
 
     active = np.flatnonzero(ok & penalized)
-    inv_a, ts_a, rho_a, scale_a, c_a = (x[active] for x in (inv_sys, prox_ts, rho_k, scale, c))
+    inv_a = np.linalg.inv(system[active])
+    ts_a, rho_a, scale_a, c_a = (x[active] for x in (prox_ts, rho_k, scale, c))
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
     # active problem t, as real GEMMs; a scale every problem shares (always
     # so for one problem, and so for a gamma grid) folds into forward's K
@@ -499,7 +489,7 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     z = z[active]
     v = forward(z)
     u = np.zeros_like(v)
-    rp = rd = np.full(active.size, math.inf)
+    rd = np.full(active.size, math.inf)
     for it in range(1, opts.max_iters + 1):
         if not active.size:
             break
@@ -526,15 +516,15 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
             stopped = np.array(stopped)
             for i in np.flatnonzero(stopped):
                 t = active[i]
-                z_out[t], rp_out[t], rd_out[t], iters_out[t] = z[i], rp[i], rd[i], it
+                z_out[t], rd_out[t], iters_out[t] = z[i], rd[i], it
                 status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol else SolverStatus.NUMERICAL_FAILURE
             going = ~stopped
-            active, z, v, u, rp, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a = (
-                x[going] for x in (active, z, v, u, rp, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a)
+            active, z, v, u, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a = (
+                x[going] for x in (active, z, v, u, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a)
             )
     # the problems still active stopped at the cap
-    z_out[active], rp_out[active], rd_out[active] = z, rp, rd
-    return _convex_results(specs, w0, basis, ok, z_out, iters_out, rp_out, rd_out, status_out)
+    z_out[active], rd_out[active] = z, rd
+    return _convex_results(specs, w0, basis, ok, z_out, iters_out, rd_out, status_out)
 
 
 # relative duality gap at which cone_solve stops a problem
@@ -854,9 +844,9 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
     primal objective, is at most 1e-9. It stops with MAX_ITERS at its last
     iterate, which is feasible, after ``opts.max_iters`` iterations, or when
     its direction is not finite or its step stalls. It leaves the batch
-    when it stops. ``dual_residual`` reports the relative gap and
-    ``primal_residual`` 0. A problem whose quadratic cannot be factored ends
-    at w0 with status NUMERICAL_FAILURE.
+    when it stops. ``dual_residual`` reports the relative gap. A problem
+    whose quadratic is not positive definite ends at w0 with status
+    NUMERICAL_FAILURE.
     """
     if isinstance(spec, ProblemSpec):
         return cone_solve([spec], opts)[0]
@@ -883,7 +873,7 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
         const = np.real(np.einsum("i,tij,j->t", w0.conj(), r_eff[rows], w0))
         _interior_point(cones, rows, quad[rows], lin[rows], const, cones.cone_weights(weights[rows]),
                         opts.max_iters, z_out, gap_out, iters_out, status_out)
-    return _convex_results(specs, w0, basis, factored, z_out, iters_out, np.zeros(count), gap_out, status_out)
+    return _convex_results(specs, w0, basis, factored, z_out, iters_out, gap_out, status_out)
 
 
 def _interior_point(cones: _Cones, rows, quad, lin, const, cone_weight, max_iters: int,
@@ -1063,9 +1053,11 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
 
 
 # a problem stops once its accepted step moves z by at most this much
-# relative to ||w||; steps below about 1e-8 ||w|| are rounding noise, and a
-# stop among them would make iteration counts depend on rounding (on the
-# phase of the constraint vector, for one)
+# relative to ||w||, above the rounding noise of steps below about
+# 1e-8 ||w||; the step shrinks quadratically, though, and one that lands near
+# this threshold falls on either side of it under rounding, so iteration
+# counts can still differ by one or two (under a change of the phase of
+# the constraint vector, for one)
 _STEP_TOL = 1e-7
 
 
@@ -1080,10 +1072,10 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     start point per spec). The specs of a batch must share the constraint
     vector and the penalty operators; their quadratics and penalty weights
     are free. The descent runs on stacked (T, m) arrays, each problem with its
-    own step, stopping test and Cholesky solves (``cholesky_solve``); every
-    product, factorization and substitution is taken problem by problem, so
-    a problem's iterates do not depend on its batch (a batch reproduces
-    single solves bit for bit), and a problem leaves the batch when it stops.
+    own step, stopping test and linear solves (``cholesky_solve``); every
+    product and solve is taken problem by problem, so a problem's iterates
+    do not depend on its batch (a batch reproduces single solves bit for
+    bit), and a problem leaves the batch when it stops.
 
     Works in the eliminated variable z. The Wirtinger gradient
 
@@ -1093,9 +1085,9 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     (halving, initial step 1). The search direction is -H^-1 g with H a
     Hermitian curvature model refreshed at each iterate (the quadratic-part
     Hessian plus the quartic's complex-linear curvature), falling back to
-    the quadratic-only model when the model goes indefinite (its Cholesky
-    factorization is the definiteness test); with no quartic terms this is
-    an exact Newton step. A problem stops with status CONVERGED when its
+    the quadratic-only model where the model is not positive definite (a
+    Cholesky factorization is the test); with no quartic terms this is an
+    exact Newton step. A problem stops with status CONVERGED when its
     accepted step moves z by at most 1e-7 ||w||, w the point the step leaves:
     the line search then works at the rounding floor of f, where it can no
     longer tell its steps apart. It returns the point that step reaches, and
@@ -1126,11 +1118,11 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
             raise ValueError("w_init does not satisfy the distortionless constraint")
         z = _mv(basis_h, np.stack(starts) - w0)
     if not m:  # w0 is the only feasible point
-        return [_result(s, w0, 0, 0.0, 0.0, SolverStatus.CONVERGED) for s in specs]
+        return [_result(s, w0, 0, 0.0, SolverStatus.CONVERGED) for s in specs]
 
     # whether each quadratic-only model is positive definite; one that is not
     # fails its problem at w0
-    factored = _cholesky(quad)[1]
+    factored = _definite(quad)
     # z-space Gram matrices of the quartic operators, for the refreshed
     # curvature model below
     p_z = [basis_h @ (g_op @ (g_adj @ basis)) for g_op, g_adj in zip(smooth.q_ops, smooth.q_adj)]
@@ -1139,8 +1131,6 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
         # -H^-1 g with the Hermitian curvature model H of the quartic around
         # the current point, or the quadratic-only model where H is
         # indefinite
-        if not smooth.q_ops:
-            return -cholesky_solve(quad[rows], g)[0]
         h = quad[rows]
         for g_op, (v, s), wt, pz in zip(smooth.q_ops, parts[1], smooth.q_wts[rows].T, p_z):
             y = _mv(basis_h, _mv(g_op, v))
@@ -1200,4 +1190,4 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
         rows, z, w, f_curr = rows[going], z_new[going], w_new[going], f_new[going]
     finish(rows, w, smooth.gradient(w, rows), opts.max_iters, SolverStatus.MAX_ITERS)
 
-    return [_result(s, w_out[t], iters_out[t], 0.0, grad_out[t], status_out[t]) for t, s in enumerate(specs)]
+    return [_result(s, w_out[t], iters_out[t], grad_out[t], status_out[t]) for t, s in enumerate(specs)]

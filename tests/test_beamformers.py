@@ -2,6 +2,7 @@
 shaping behavior on the benchmark draw, and the dispatch layer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from caponshape.arrays import (
     synthesize_snapshots,
 )
 from caponshape.beamformers import (
+    _convex_terms,
     BeamformerKind,
     BeamformerSpec,
     capon_closed_form,
@@ -34,6 +36,7 @@ from caponshape.solver import (
     SolverStatus,
     admm_solve,
     eliminate_constraint,
+    objective_value,
     smooth_gradient,
 )
 
@@ -328,20 +331,34 @@ def test_solve_trials_matches_one_trial_solves(scenario, manifold, split, a0):
 
 def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, a0):
     # w^H a = 1 and every penalty depend on w only through |A^H w| and w^H R w,
-    # so a -> e^{j phi} a must give w -> e^{j phi} w, in the same iterations
+    # so a -> e^{j phi} a must give w -> e^{j phi} w, in the same iterations,
+    # up to rounding. mspr_relaxed's quadratically shrinking step can land on
+    # either side of its 1e-7 ||w|| stop, so its iterations may differ by up
+    # to 2. The cone solves stop at a 1e-9 relative gap, where the objective
+    # is flat along directions that rounding can move their weights in
+    # (tvm_sparse by up to 1.9e-6 relative on seeds 12-56 with two BLAS
+    # threads), so past the first five draws their objective is the yardstick
     phase = np.exp(0.7j)
-    draws = [synthesize_snapshots(scenario.with_seed(seed)).data for seed in range(7, 12)]
+    draws = [synthesize_snapshots(scenario.with_seed(seed)).data for seed in range(7, 57)]
     covariances = [sample_covariance(x) for x in draws]
     snm = [snm_weighting(manifold, x) for x in draws]
     for kind, gamma in GAMMAS.items():
         methods = [BeamformerSpec(kind, gamma)] * len(draws)
         base = solve_trials(methods, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
         turned = solve_trials(methods, covariances, manifold, split, phase * a0, snm, BENCHMARK_OPTIONS)
-        bound = 1e-6 if kind is BeamformerKind.MSPR_RELAXED else 1e-10
-        for got, ref in zip(turned, base):
+        smooth = kind is BeamformerKind.MSPR_RELAXED
+        cone = kind not in (BeamformerKind.WEIGHTED_SPARSE, BeamformerKind.MSPR_RELAXED)
+        for draw, (r, got, ref) in enumerate(zip(covariances, turned, base)):
             assert got.status is ref.status, kind
-            assert got.iterations == ref.iterations, kind
-            assert np.linalg.norm(got.weights - phase * ref.weights) <= bound * np.linalg.norm(ref.weights), kind
+            assert abs(got.iterations - ref.iterations) <= (2 if smooth else 0), kind
+            if cone and draw >= 5:
+                spec = ProblemSpec(r, a0, tuple(replace(t, weight=t.weight * gamma)
+                                                for t in _convex_terms(methods[0], manifold, split)))
+                expected = objective_value(spec, ref.weights)
+                assert abs(objective_value(spec, got.weights) - expected) <= 1e-10 * expected, kind
+            else:
+                bound = 1e-6 if smooth else 1e-10
+                assert np.linalg.norm(got.weights - phase * ref.weights) <= bound * np.linalg.norm(ref.weights), kind
 
 
 def test_relative_stops_are_invariant_to_joint_scaling(scenario, manifold, split, a0):

@@ -183,7 +183,6 @@ def test_admm_l1_certificate_and_feasibility():
     res = admm_solve(spec, opts)
     assert res.status is SolverStatus.CONVERGED
     assert res.constraint_residual <= 1e-9
-    assert res.primal_residual < opts.tol
     assert res.dual_residual < opts.tol
 
 
@@ -249,8 +248,7 @@ def test_admm_iteration_cap_reports_max_iters():
     assert res.status is SolverStatus.MAX_ITERS
     assert res.iterations == 1
     assert np.all(np.isfinite(res.w))
-    # a capped result reports both residuals of its last iteration
-    assert 0.0 < res.primal_residual < np.inf
+    # a capped result reports the dual residual of its last iteration
     assert 0.0 < res.dual_residual < np.inf
 
 
@@ -355,15 +353,16 @@ def test_cholesky_solve_matches_a_dense_solve(m):
         mats = np.stack([random_psd(rng, m) for _ in range(count)])
         rhs = np.stack([random_vec(rng, m) for _ in range(count)])
         x, ok = cholesky_solve(mats, rhs)
-        assert ok.all()
-        ref = np.linalg.solve(mats, rhs[:, :, np.newaxis])[:, :, 0]
-        assert np.all(np.linalg.norm(x - ref, axis=1) <= 1e-12 * np.linalg.norm(ref, axis=1)), count
+        # count == m covers a stack that a 2-D right-hand side would misread
+        assert ok.all() and x.shape == rhs.shape, count
+        residual = np.linalg.norm((mats @ x[:, :, np.newaxis])[:, :, 0] - rhs, axis=1)
+        assert np.all(residual <= 1e-12 * np.linalg.norm(rhs, axis=1)), count
 
 
 def test_cholesky_solve_fails_a_slice_alone():
-    # an indefinite slice and a NaN slice are flagged and come back NaN; each
-    # other slice is factored and substituted on its own, so it solves bit for
-    # bit as it does alone
+    # an indefinite slice and a NaN slice are flagged and come back NaN; LAPACK
+    # solves each other slice on its own, so it solves bit for bit as it does
+    # alone
     rng = np.random.default_rng(9)
     mats = np.stack([random_psd(rng, 7) for _ in range(5)])
     rhs = np.stack([random_vec(rng, 7) for _ in range(5)])
@@ -670,7 +669,7 @@ def test_cone_solve_matches_tight_admm(scenario, manifold, split, a0, kind, mism
     for draw, spec, got, ref in zip(draws, specs, cone_solve(specs), tight):
         assert ref.status is SolverStatus.CONVERGED
         assert got.status is SolverStatus.CONVERGED
-        assert 0.0 < got.dual_residual <= 1e-9 and got.primal_residual == 0.0
+        assert 0.0 < got.dual_residual <= 1e-9
         assert objective_value(spec, got.w) <= objective_value(spec, ref.w) * (1.0 + 1e-9)
         assert abs(sinr(got.w, draw) - sinr(ref.w, draw)) <= 1e-4
 
@@ -689,13 +688,28 @@ def test_cone_batch_mixes_zero_and_positive_gammas(scenario, manifold, split, a0
             assert got.dual_residual == 0.0
 
 
-@pytest.mark.parametrize("grid", [False, True], ids=["draws", "gamma-grid"])
-@pytest.mark.parametrize("kind", CONE_KINDS)
-def test_cone_batch_equals_single_solves(scenario, manifold, split, a0, kind, grid):
-    # five draws at one gamma, or one draw over the 41-point gamma grid
-    if grid:
+# mc_packaged chunks (first seed, mismatch in deg) whose batch takes a
+# problem one iteration past its single solve: mixed_norm seed 119 at 3 deg
+# and tvm_sparse seed 222 at 0 deg
+_BORDERLINE_CHUNKS = {"mixed_norm": (107, 3.0), "tvm_sparse": (207, 0.0)}
+
+
+@pytest.mark.parametrize("kind, case", [(kind, case) for kind in CONE_KINDS for case in ("draws", "gamma-grid")]
+                         + [(kind, "chunk") for kind in _BORDERLINE_CHUNKS])
+def test_cone_batch_equals_single_solves(scenario, manifold, split, a0, kind, case):
+    # five draws at one gamma, one draw over the 41-point gamma grid, or a
+    # 25-draw mc_packaged chunk. Batch products round differently, and a
+    # problem whose gap lands near 1e-9 may stop one iteration apart; at
+    # that gap the objective is flat along directions the weights then move
+    # in (by up to 1.2e-6 relative), so the objective is the yardstick
+    if case == "gamma-grid":
         covariances = _packaged_covariances(scenario, 1) * len(DEFAULT_GAMMA_GRID)
         gammas = DEFAULT_GAMMA_GRID
+    elif case == "chunk":
+        first, mismatch = _BORDERLINE_CHUNKS[kind]
+        truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
+        covariances = [sample_covariance(synthesize_snapshots(truth.with_seed(first + t)).data) for t in range(25)]
+        gammas = [CRITERION_10_GAMMAS[kind]] * 25
     else:
         covariances = _packaged_covariances(scenario, 5)
         gammas = [CRITERION_10_GAMMAS[kind]] * 5
@@ -703,8 +717,9 @@ def test_cone_batch_equals_single_solves(scenario, manifold, split, a0, kind, gr
     for spec, got in zip(specs, cone_solve(specs)):
         alone = cone_solve(spec)
         assert got.status is alone.status is SolverStatus.CONVERGED
-        assert got.iterations == alone.iterations
-        assert np.linalg.norm(got.w - alone.w) <= 1e-8 * np.linalg.norm(alone.w)
+        assert abs(got.iterations - alone.iterations) <= 1
+        expected = objective_value(spec, alone.w)
+        assert abs(objective_value(spec, got.w) - expected) <= 1e-10 * expected
 
 
 def test_cone_iteration_cap_reports_max_iters(covariance, manifold, a0):
@@ -712,7 +727,7 @@ def test_cone_iteration_cap_reports_max_iters(covariance, manifold, a0):
     res = cone_solve(spec, SolverOptions(max_iters=1))
     assert res.status is SolverStatus.MAX_ITERS
     assert res.iterations == 1
-    assert 0.0 < res.dual_residual < np.inf and res.primal_residual == 0.0
+    assert 0.0 < res.dual_residual < np.inf
     assert res.constraint_residual < 1e-12
 
 
