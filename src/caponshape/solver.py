@@ -12,9 +12,10 @@ and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. Each solver takes one problem or a batch of
 problems that share the constraint and the penalty operators. A stack of
 Hermitian matrices is tested for positive definiteness in one place,
-``_definite``. ``cholesky_solve`` solves such a stack in one LAPACK call;
-the convex solvers' unpenalized start and ADMM's z-systems take inverses
-(see ``_convex``), and the interior-point Newton systems LU. The nonsmooth
+``_definite``, and solved in one, ``cholesky_solve``: the convex solvers'
+unpenalized start, the interior-point Newton systems and the smooth path's
+directions all solve through it. ADMM alone takes inverses, of its
+z-systems, because it reuses them on every iteration. The nonsmooth
 penalties (L1, LINF, group-L2) make the problem a second-order cone program,
 which cone_solve solves by a primal-dual interior-point method over the
 stacked operator K = [G_j^H B]; admm_solve solves the same problems by scaled
@@ -264,12 +265,12 @@ def _definite(mats: np.ndarray) -> np.ndarray:
 
 
 def cholesky_solve(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian stack and its
-    (T, m) right-hand sides: the definiteness test of ``_definite``, then one
-    stacked LAPACK solve in which a failed matrix is swapped for the
-    identity. Returns x, NaN where a matrix is not finite and positive
-    definite, and whether each is. LAPACK solves each slice on its own, so a
-    batch reproduces single solves bit for bit."""
+    """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian (complex) or
+    symmetric (real) stack and its (T, m) right-hand sides: the definiteness
+    test of ``_definite``, then one stacked LAPACK solve in which a failed
+    matrix is swapped for the identity. Returns x, NaN where a matrix is not
+    finite and positive definite, and whether each is. LAPACK solves each
+    slice on its own, so a batch reproduces single solves bit for bit."""
     ok = _definite(mats)
     if not ok.all():
         mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
@@ -341,10 +342,11 @@ def _convex(spec, solver: str) -> tuple:
     """The front end of the convex solvers: the specs of a batch, checked to
     hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only, their ``_eliminated``
     w0, B, R_eff and z-space quadratics, lin = 2 B^H R_eff w0, each
-    problem's unpenalized optimum z = -quad^-1 lin (0 where quad is not
-    positive definite) with whether its quad is, the indices of the active
-    terms (L1, LINF or GROUP_L2 terms of positive weight in some problem),
-    in spec order, and the (T, active terms) matrix of their weights."""
+    problem's unpenalized optimum, quad z = -lin by ``cholesky_solve`` (0
+    where quad is not positive definite), with whether its quad is, the
+    indices of the active terms (L1, LINF or GROUP_L2 terms of positive
+    weight in some problem), in spec order, and the (T, active terms) matrix
+    of their weights."""
     specs = _batch(spec, solver)
     first = specs[0]
     if first.is_smooth_nonconvex:
@@ -354,11 +356,8 @@ def _convex(spec, solver: str) -> tuple:
             raise ValueError(f"unsupported penalty kind for {solver}: {term.kind}")
     w0, basis, r_eff, quad = _eliminated(specs)
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
-    factored = _definite(quad)
-    # by the inverse, not cholesky_solve: ADMM starts here, and its loose
-    # stop turns a rounding change of the start into different iterations
-    z = np.zeros_like(lin)
-    z[factored] = -_mv(np.linalg.inv(quad[factored]), lin[factored])
+    z, factored = cholesky_solve(quad, -lin)
+    z[~factored] = 0.0
     active_terms = [j for j, t in enumerate(first.penalties)
                     if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(len(specs), -1)
@@ -403,12 +402,13 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     weight 0 gets splitting penalty and prox threshold 0, which leaves it
     inert. The fixed point does not depend on this choice. Blocks are
     stacked into one operator K shared by the batch (per-problem scales and
-    splitting penalties enter as row weights, and a scale that every problem
-    of the batch shares folds into the K of the forward product). Each
-    iteration costs two (T, m) x m-by-n products (the z-update's K^H
-    product, with K^H c folded into the linear term once, and K z), one
-    batched m x m inverse-times-vector, and the row-wise block proxes; the
-    products run as real GEMMs on the interleaved real and imaginary parts.
+    splitting penalties enter as row weights). Each iteration costs two
+    (T, m) x m-by-n products (the z-update's K^H product, with K^H c folded
+    into the linear term once, and K z), one batched m x m
+    inverse-times-vector, and the row-wise block proxes; the products run as
+    real GEMMs on the interleaved real and imaginary parts. The z-systems
+    are inverted once per call (the one inverse in this module), since every
+    iteration applies them again.
     The dual residual, a third product K^H diag(rho) (v - v_old), is taken
     only on an iteration where some problem's primal residual is below
     ``tol`` or non-finite (only such a problem can stop) and on the cap
@@ -469,15 +469,12 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     inv_a = np.linalg.inv(system[active])
     ts_a, rho_a, scale_a, c_a = (x[active] for x in (prox_ts, rho_k, scale, c))
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
-    # active problem t, as real GEMMs; a scale every problem shares (always
-    # so for one problem, and so for a gamma grid) folds into forward's K
-    shared_scale = (scale == scale[0]).all()
-    k_fwd = _real_form(k_mat.T * scale[0] if shared_scale else k_mat.T)
+    # active problem t, as real GEMMs
+    k_fwd = _real_form(k_mat.T)
     k_back = _real_form(k_conj)
 
     def forward(z):
-        kz = _times(z, k_fwd)
-        return (kz if shared_scale else kz * scale_a) + c_a
+        return _times(z, k_fwd) * scale_a + c_a
 
     def back(y):
         return _times(rho_a * y, k_back)
@@ -729,7 +726,10 @@ class _Newton:
     private t leaves the 2 x 2 block beta^-2 (I - 2 wb1 wb1^T / den) per L1
     row (den = 2 wb0^2 - 1), and beta^-2 (K^H K - 2 p p^T / den) with
     p = K^H wb1 per group; a LINF term keeps beta^-2 (I + 2 wb1 wb1^T) per
-    row and eliminates its shared variable by a rank-one update.
+    row and eliminates its shared variable by a rank-one update. The result
+    is one real symmetric 2m x 2m matrix per problem, solved by
+    ``cholesky_solve``; where it is not positive definite the direction is
+    NaN, and ``_step`` stalls the problem.
     """
 
     def __init__(self, cones: _Cones, sc: _Scaling, p_real: np.ndarray):
@@ -743,7 +743,7 @@ class _Newton:
         e = w1 * w1
         e *= 0.5 * f
         vals = (binv2 + 0.5 * f * _re_dot(w1, w1)) @ cones.gram + e.view(float) @ cones.gram_e
-        mat = np.empty_like(p_real)
+        self.mat = mat = np.empty_like(p_real)
         iu, ju = cones.upper
         mat[:, iu, ju] = vals
         mat[:, ju, iu] = vals
@@ -762,10 +762,6 @@ class _Newton:
             h = (sc.binv2[:, cone_sl] * sc.den[:, cone_sl]).sum(axis=1)
             mat -= (c[:, :, np.newaxis] * c[:, np.newaxis, :]) / h[:, np.newaxis, np.newaxis]
             self.linf.append((cone_sl, c, h))
-        # a matrix that is not finite fails its problem (its rows solve the
-        # identity instead)
-        self.ok = np.isfinite(mat).all(axis=(1, 2))
-        self.mat = np.where(self.ok[:, np.newaxis, np.newaxis], mat, np.eye(mat.shape[-1]))
 
     def solve(self, rho0, rho1, dual: bool = True) -> tuple:
         """dz, ds = (dt, dy) and, if ``dual``, dlambda for rho."""
@@ -777,15 +773,7 @@ class _Newton:
         rhs = cones.back(rhs)
         for cone_sl, c, h in self.linf:
             rhs -= c * (rho0[:, cone_sl].sum(axis=1) / h)[:, np.newaxis]
-        try:
-            dx = np.linalg.solve(self.mat, rhs[:, :, np.newaxis])[:, :, 0]
-        except np.linalg.LinAlgError:
-            dx = np.full_like(rhs, np.nan)
-            for i, (mat, b) in enumerate(zip(self.mat, rhs)):
-                try:
-                    dx[i] = np.linalg.solve(mat, b)
-                except np.linalg.LinAlgError:
-                    self.ok[i] = False
+        dx = cholesky_solve(self.mat, rhs)[0]
         dz = dx.view(complex)
         dy = cones.forward(dz)
         q = cones.per_cone(_re_dot(sc.wb1, dy))
@@ -977,7 +965,7 @@ def _step(cones: _Cones, p_real, s0, s1, l0, l1, gap) -> tuple:
         del ds1
         alpha = np.minimum(alpha, _max_step(cones, sc, x0 - sc.lt0 - ds0, x1))
         alpha = np.minimum(1.0, _STEP_FRACTION * alpha)
-        finite = newton.ok & np.isfinite(alpha) & np.isfinite(dz).all(axis=1)
+        finite = np.isfinite(alpha) & np.isfinite(dz).all(axis=1)
     return np.where(finite, alpha, 0.0), dz, dt, dy, dl0, dl1
 
 
@@ -986,13 +974,6 @@ def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     stacked product taken problem by problem, so that a problem's result does
     not depend on the batch it is part of."""
     return (mats @ x[..., np.newaxis])[..., 0]
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex (T, n) array, summed the way
-    np.linalg.norm sums one vector (the real parts, then the imaginary)."""
-    re, im = x.real, x.imag
-    return np.sqrt(_mv(re[:, np.newaxis, :], re)[:, 0] + _mv(im[:, np.newaxis, :], im)[:, 0])
 
 
 class _SmoothObjective:
@@ -1022,7 +1003,7 @@ class _SmoothObjective:
         quartic = []
         for g_adj in self.q_adj:
             v = _mv(g_adj, w)
-            quartic.append((v, _norms(v) ** 2))
+            quartic.append((v, _row_norms(v) ** 2))
         return _mv(self.r_eff[rows], w), quartic
 
     def value(self, w: np.ndarray, rows) -> np.ndarray:
@@ -1148,7 +1129,7 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     status_out = [SolverStatus.NUMERICAL_FAILURE] * count
 
     def finish(rows, w, grad, iters, status):
-        w_out[rows], grad_out[rows], iters_out[rows] = w, _norms(grad), iters
+        w_out[rows], grad_out[rows], iters_out[rows] = w, _row_norms(grad), iters
         for t in rows:
             status_out[t] = status
 
@@ -1182,7 +1163,7 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
         failed = np.zeros(rows.size, dtype=bool)
         failed[pending] = True
         finish(rows[failed], w[failed], g[failed], it, SolverStatus.NUMERICAL_FAILURE)
-        settled = ~failed & (_norms(z_new - z) <= _STEP_TOL * _norms(w))
+        settled = ~failed & (_row_norms(z_new - z) <= _STEP_TOL * _row_norms(w))
         if settled.any():
             finish(rows[settled], w_new[settled], smooth.gradient(w_new[settled], rows[settled]), it + 1,
                    SolverStatus.CONVERGED)

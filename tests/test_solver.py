@@ -15,7 +15,10 @@ from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     _RHO,
     _Cones,
+    _eliminated,
     _max_step,
+    _Newton,
+    _real_form,
     _Scaling,
     PenaltyKind,
     PenaltyTerm,
@@ -32,13 +35,13 @@ from caponshape.solver import (
 )
 
 
-def random_psd(rng, m, lift=0.05):
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+def random_psd(rng, m, lift=0.05, real=False):
+    g = rng.standard_normal((m, m)) + (0.0 if real else 1j * rng.standard_normal((m, m)))
     return g @ g.conj().T + lift * np.eye(m)
 
 
-def random_vec(rng, m):
-    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+def random_vec(rng, m, real=False):
+    return rng.standard_normal(m) + (0.0 if real else 1j * rng.standard_normal(m))
 
 
 def closed_form(r, a):
@@ -348,32 +351,36 @@ def test_smooth_solve_stops_at_its_fixed_point(scenario, split, a0, seed, mismat
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_cholesky_solve_matches_a_dense_solve(m):
+    # complex Hermitian stacks, and the real symmetric ones of cone_solve's
+    # Newton systems
     rng = np.random.default_rng(40 + m)
-    for count in range(1, 6):
-        mats = np.stack([random_psd(rng, m) for _ in range(count)])
-        rhs = np.stack([random_vec(rng, m) for _ in range(count)])
-        x, ok = cholesky_solve(mats, rhs)
-        # count == m covers a stack that a 2-D right-hand side would misread
-        assert ok.all() and x.shape == rhs.shape, count
-        residual = np.linalg.norm((mats @ x[:, :, np.newaxis])[:, :, 0] - rhs, axis=1)
-        assert np.all(residual <= 1e-12 * np.linalg.norm(rhs, axis=1)), count
+    for real in (False, True):
+        for count in range(1, 6):
+            mats = np.stack([random_psd(rng, m, real=real) for _ in range(count)])
+            rhs = np.stack([random_vec(rng, m, real) for _ in range(count)])
+            x, ok = cholesky_solve(mats, rhs)
+            # count == m covers a stack that a 2-D right-hand side would misread
+            assert ok.all() and x.shape == rhs.shape and x.dtype == rhs.dtype, (real, count)
+            residual = np.linalg.norm((mats @ x[:, :, np.newaxis])[:, :, 0] - rhs, axis=1)
+            assert np.all(residual <= 1e-12 * np.linalg.norm(rhs, axis=1)), (real, count)
 
 
 def test_cholesky_solve_fails_a_slice_alone():
     # an indefinite slice and a NaN slice are flagged and come back NaN; LAPACK
     # solves each other slice on its own, so it solves bit for bit as it does
-    # alone
+    # alone; for complex Hermitian and real symmetric stacks alike
     rng = np.random.default_rng(9)
-    mats = np.stack([random_psd(rng, 7) for _ in range(5)])
-    rhs = np.stack([random_vec(rng, 7) for _ in range(5)])
-    mats[1] -= (np.linalg.eigvalsh(mats[1])[0] + 1.0) * np.eye(7)
-    mats[3, 2, 2] = np.nan
-    x, ok = cholesky_solve(mats, rhs)
-    assert ok.tolist() == [True, False, True, False, True]
-    assert np.isnan(x[~ok]).all()
-    for t in np.flatnonzero(ok):
-        alone, _ = cholesky_solve(mats[t:t + 1], rhs[t:t + 1])
-        npt.assert_array_equal(x[t], alone[0])
+    for real in (False, True):
+        mats = np.stack([random_psd(rng, 7, real=real) for _ in range(5)])
+        rhs = np.stack([random_vec(rng, 7, real) for _ in range(5)])
+        mats[1] -= (np.linalg.eigvalsh(mats[1])[0] + 1.0) * np.eye(7)
+        mats[3, 2, 2] = np.nan
+        x, ok = cholesky_solve(mats, rhs)
+        assert ok.tolist() == [True, False, True, False, True]
+        assert np.isnan(x[~ok]).all()
+        for t in np.flatnonzero(ok):
+            alone, _ = cholesky_solve(mats[t:t + 1], rhs[t:t + 1])
+            npt.assert_array_equal(x[t], alone[0])
 
 
 def test_smooth_batch_reproduces_single_solves(scenario, split, a0):
@@ -506,8 +513,8 @@ def test_admm_batch_equals_single_solves(scenario, manifold, split, a0, kinds):
 
 def test_admm_batch_with_per_problem_column_scales(scenario, manifold, a0):
     # the weighted-sparse shape: one shared operator, one column scale per
-    # problem; scales equal by value (distinct arrays, or None beside all
-    # ones) take the forward product with the scale folded into K
+    # problem; also scales equal by value (distinct arrays, or None beside
+    # all ones), which every problem applies as its own row weights
     rng = np.random.default_rng(16)
     per_problem = [rng.uniform(0.01, 1.0, manifold.angles_deg.size) for _ in range(4)]
     covariances = _packaged_covariances(scenario, 4)
@@ -773,6 +780,41 @@ def test_cone_stall_ends_a_problem_at_its_last_iterate(monkeypatch, scenario, ma
         if got.status is SolverStatus.MAX_ITERS:
             assert 1e-9 < got.dual_residual < 1.0 and got.iterations < 5
             assert got.constraint_residual < 1e-12
+
+
+@pytest.mark.parametrize("bad", ["indefinite", "nan"])
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_cone_newton_failure_stays_with_its_problem(monkeypatch, scenario, manifold, split, a0, kind, bad):
+    # from its fourth iteration on, the Newton matrix of one problem of five
+    # has a negative or a NaN diagonal entry; its direction comes back NaN,
+    # so it stalls at its last iterate, which is feasible, while the other
+    # problems solve as they do alone
+    specs = _gamma_specs(kind, _packaged_covariances(scenario, 5), [CRITERION_10_GAMMAS[kind]] * 5,
+                         manifold, split, a0)
+    target = _real_form(_eliminated(specs[2:3])[3][0].T)
+    build, builds = _Newton.__init__, []
+
+    def poisoned(self, cones, sc, p_real):
+        build(self, cones, sc, p_real)
+        hit = np.abs(p_real - target).max(axis=(1, 2)) <= 1e-9 * np.abs(target).max()
+        if hit.any():
+            builds.append(hit.sum())
+            if len(builds) > 3:
+                self.mat[hit, 0, 0] = np.nan if bad == "nan" else -self.mat[hit, 0, 0]
+
+    monkeypatch.setattr(_Newton, "__init__", poisoned)
+    batch = cone_solve(specs)
+    monkeypatch.undo()
+    assert builds == [1] * 4
+    stalled = batch[2]
+    assert stalled.status is SolverStatus.MAX_ITERS and stalled.iterations == 3
+    assert stalled.constraint_residual < 1e-12 and stalled.dual_residual > 1e-9
+    for spec, got in zip(specs[:2] + specs[3:], batch[:2] + batch[3:]):
+        alone = cone_solve(spec)
+        assert got.status is alone.status is SolverStatus.CONVERGED
+        assert abs(got.iterations - alone.iterations) <= 1
+        expected = objective_value(spec, alone.w)
+        assert abs(objective_value(spec, got.w) - expected) <= 1e-10 * expected
 
 
 def test_cone_solve_pulls_a_step_back_inside_the_cones(scenario, manifold, a0):
