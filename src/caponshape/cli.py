@@ -337,6 +337,17 @@ def _out_path(config: RunConfig) -> Path:
     return out
 
 
+def _warn(kind: str, capped: int, total: str, gamma=None, grid=()) -> None:
+    """A method's stderr warnings: ``capped`` of its solves (``total`` says
+    of how many, such as "4 solves") stopped at the iteration cap, and its
+    ``gamma`` sits on an endpoint of ``grid``, the grid of more than two
+    points it was selected from."""
+    if capped:
+        click.echo(f"warning: {kind} stopped at its iteration cap on {capped} of {total}", err=True)
+    if len(grid) > 2 and gamma in (grid[0], grid[-1]):
+        click.echo(f"warning: {kind} selects gamma {_fmt(gamma)}, a grid endpoint; widen the grid", err=True)
+
+
 @click.group()
 def main():
     """Capon-family beamformers: beam patterns, gamma sweeps, Monte Carlo SINR."""
@@ -357,8 +368,10 @@ def pattern(config_path, out_dir, seed):
     r = sample_covariance(snapshots.data)
     manifest = {"seed": config.scenario.seed, "scenario": _scenario_doc(config.scenario), "files": []}
     used_names: dict = {}
-    for method in methods:
+    for configured, method in zip(config.methods, methods):
         result = solve_method(method, r, manifold, split, a, snapshots.data, BENCHMARK_OPTIONS)
+        _warn(method.kind.value, int(result.status is SolverStatus.MAX_ITERS), "1 solves", method.gamma,
+              DEFAULT_GAMMA_GRID if configured.gamma_is_auto else ())
         pat = beam_pattern(result.weights, manifold)
         stem = f"pattern_{method.kind.value}"
         count = used_names.get(stem, 0)
@@ -402,7 +415,7 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
         )
         _write_json(report.to_dict(), out / _report_name(mismatch))
         for j, entry in enumerate(report.methods):
-            capped[j] += entry.statuses.count(SolverStatus.MAX_ITERS)
+            capped[j] += entry.solver_stats()[SolverStatus.MAX_ITERS.value]
             summary_rows.append(
                 (
                     entry.method.kind.value,
@@ -419,10 +432,9 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
         for kind, gamma, mismatch, mean, std, failures in summary_rows:
             writer.writerow([kind, _fmt(gamma), _fmt(mismatch), _fmt(mean), _fmt(std), failures])
     solves = config.trials * len(config.mismatch_list)
-    for method, count in zip(methods, capped):
-        if count:
-            click.echo(f"warning: {method.kind.value} stopped at its iteration cap on {count} of {solves} solves",
-                       err=True)
+    for configured, method, count in zip(config.methods, methods, capped):
+        _warn(method.kind.value, count, f"{solves} solves", method.gamma,
+              DEFAULT_GAMMA_GRID if configured.gamma_is_auto else ())
 
 
 @main.command()
@@ -439,17 +451,12 @@ def sweep(config_path, out_dir, seed, gammas_csv):
     held_out = config.scenario.with_seed(config.scenario.seed - 1)
 
     rows = []
-    capped = []
-    on_edge = []
     for method in config.methods:
         method_grid = (0.0,) if method.kind is BeamformerKind.CAPON else grid
         points = gamma_sweep(method, held_out, manifold, config.b, method_grid, BENCHMARK_OPTIONS)
         best = best_point_index(points)
-        count = sum(point.status is SolverStatus.MAX_ITERS for point in points)
-        if count:
-            capped.append((method.kind.value, count, len(points)))
-        if len(points) > 2 and best in (0, len(points) - 1):
-            on_edge.append((method.kind.value, points[best].gamma))
+        capped = sum(point.status is SolverStatus.MAX_ITERS for point in points)
+        _warn(method.kind.value, capped, f"{len(points)} grid points", points[best].gamma, method_grid)
         for i, point in enumerate(points):
             rows.append(
                 (
@@ -467,10 +474,6 @@ def sweep(config_path, out_dir, seed, gammas_csv):
         for kind, gamma, sinr_db, side_db, ratio, selected in rows:
             ratio_text = "inf" if math.isinf(ratio) else _fmt(ratio)
             writer.writerow([kind, _fmt(gamma), _fmt(sinr_db), _fmt(side_db), ratio_text, selected])
-    for kind, count, total in capped:
-        click.echo(f"warning: {kind} stopped at its iteration cap on {count} of {total} grid points", err=True)
-    for kind, gamma in on_edge:
-        click.echo(f"warning: {kind} selects gamma {_fmt(gamma)}, a grid endpoint; widen the grid", err=True)
 
 
 if __name__ == "__main__":

@@ -9,21 +9,30 @@ Linf, group-L2, squared-L2, and the quartic (||v||^2 - 1)^2 term).
 
 The affine constraint is eliminated exactly: w = w0 + B z with w0 = a/||a||^2
 and B an orthonormal basis of a's orthogonal complement, so every iterate is
-feasible to machine precision. Each solver takes one problem or a batch of
-problems that share the constraint and the penalty operators. A stack of
-Hermitian matrices is tested for positive definiteness in one place,
-``_definite``, and solved in one, ``cholesky_solve``: the convex solvers'
-unpenalized start, the interior-point Newton systems and the smooth path's
-directions all solve through it. ADMM alone takes inverses, of its
-z-systems, because it reuses them on every iteration. The nonsmooth
-penalties (L1, LINF, group-L2) make the problem a second-order cone program,
-which cone_solve solves by a primal-dual interior-point method over the
-stacked operator K = [G_j^H B]; admm_solve solves the same problems by scaled
-ADMM over K, and is the one of the two that takes a per-problem column scale.
-The quartic term takes a smooth descent path with Armijo backtracking
-preconditioned by a curvature model, which stops a problem once its accepted
-step moves z by at most 1e-7 ||w||, a test that needs no tolerance option and
-is invariant to a joint scaling of R and the penalty weights.
+feasible to machine precision. A stack of Hermitian matrices is tested for
+positive definiteness in one place, ``_definite``, and solved in one,
+``cholesky_solve``: the convex solvers' unpenalized start, the
+interior-point Newton systems and the smooth path's directions all solve
+through it. ADMM alone takes inverses, of its z-systems, because it reuses
+them on every iteration. The nonsmooth penalties (L1, LINF, group-L2) make
+the problem a second-order cone program, which cone_solve solves by a
+primal-dual interior-point method over the stacked operator K = [G_j^H B];
+admm_solve solves the same problems by scaled ADMM over K, and is the one
+of the two that takes a per-problem column scale. The quartic term takes a
+smooth descent path with Armijo backtracking preconditioned by a curvature
+model, which stops a problem once its accepted step moves z by at most
+1e-7 ||w||, a test that needs no tolerance option and is invariant to a
+joint scaling of R and the penalty weights.
+
+The batch contract, the same for all three solvers: each takes one problem,
+as a batch of one, or a batch of problems that share the constraint and the
+penalty operators, which one front end, ``_eliminated``, checks and
+eliminates. Each problem runs the iteration it would run alone and leaves
+the batch when it stops; its z, iterations, certificate and status go into
+one record, ``_Outcomes``, which forms its result at w = w0 + B z. A problem
+that never starts, because its quadratic (or ADMM's z-system) is not
+positive definite, fails at w0 after 0 iterations with an infinite
+certificate.
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -303,10 +312,20 @@ def _times(x: np.ndarray, real_form: np.ndarray) -> np.ndarray:
     return (x.view(float) @ real_form).view(complex)
 
 
-def _batch(spec, solver: str) -> list:
-    """The specs of a batch as a list, checked to be nonempty and to share
-    the constraint vector and the penalty terms up to each term's weight and
-    column scale."""
+def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row of x times its own matrix, or times one shared matrix, as a
+    stacked product taken problem by problem, so that a problem's result does
+    not depend on the batch it is part of."""
+    return (mats @ x[..., np.newaxis])[..., 0]
+
+
+def _eliminated(spec, solver: str) -> tuple:
+    """The front end of every solver: the specs of a batch as a list,
+    checked to be nonempty and to share the constraint vector and the
+    penalty terms up to each term's weight and column scale; w0 and B of
+    the shared constraint; the (T, M, M) stack of squared-L2-folded
+    quadratics R_eff; and the z-space quadratics 2 B^H R_eff B + ridge I
+    with ridge = 1e-10 * trace(R)/M per problem."""
     specs = list(spec)
     if not specs:
         raise ValueError(f"{solver} needs at least one spec")
@@ -319,59 +338,70 @@ def _batch(spec, solver: str) -> list:
                     for x, y in zip(first.penalties, other.penalties))
         ):
             raise ValueError("a batch must share the constraint vector and the penalty operators")
-    return specs
-
-
-def _eliminated(specs: list) -> tuple:
-    """w0 and B of the shared constraint, the (T, M, M) stack of
-    squared-L2-folded quadratics R_eff, and the z-space quadratics
-    2 B^H R_eff B + ridge I with ridge = 1e-10 * trace(R)/M per problem."""
-    w0, basis = eliminate_constraint(specs[0].constraint_vector)
+    w0, basis = eliminate_constraint(first.constraint_vector)
     r_eff = np.stack([_fold_squared_l2(s) for s in specs])
     ridge = np.array([1e-10 * float(np.real(np.trace(s.quadratic))) / s.quadratic.shape[0] for s in specs])
     quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(basis.shape[1])
-    return w0, basis, r_eff, quad
+    return specs, w0, basis, r_eff, quad
 
 
-def _result(spec: ProblemSpec, w: np.ndarray, iters, rd, status: SolverStatus) -> SolverResult:
-    return SolverResult(w=w, iterations=int(iters), dual_residual=float(rd),
-                        constraint_residual=abs(w.conj() @ spec.constraint_vector - 1.0), status=status)
+class _Outcomes:
+    """The outcome of each problem of a batch of ``count``: its z (of length
+    m), iterations, certificate and status. Every problem starts out failed
+    at w0: z = 0, 0 iterations, certificate inf and NUMERICAL_FAILURE, which
+    is the outcome of a problem that is never stopped."""
+
+    def __init__(self, count: int, m: int):
+        self.z = np.zeros((count, m), dtype=complex)
+        self.iterations = np.zeros(count, dtype=int)
+        self.certificate = np.full(count, math.inf)
+        self.status = np.full(count, SolverStatus.NUMERICAL_FAILURE, dtype=object)
+
+    def stop(self, rows, z, iterations, certificate, status) -> None:
+        """Record that the problems ``rows`` stopped at ``z``; ``status`` is
+        one SolverStatus, or one per row."""
+        self.z[rows], self.iterations[rows], self.certificate[rows] = z, iterations, certificate
+        self.status[rows] = status
+
+    def results(self, specs: list, w0: np.ndarray, basis: np.ndarray) -> list:
+        """One SolverResult per spec, at w = w0 + B z."""
+        w = w0 + _mv(basis, self.z)
+        return [SolverResult(w=w[t], iterations=int(self.iterations[t]), dual_residual=float(self.certificate[t]),
+                             constraint_residual=abs(w[t].conj() @ s.constraint_vector - 1.0), status=self.status[t])
+                for t, s in enumerate(specs)]
 
 
 def _convex(spec, solver: str) -> tuple:
-    """The front end of the convex solvers: the specs of a batch, checked to
-    hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only, their ``_eliminated``
-    w0, B, R_eff and z-space quadratics, lin = 2 B^H R_eff w0, each
+    """The front end of the convex solvers: the ``_eliminated`` specs, w0,
+    B, R_eff and z-space quadratics of a batch, checked to hold L1, LINF,
+    GROUP_L2 and SQUARED_L2 terms only; lin = 2 B^H R_eff w0; each
     problem's unpenalized optimum, quad z = -lin by ``cholesky_solve`` (0
-    where quad is not positive definite), with whether its quad is, the
+    where quad is not positive definite), and whether its quad is; the
     indices of the active terms (L1, LINF or GROUP_L2 terms of positive
     weight in some problem), in spec order, and the (T, active terms) matrix
-    of their weights."""
-    specs = _batch(spec, solver)
+    of their weights; whether each problem is left to iterate on (a positive
+    weight and a free coordinate); and the outcome record, in which every
+    other problem has ended at its unpenalized optimum after 0 iterations
+    with certificate 0, or failed at w0 where quad is not positive
+    definite."""
+    specs, w0, basis, r_eff, quad = _eliminated(spec, solver)
     first = specs[0]
     if first.is_smooth_nonconvex:
         raise ValueError(f"{solver} handles convex specs only; use smooth_solve")
     for term in first.penalties:
         if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
             raise ValueError(f"unsupported penalty kind for {solver}: {term.kind}")
-    w0, basis, r_eff, quad = _eliminated(specs)
     lin = 2.0 * ((r_eff @ w0) @ basis.conj())
     z, factored = cholesky_solve(quad, -lin)
     z[~factored] = 0.0
     active_terms = [j for j, t in enumerate(first.penalties)
                     if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(len(specs), -1)
-    return specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights
-
-
-def _convex_results(specs: list, w0, basis, ok, z, iters, rd, statuses) -> list:
-    """One SolverResult per spec at w0 + B z, or a numerical failure at w0
-    where ``ok`` is false."""
-    return [
-        _result(s, w0 + basis @ z[t], iters[t], rd[t], statuses[t]) if ok[t]
-        else _result(s, w0.copy(), 0, math.inf, SolverStatus.NUMERICAL_FAILURE)
-        for t, s in enumerate(specs)
-    ]
+    pending = (weights > 0).any(axis=1) & (basis.shape[1] > 0)
+    out = _Outcomes(len(specs), basis.shape[1])
+    done = np.flatnonzero(factored & ~pending)
+    out.stop(done, z[done], 0, 0.0, SolverStatus.CONVERGED)
+    return specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights, pending, out
 
 
 # the overall multiplier of admm_solve's splitting penalties
@@ -382,15 +412,13 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     """Solve a convex spec (no quartic term), or a batch of them, by scaled
     ADMM after constraint elimination.
 
-    ``spec`` is one ProblemSpec, solved as a batch of one and returning one
-    SolverResult, or a sequence of T specs, returning a list of T results.
-    The specs of a batch must share the constraint vector and the penalty
-    operators; their quadratics, penalty weights and column scales are free.
-    Each problem runs the iteration it would run alone, with its own
-    factorization, residuals and stopping test, and leaves the batch when it
-    stops, so a failure is confined to its own result. A problem with no
-    active penalty (weight > 0, squared-L2 aside) ends at the unpenalized
-    optimum after 0 iterations, as it does alone.
+    ``spec`` is one ProblemSpec, returning one SolverResult, or a sequence
+    of T specs, returning a list of T results, under the batch contract of
+    this module; the quadratics, penalty weights and column scales of a
+    batch are free. Each problem has its own factorization, residuals and
+    stopping test. A problem with no active penalty (weight > 0, squared-L2
+    aside) ends at the unpenalized optimum after 0 iterations, as it does
+    alone.
 
     Squared-L2 penalties are folded into the quadratic; each remaining
     penalty j becomes a split variable v_j = S_j K_j z + S_j c_j with
@@ -426,10 +454,9 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         return admm_solve([spec], opts)[0]
     # the unpenalized optimum z is the answer for a problem with no active
     # penalty, and the warm start otherwise
-    specs, w0, basis, _, quad, lin, z, factored, active_terms, weights = _convex(spec, "admm_solve")
-    if not active_terms or basis.shape[1] == 0:
-        zeros = np.zeros(len(specs))
-        return _convex_results(specs, w0, basis, factored, z, zeros, zeros, [SolverStatus.CONVERGED] * len(specs))
+    specs, w0, basis, _, quad, lin, z, _, active_terms, weights, pending, out = _convex(spec, "admm_solve")
+    if not pending.any():
+        return out.results(specs, w0, basis)
 
     # stacked penalty operator shared by the batch, with per-problem column
     # scales and per-block splitting penalties
@@ -449,23 +476,15 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     c = scale * np.concatenate([t.operator.conj().T @ w0 for t in terms])
     block_rho = _RHO * weights * np.where(sigmas > 0, sigmas, 1.0)
     prox_ts = np.divide(weights, block_rho, out=np.zeros_like(weights), where=block_rho > 0)
-    penalized = block_rho.any(axis=1)
     # splitting penalty per operator row, times the scale: for problem t's
     # operator K_t = S_t K, K_t^H diag(rho_t) y = K^H (scale * rho * y), and
     # its z-system takes K_t^H diag(rho_t) K_t, one m x n product at a time
     rho_k = np.repeat(block_rho, sizes, axis=1) * scale
     gram = np.stack([(k_conj.T * weight) @ k_mat for weight in rho_k * scale])
     system = quad + gram
-    ok = _definite(system)
-
-    # results by problem, where an unpenalized problem ends at its warm start;
-    # the loop runs on the rows of the problems still active
-    z_out = np.where(penalized[:, np.newaxis], 0.0, z)
-    rd_out = np.where(penalized, math.inf, 0.0)
-    iters_out = np.where(penalized, opts.max_iters, 0)
-    status_out = [SolverStatus.MAX_ITERS if p else SolverStatus.CONVERGED for p in penalized]
-
-    active = np.flatnonzero(ok & penalized)
+    # the loop runs on the rows of the problems still active; one whose
+    # z-system is not positive definite fails at w0
+    active = np.flatnonzero(_definite(system) & pending)
     inv_a = np.linalg.inv(system[active])
     ts_a, rho_a, scale_a, c_a = (x[active] for x in (prox_ts, rho_k, scale, c))
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
@@ -511,17 +530,14 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         stopped = [d < opts.tol if p < opts.tol else not p < math.inf for p, d in zip(primal, rd.tolist())]
         if any(stopped):
             stopped = np.array(stopped)
-            for i in np.flatnonzero(stopped):
-                t = active[i]
-                z_out[t], rd_out[t], iters_out[t] = z[i], rd[i], it
-                status_out[t] = SolverStatus.CONVERGED if rp[i] < opts.tol else SolverStatus.NUMERICAL_FAILURE
+            out.stop(active[stopped], z[stopped], it, rd[stopped],
+                     np.where(rp[stopped] < opts.tol, SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE))
             going = ~stopped
             active, z, v, u, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a = (
                 x[going] for x in (active, z, v, u, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a)
             )
-    # the problems still active stopped at the cap
-    z_out[active], rd_out[active] = z, rd
-    return _convex_results(specs, w0, basis, ok, z_out, iters_out, rd_out, status_out)
+    out.stop(active, z, opts.max_iters, rd, SolverStatus.MAX_ITERS)
+    return out.results(specs, w0, basis)
 
 
 # relative duality gap at which cone_solve stops a problem
@@ -798,12 +814,11 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
     terms fold into the quadratic), or a batch of them, by a primal-dual
     interior-point method on its second-order cone form.
 
-    ``spec`` is one ProblemSpec, solved as a batch of one and returning one
-    SolverResult, or a sequence of T specs, returning a list of T results;
-    the specs of a batch must share the constraint vector and the penalty
-    operators, and their quadratics and penalty weights are free. Column
-    scales are rejected. A problem's penalty weights must be all zero (it
-    ends at the unpenalized optimum after 0 iterations) or all positive.
+    ``spec`` is one ProblemSpec, returning one SolverResult, or a sequence
+    of T specs, returning a list of T results, under the batch contract of
+    this module; the quadratics and penalty weights of a batch are free, and
+    column scales are rejected. A problem's penalty weights must be all zero
+    (it ends at the unpenalized optimum after 0 iterations) or all positive.
 
     After constraint elimination w = w0 + B z, each entry v_i of an L1 term
     becomes the 3-dimensional cone (t_i, Re v_i, Im v_i) with the cost
@@ -828,59 +843,49 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
     call, and rank-one terms) is solved twice, and the step goes 0.99 of the
     way to the cone boundary (at most 1); where rounding still carries a
     problem's new point out of a cone, the problem keeps half its step, then
-    a quarter, and so on. A problem stops with status CONVERGED when its relative gap, s^T lambda over its
-    primal objective, is at most 1e-9. It stops with MAX_ITERS at its last
-    iterate, which is feasible, after ``opts.max_iters`` iterations, or when
-    its direction is not finite or its step stalls. It leaves the batch
-    when it stops. ``dual_residual`` reports the relative gap. A problem
-    whose quadratic is not positive definite ends at w0 with status
-    NUMERICAL_FAILURE.
+    a quarter, and so on. A problem stops with status CONVERGED when its
+    relative gap, s^T lambda over its primal objective, is at most 1e-9. It
+    stops with MAX_ITERS at its last iterate, which is feasible, after
+    ``opts.max_iters`` iterations, or when its direction is not finite or
+    its step stalls. ``dual_residual`` reports the relative gap. A problem
+    whose quadratic is not positive definite fails at w0.
     """
     if isinstance(spec, ProblemSpec):
         return cone_solve([spec], opts)[0]
     # the unpenalized optimum z is the answer for a problem with no active
     # penalty, and the primal start otherwise
-    specs, w0, basis, r_eff, quad, lin, z_out, factored, active_terms, weights = _convex(spec, "cone_solve")
+    specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights, pending, out = _convex(
+        spec, "cone_solve")
     if any(term.scale is not None for s in specs for term in s.penalties):
         raise ValueError("cone_solve takes no column scale")
-    count = len(specs)
     # the groups go last (see _Cones)
     terms = [specs[0].penalties[j] for j in active_terms]
     order = sorted(range(len(terms)), key=lambda i: terms[i].kind is PenaltyKind.GROUP_L2)
     terms, weights = [terms[i] for i in order], weights[:, order]
-    penalized = (weights > 0).any(axis=1)
-    if ((weights > 0) != penalized[:, np.newaxis]).any():
+    if ((weights > 0) != (weights > 0).any(axis=1, keepdims=True)).any():
         raise ValueError("cone_solve needs each problem's penalty weights all zero or all positive")
 
-    gap_out = np.zeros(count)
-    iters_out = np.zeros(count, dtype=int)
-    status_out = [SolverStatus.CONVERGED] * count
-    rows = np.flatnonzero(factored & penalized)
-    if rows.size and basis.shape[1]:
+    rows = np.flatnonzero(factored & pending)
+    if rows.size:
         cones = _Cones(terms, basis, w0)
         const = np.real(np.einsum("i,tij,j->t", w0.conj(), r_eff[rows], w0))
-        _interior_point(cones, rows, quad[rows], lin[rows], const, cones.cone_weights(weights[rows]),
-                        opts.max_iters, z_out, gap_out, iters_out, status_out)
-    return _convex_results(specs, w0, basis, factored, z_out, iters_out, gap_out, status_out)
+        _interior_point(cones, rows, z[rows], quad[rows], lin[rows], const, cones.cone_weights(weights[rows]),
+                        opts.max_iters, out)
+    return out.results(specs, w0, basis)
 
 
-def _interior_point(cones: _Cones, rows, quad, lin, const, cone_weight, max_iters: int,
-                    z_out, gap_out, iters_out, status_out) -> None:
+def _interior_point(cones: _Cones, rows, z, quad, lin, const, cone_weight, max_iters: int, out: _Outcomes) -> None:
     """The predictor-corrector loop of ``cone_solve`` over the problems
-    ``rows``, started at their z in ``z_out``; ``const`` is each problem's
-    w0^H R_eff w0. Each problem's z, relative gap, iterations and status go
-    into the ``*_out`` entries of its row when it stops, and it leaves the
-    loop."""
-    z = z_out[rows]
+    ``rows``, started at their z; ``const`` is each problem's w0^H R_eff w0.
+    A problem leaves the loop when it stops, and its z, relative gap,
+    iterations and status go into the record ``out``."""
     state = [rows, z, *cones.start(z, cone_weight), quad, _real_form(quad.transpose(0, 2, 1)), lin, const,
              cone_weight]
 
     def finish(stop, rel, it) -> bool:
         # record the problems that stop and drop them; True if none is left
-        for i in np.flatnonzero(stop):
-            t = state[0][i]
-            z_out[t], gap_out[t], iters_out[t] = state[1][i], rel[i], it
-            status_out[t] = SolverStatus.CONVERGED if rel[i] <= _GAP_TOL else SolverStatus.MAX_ITERS
+        out.stop(state[0][stop], state[1][stop], it, rel[stop],
+                 np.where(rel[stop] <= _GAP_TOL, SolverStatus.CONVERGED, SolverStatus.MAX_ITERS))
         state[:] = [x[~stop] for x in state]
         return stop.all()
 
@@ -969,13 +974,6 @@ def _step(cones: _Cones, p_real, s0, s1, l0, l1, gap) -> tuple:
     return np.where(finite, alpha, 0.0), dz, dt, dy, dl0, dl1
 
 
-def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Each row of x times its own matrix, or times one shared matrix, as a
-    stacked product taken problem by problem, so that a problem's result does
-    not depend on the batch it is part of."""
-    return (mats @ x[..., np.newaxis])[..., 0]
-
-
 class _SmoothObjective:
     """The smooth objectives of a batch that shares the constraint and the
     penalty operators: per problem the squared-L2-folded quadratic and the
@@ -1047,16 +1045,14 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     squared-L2 and quartic (||v||^2 - 1)^2 penalties, for one spec or a
     batch of them.
 
-    ``spec`` is one ProblemSpec, solved as a batch of one and returning one
-    SolverResult (``w_init`` is then one start point or None), or a sequence
-    of T specs, returning a list of T results (``w_init`` is then None or one
-    start point per spec). The specs of a batch must share the constraint
-    vector and the penalty operators; their quadratics and penalty weights
-    are free. The descent runs on stacked (T, m) arrays, each problem with its
-    own step, stopping test and linear solves (``cholesky_solve``); every
-    product and solve is taken problem by problem, so a problem's iterates
-    do not depend on its batch (a batch reproduces single solves bit for
-    bit), and a problem leaves the batch when it stops.
+    ``spec`` is one ProblemSpec, returning one SolverResult (``w_init`` is
+    then one start point or None), or a sequence of T specs, returning a
+    list of T results (``w_init`` is then None or one start point per spec),
+    under the batch contract of this module; the quadratics and penalty
+    weights of a batch are free. The descent runs on stacked (T, m) arrays,
+    each problem with its own step, stopping test and linear solves
+    (``cholesky_solve``); every product and solve is taken problem by
+    problem, so a batch reproduces single solves bit for bit.
 
     Works in the eliminated variable z. The Wirtinger gradient
 
@@ -1082,12 +1078,12 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     """
     if isinstance(spec, ProblemSpec):
         return smooth_solve([spec], opts, None if w_init is None else [w_init])[0]
-    specs = _batch(spec, "smooth_solve")
-    w0, basis, r_eff, quad = _eliminated(specs)
+    specs, w0, basis, r_eff, quad = _eliminated(spec, "smooth_solve")
     smooth = _SmoothObjective(specs, basis, r_eff)
     count = len(specs)
     m = basis.shape[1]
     basis_h = basis.conj().T
+    out = _Outcomes(count, m)
 
     if w_init is None:
         z = np.zeros((count, m), dtype=complex)
@@ -1099,7 +1095,8 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
             raise ValueError("w_init does not satisfy the distortionless constraint")
         z = _mv(basis_h, np.stack(starts) - w0)
     if not m:  # w0 is the only feasible point
-        return [_result(s, w0, 0, 0.0, SolverStatus.CONVERGED) for s in specs]
+        out.stop(slice(None), z, 0, 0.0, SolverStatus.CONVERGED)
+        return out.results(specs, w0, basis)
 
     # whether each quadratic-only model is positive definite; one that is not
     # fails its problem at w0
@@ -1122,17 +1119,7 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
             x[~ok] = cholesky_solve(quad[rows[~ok]], g[~ok])[0]
         return -x
 
-    # results by problem, where one that cannot be factored fails at w0
-    w_out = np.tile(w0, (count, 1))
-    iters_out = np.zeros(count, dtype=int)
-    grad_out = np.full(count, math.inf)
-    status_out = [SolverStatus.NUMERICAL_FAILURE] * count
-
-    def finish(rows, w, grad, iters, status):
-        w_out[rows], grad_out[rows], iters_out[rows] = w, _row_norms(grad), iters
-        for t in rows:
-            status_out[t] = status
-
+    # a problem whose quadratic-only model cannot be factored fails at w0
     rows = np.flatnonzero(factored)
     z = z[rows]
     w = w0 + _mv(basis, z)
@@ -1162,13 +1149,12 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
                 break
         failed = np.zeros(rows.size, dtype=bool)
         failed[pending] = True
-        finish(rows[failed], w[failed], g[failed], it, SolverStatus.NUMERICAL_FAILURE)
+        out.stop(rows[failed], z[failed], it, _row_norms(g[failed]), SolverStatus.NUMERICAL_FAILURE)
         settled = ~failed & (_row_norms(z_new - z) <= _STEP_TOL * _row_norms(w))
         if settled.any():
-            finish(rows[settled], w_new[settled], smooth.gradient(w_new[settled], rows[settled]), it + 1,
-                   SolverStatus.CONVERGED)
+            out.stop(rows[settled], z_new[settled], it + 1,
+                     _row_norms(smooth.gradient(w_new[settled], rows[settled])), SolverStatus.CONVERGED)
         going = ~(failed | settled)
         rows, z, w, f_curr = rows[going], z_new[going], w_new[going], f_new[going]
-    finish(rows, w, smooth.gradient(w, rows), opts.max_iters, SolverStatus.MAX_ITERS)
-
-    return [_result(s, w_out[t], iters_out[t], grad_out[t], status_out[t]) for t, s in enumerate(specs)]
+    out.stop(rows, z, opts.max_iters, _row_norms(smooth.gradient(w, rows)), SolverStatus.MAX_ITERS)
+    return out.results(specs, w0, basis)

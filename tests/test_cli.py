@@ -227,6 +227,19 @@ def test_pattern_numbers_duplicate_kinds(tmp_path):
         assert (tmp_path / "out" / name).exists()
 
 
+def test_pattern_warns_about_capped_solves(tmp_path, monkeypatch):
+    # a fixed gamma at the top of the default grid was not selected there,
+    # so it draws no grid-endpoint warning
+    monkeypatch.setattr("caponshape.cli.BENCHMARK_OPTIONS", SolverOptions(max_iters=1))
+    path = write_config(tmp_path, methods=[{"kind": "capon"}, {"kind": "sparse", "gamma": 0.1},
+                                           {"kind": "weighted_sparse", "gamma": 10.0}])
+    result = CliRunner().invoke(main, ["pattern", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("warning")]
+    assert warnings == [f"warning: {kind} stopped at its iteration cap on 1 of 1 solves"
+                        for kind in ("sparse", "weighted_sparse")]
+
+
 def test_pattern_rejects_missing_config_file(tmp_path):
     result = CliRunner().invoke(main, ["pattern", "--config", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
@@ -327,6 +340,15 @@ def test_montecarlo_reports_and_warns_about_capped_solves(tmp_path, monkeypatch)
     capon, sparse = (entry["solver"] for entry in doc["methods"])
     assert capon["converged"] == 2 and capon["max_iters"] == 0
     assert sparse["max_iters"] == 2 and sparse["iterations_max"] == 1
+
+
+def test_packaged_montecarlo_warns_about_a_gamma_tuned_to_a_grid_endpoint(tmp_path):
+    # on the packaged held-out draw weighted_sparse tunes to gamma 10, the
+    # top of the default grid; no method of one trial stops at its cap
+    result = CliRunner().invoke(main, ["montecarlo", "--trials", "1", "--mismatch", "0", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("warning")]
+    assert warnings == ["warning: weighted_sparse selects gamma 10, a grid endpoint; widen the grid"]
 
 
 def test_flags_per_subcommand(tmp_path):

@@ -15,7 +15,6 @@ from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     _RHO,
     _Cones,
-    _eliminated,
     _max_step,
     _Newton,
     _real_form,
@@ -791,7 +790,13 @@ def test_cone_newton_failure_stays_with_its_problem(monkeypatch, scenario, manif
     # problems solve as they do alone
     specs = _gamma_specs(kind, _packaged_covariances(scenario, 5), [CRITERION_10_GAMMAS[kind]] * 5,
                          manifold, split, a0)
-    target = _real_form(_eliminated(specs[2:3])[3][0].T)
+    # the poisoned problem's z-space quadratic 2 B^H R B + 1e-10 trace(R)/M I,
+    # in the real form the Newton systems are built from; matched within
+    # 1e-9 relative, so it need not carry the solver's rounding
+    _, basis = eliminate_constraint(a0)
+    r = specs[2].quadratic
+    quad = 2.0 * (basis.conj().T @ r @ basis) + 1e-10 * np.real(np.trace(r)) / r.shape[0] * np.eye(basis.shape[1])
+    target = _real_form(quad.T)
     build, builds = _Newton.__init__, []
 
     def poisoned(self, cones, sc, p_real):
@@ -815,6 +820,50 @@ def test_cone_newton_failure_stays_with_its_problem(monkeypatch, scenario, manif
         assert abs(got.iterations - alone.iterations) <= 1
         expected = objective_value(spec, alone.w)
         assert abs(objective_value(spec, got.w) - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("solver", ["admm_solve", "cone_solve", "smooth_solve"])
+def test_every_solver_fails_an_unfactorable_problem_at_w0(scenario, manifold, split, a0, solver):
+    # one failure contract for the three batched solvers: a problem whose
+    # quadratic is not positive definite ends at w0 after 0 iterations with
+    # an infinite certificate, and its batch neighbours solve as they do alone;
+    # a convex problem of gamma 0 ends at its unpenalized optimum
+    if solver == "smooth_solve":
+        gamma = 0.1
+        terms = (PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
+                 PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma))
+        solve = smooth_solve
+    else:
+        terms = (PenaltyTerm(manifold.matrix, PenaltyKind.L1, CRITERION_10_GAMMAS["sparse"]),)
+        solve = admm_solve if solver == "admm_solve" else cone_solve
+    good = _packaged_covariances(scenario, 3)
+    specs = [ProblemSpec(r, a0, terms) for r in (good[0], -1e6 * np.eye(8), good[1])]
+    if solve is not smooth_solve:
+        specs.append(ProblemSpec(good[2], a0, tuple(replace(t, weight=0.0) for t in terms)))
+    batch = solve(specs, BENCHMARK_OPTIONS)
+
+    failed = batch[1]
+    assert failed.status is SolverStatus.NUMERICAL_FAILURE
+    npt.assert_array_equal(failed.w, eliminate_constraint(a0)[0])
+    assert failed.iterations == 0 and failed.dual_residual == np.inf
+    for spec, got in zip(specs[::2], batch[::2]):
+        alone = solve(spec, BENCHMARK_OPTIONS)
+        assert got.status is alone.status is SolverStatus.CONVERGED
+        if solve is cone_solve:
+            assert abs(got.iterations - alone.iterations) <= 1
+            expected = objective_value(spec, alone.w)
+            assert abs(objective_value(spec, got.w) - expected) <= 1e-10 * expected
+        elif solve is admm_solve:
+            assert got.iterations == alone.iterations
+            assert np.linalg.norm(got.w - alone.w) <= 1e-10 * np.linalg.norm(alone.w)
+        else:
+            assert got.iterations == alone.iterations
+            npt.assert_array_equal(got.w, alone.w)
+            assert got.dual_residual == alone.dual_residual
+    if solve is not smooth_solve:
+        unpenalized = batch[3]
+        assert unpenalized.status is SolverStatus.CONVERGED
+        assert unpenalized.iterations == 0 and unpenalized.dual_residual == 0.0
 
 
 def test_cone_solve_pulls_a_step_back_inside_the_cones(scenario, manifold, a0):
