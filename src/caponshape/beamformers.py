@@ -20,9 +20,9 @@ A_M / A_S are the mainlobe/sidelobe column blocks of the manifold, D_i the
 stacked forward/backward order-i finite-difference matrices. SPARSE,
 MIXED_NORM and TVM_SPARSE go through the interior-point cone_solve,
 WEIGHTED_SPARSE (whose per-trial SNM weights are a column scale) through
-admm_solve, and MSPR_RELAXED through the smooth nonconvex path (smooth_solve,
-initialized at the closed form), each batched across trials or gammas by
-solve_trials.
+admm_solve, and MSPR_RELAXED through the smooth nonconvex path smooth_solve,
+each batched across trials or gammas by solve_trials and started at the
+unpenalized optimum, the minimizer of w^H R_eff w on the constraint.
 """
 
 from __future__ import annotations
@@ -197,26 +197,28 @@ def mspr_capon(
 ) -> WeightVector:
     """min w^H R w + gamma * ((||A_M^H w||^2 - 1)^2 + ||A_S^H w||^2).
 
-    Smooth but nonconvex; starts from the closed-form point and descends to
-    a stationary point. The sidelobe term is a squared L2 norm and is folded
-    into the quadratic by the solver.
+    Smooth but nonconvex; starts at the unpenalized optimum, the minimizer
+    of w^H R_eff w on the constraint (R_eff = R + gamma A_S A_S^H, the
+    sidelobe term folded in), and descends to a stationary point.
     """
     return solve_method(BeamformerSpec(BeamformerKind.MSPR_RELAXED, gamma), r, None, split, a, None, options)
 
 
-def _convex_terms(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> tuple:
-    """The penalty terms of a convex method, at gamma = 1 (each
-    problem scales their weights by its own gamma). WEIGHTED_SPARSE's SNM
-    weights are per trial, so they enter as the column scale of its one term
+def _penalty_terms(method: BeamformerSpec, manifold: ArrayManifold, split: ManifoldSplit) -> tuple:
+    """The penalty terms of a shaped method, at gamma = 1 (each problem
+    scales their weights by its own gamma). WEIGHTED_SPARSE's SNM weights
+    are per trial, so they enter as the column scale of its one term
     (Q A^H w = (A Q)^H w since Q = diag(q) is real)."""
     kind = method.kind
     if kind in (BeamformerKind.SPARSE, BeamformerKind.WEIGHTED_SPARSE):
         return (PenaltyTerm(operator=manifold.matrix, kind=PenaltyKind.L1, weight=1.0),)
-    if kind is BeamformerKind.MIXED_NORM:
+    if kind in _KINDS_WITH_B:
         split = resolve_split(method, manifold, split)
+        main, side = ((PenaltyKind.LINF, PenaltyKind.L1) if kind is BeamformerKind.MIXED_NORM
+                      else (PenaltyKind.QUARTIC_UNIT, PenaltyKind.SQUARED_L2))
         return (
-            PenaltyTerm(operator=split.a_main, kind=PenaltyKind.LINF, weight=1.0),
-            PenaltyTerm(operator=split.a_side, kind=PenaltyKind.L1, weight=1.0),
+            PenaltyTerm(operator=split.a_main, kind=main, weight=1.0),
+            PenaltyTerm(operator=split.a_side, kind=side, weight=1.0),
         )
     if kind is BeamformerKind.TVM_SPARSE:
         n = manifold.angles_deg.size
@@ -259,15 +261,15 @@ def solve_trials(
     auto). A batch of Monte Carlo trials repeats one spec over many
     covariances; a gamma sweep repeats one covariance over a grid of gammas.
     ``snm`` holds each covariance's SNM weight vector (see
-    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. The convex
-    kinds build their penalty terms once and reweight them per problem, so
-    the batch shares the operator objects and solves in one call, where a
-    gamma-0 problem ends at the closed form: SPARSE, MIXED_NORM and
-    TVM_SPARSE in one ``cone_solve``, WEIGHTED_SPARSE in one ``admm_solve``
-    (with each trial's SNM weights as its column scale). MSPR_RELAXED solves
-    in one ``smooth_solve`` batch, each problem started at its closed form,
-    and CAPON as one stack in ``capon_closed_form``. A problem that fails
-    numerically comes back with status NUMERICAL_FAILURE rather than
+    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. CAPON
+    solves as one stack in ``capon_closed_form``. The shaped kinds build
+    their penalty terms once and reweight them per problem, so the batch
+    shares the operator objects and solves in one call from the unpenalized
+    optimum: SPARSE, MIXED_NORM and TVM_SPARSE in one ``cone_solve``,
+    WEIGHTED_SPARSE in one ``admm_solve`` (each trial's SNM weights its
+    column scale), MSPR_RELAXED in one ``smooth_solve``. A trial whose
+    covariance is not finite (never solved, NaN weights) or whose solve
+    fails numerically comes back with status NUMERICAL_FAILURE rather than
     raising, so it fails alone.
     """
     methods = list(methods)
@@ -283,41 +285,24 @@ def solve_trials(
         return capon_closed_form(mats, a)
     if any(m.gamma is None for m in methods):
         raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
-    if kind is BeamformerKind.MSPR_RELAXED:
-        return _mspr_trials(methods, mats, resolve_split(first, manifold, split), a, options)
-    terms = _convex_terms(first, manifold, split)
     if kind is BeamformerKind.WEIGHTED_SPARSE:
         if snm is None:
             raise ValueError("WEIGHTED_SPARSE needs the snapshots (their SNM weights)")
         scales = list(snm)
     else:
         scales = [None] * len(mats)
+    terms = _penalty_terms(first, manifold, split)
+    finite = [bool(np.isfinite(r).all()) for r in mats]
     specs = [
         ProblemSpec(r, a, tuple(replace(t, weight=t.weight * m.gamma, scale=q) for t in terms))
-        for r, m, q in zip(mats, methods, scales, strict=True)
+        for r, m, q, ok in zip(mats, methods, scales, finite, strict=True) if ok
     ]
-    solve = admm_solve if kind is BeamformerKind.WEIGHTED_SPARSE else cone_solve
-    return [_weights(result) for result in solve(specs, options)]
-
-
-def _mspr_trials(methods: list, mats: list, split: ManifoldSplit, a: np.ndarray, options: SolverOptions) -> list:
-    """MSPR_RELAXED for each covariance, started at its closed form: one
-    ``smooth_solve`` batch over the trials whose closed form exists (a trial
-    without one fails alone)."""
-    out = capon_closed_form(mats, a)
-    solvable = [t for t, start in enumerate(out) if start.status is not SolverStatus.NUMERICAL_FAILURE]
-    if solvable:
-        specs = [
-            ProblemSpec(mats[t], a, (
-                PenaltyTerm(operator=split.a_main, kind=PenaltyKind.QUARTIC_UNIT, weight=methods[t].gamma),
-                PenaltyTerm(operator=split.a_side, kind=PenaltyKind.SQUARED_L2, weight=methods[t].gamma),
-            ))
-            for t in solvable
-        ]
-        results = smooth_solve(specs, options, w_init=[out[t].weights for t in solvable])
-        for t, result in zip(solvable, results):
-            out[t] = _weights(result)
-    return out
+    solve = (smooth_solve if kind is BeamformerKind.MSPR_RELAXED
+             else admm_solve if kind is BeamformerKind.WEIGHTED_SPARSE else cone_solve)
+    solved = iter(solve(specs, options) if specs else ())
+    return [_weights(next(solved)) if ok
+            else WeightVector(np.full(a.size, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0)
+            for ok in finite]
 
 
 def solve_method(

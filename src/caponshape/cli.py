@@ -337,15 +337,19 @@ def _out_path(config: RunConfig) -> Path:
     return out
 
 
-def _warn(kind: str, capped: int, total: str, gamma=None, grid=()) -> None:
+def _warn(kind: str, capped: int = 0, total: str = "", points=()) -> None:
     """A method's stderr warnings: ``capped`` of its solves (``total`` says
-    of how many, such as "4 solves") stopped at the iteration cap, and its
-    ``gamma`` sits on an endpoint of ``grid``, the grid of more than two
-    points it was selected from."""
+    of how many, such as "4 solves") stopped at the iteration cap; so did
+    some of ``points``, the sweep its gamma was selected from; and that
+    selection sits on an endpoint of a grid of more than two points."""
     if capped:
         click.echo(f"warning: {kind} stopped at its iteration cap on {capped} of {total}", err=True)
-    if len(grid) > 2 and gamma in (grid[0], grid[-1]):
-        click.echo(f"warning: {kind} selects gamma {_fmt(gamma)}, a grid endpoint; widen the grid", err=True)
+    if points:
+        _warn(kind, sum(p.status is SolverStatus.MAX_ITERS for p in points), f"{len(points)} grid points")
+        best = best_point_index(points)
+        if len(points) > 2 and best in (0, len(points) - 1):
+            click.echo(f"warning: {kind} selects gamma {_fmt(points[best].gamma)}, a grid endpoint; widen the grid",
+                       err=True)
 
 
 @click.group()
@@ -360,18 +364,17 @@ def pattern(config_path, out_dir, seed):
     """Solve every configured method on one draw and write pattern CSVs."""
     config = load_run_config(config_path, out_dir, seed=seed)
     manifold, split, a = _prepare(config)
-    methods = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
-                                  manifold, config.b, BENCHMARK_OPTIONS)
+    methods, sweeps = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
+                                          manifold, config.b, BENCHMARK_OPTIONS)
     out = _out_path(config)
 
     snapshots = synthesize_snapshots(config.scenario)
     r = sample_covariance(snapshots.data)
     manifest = {"seed": config.scenario.seed, "scenario": _scenario_doc(config.scenario), "files": []}
     used_names: dict = {}
-    for configured, method in zip(config.methods, methods):
+    for method, points in zip(methods, sweeps):
         result = solve_method(method, r, manifold, split, a, snapshots.data, BENCHMARK_OPTIONS)
-        _warn(method.kind.value, int(result.status is SolverStatus.MAX_ITERS), "1 solves", method.gamma,
-              DEFAULT_GAMMA_GRID if configured.gamma_is_auto else ())
+        _warn(method.kind.value, int(result.status is SolverStatus.MAX_ITERS), "1 solves", points)
         pat = beam_pattern(result.weights, manifold)
         stem = f"pattern_{method.kind.value}"
         count = used_names.get(stem, 0)
@@ -397,8 +400,8 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
     manifold, _, _ = _prepare(config)
     out = _out_path(config)
     # tuned once here: the held-out draw does not depend on the mismatch
-    methods = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
-                                  manifold, config.b, BENCHMARK_OPTIONS)
+    methods, sweeps = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
+                                          manifold, config.b, BENCHMARK_OPTIONS)
 
     summary_rows = []
     capped = [0] * len(methods)
@@ -432,9 +435,8 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
         for kind, gamma, mismatch, mean, std, failures in summary_rows:
             writer.writerow([kind, _fmt(gamma), _fmt(mismatch), _fmt(mean), _fmt(std), failures])
     solves = config.trials * len(config.mismatch_list)
-    for configured, method, count in zip(config.methods, methods, capped):
-        _warn(method.kind.value, count, f"{solves} solves", method.gamma,
-              DEFAULT_GAMMA_GRID if configured.gamma_is_auto else ())
+    for method, count, points in zip(methods, capped, sweeps):
+        _warn(method.kind.value, count, f"{solves} solves", points)
 
 
 @main.command()
@@ -455,8 +457,7 @@ def sweep(config_path, out_dir, seed, gammas_csv):
         method_grid = (0.0,) if method.kind is BeamformerKind.CAPON else grid
         points = gamma_sweep(method, held_out, manifold, config.b, method_grid, BENCHMARK_OPTIONS)
         best = best_point_index(points)
-        capped = sum(point.status is SolverStatus.MAX_ITERS for point in points)
-        _warn(method.kind.value, capped, f"{len(points)} grid points", points[best].gamma, method_grid)
+        _warn(method.kind.value, points=points)
         for i, point in enumerate(points):
             rows.append(
                 (

@@ -311,16 +311,17 @@ def resolve_auto_gammas(
     b: int = 15,
     options: SolverOptions = SolverOptions(),
 ) -> tuple:
-    """The methods with every ``gamma: auto`` replaced by the gamma
-    select_gamma picks on the held-out draw (seed base_seed - 1, no
-    mismatch); methods with a fixed gamma pass through unchanged."""
+    """The methods with every ``gamma: auto`` replaced by the argmax-SINR
+    gamma of its sweep over the default grid on the held-out draw (seed
+    base_seed - 1, no mismatch), and per method the SweepPoints of that
+    sweep; a method with a fixed gamma passes through unchanged, with no
+    points."""
     held_out = scenario.with_seed(base_seed - 1)
-    return tuple(
-        method.with_gamma(select_gamma(method, held_out, manifold, b, DEFAULT_GAMMA_GRID, options))
-        if method.gamma_is_auto
-        else method
-        for method in methods
-    )
+    sweeps = tuple(gamma_sweep(method, held_out, manifold, b, DEFAULT_GAMMA_GRID, options)
+                   if method.gamma_is_auto else () for method in methods)
+    resolved = tuple(method.with_gamma(points[best_point_index(points)].gamma) if points else method
+                     for method, points in zip(methods, sweeps))
+    return resolved, sweeps
 
 
 def monte_carlo(
@@ -354,7 +355,7 @@ def monte_carlo(
     split = split_manifold(manifold, scenario.presumed_doa_deg, b)
     a = steering_vector(scenario.geometry, scenario.presumed_doa_deg)
 
-    resolved = resolve_auto_gammas(methods, scenario, base_seed, manifold, b, options)
+    resolved, _ = resolve_auto_gammas(methods, scenario, base_seed, manifold, b, options)
 
     # the solves need each draw's covariance (and SNM weights) only, so the
     # snapshots are dropped draw by draw

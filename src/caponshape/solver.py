@@ -11,7 +11,7 @@ The affine constraint is eliminated exactly: w = w0 + B z with w0 = a/||a||^2
 and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. A stack of Hermitian matrices is tested for
 positive definiteness in one place, ``_definite``, and solved in one,
-``cholesky_solve``: the convex solvers' unpenalized start, the
+``cholesky_solve``: the solvers' unpenalized start, the
 interior-point Newton systems and the smooth path's directions all solve
 through it. ADMM alone takes inverses, of its z-systems, because it reuses
 them on every iteration. The nonsmooth penalties (L1, LINF, group-L2) make
@@ -32,7 +32,9 @@ the batch when it stops; its z, iterations, certificate and status go into
 one record, ``_Outcomes``, which forms its result at w = w0 + B z. A problem
 that never starts, because its quadratic (or ADMM's z-system) is not
 positive definite, fails at w0 after 0 iterations with an infinite
-certificate.
+certificate. Every other problem starts where the front end puts it: at the
+unpenalized optimum, the minimizer of w^H R_eff w on the constraint (R_eff
+is R with the squared-L2 penalties folded in).
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -324,8 +326,10 @@ def _eliminated(spec, solver: str) -> tuple:
     checked to be nonempty and to share the constraint vector and the
     penalty terms up to each term's weight and column scale; w0 and B of
     the shared constraint; the (T, M, M) stack of squared-L2-folded
-    quadratics R_eff; and the z-space quadratics 2 B^H R_eff B + ridge I
-    with ridge = 1e-10 * trace(R)/M per problem."""
+    quadratics R_eff; the z-space quadratics 2 B^H R_eff B + ridge I with
+    ridge = 1e-10 * trace(R)/M per problem; lin = 2 B^H R_eff w0; and each
+    problem's start, quad z = -lin (0 where quad is not positive definite),
+    and whether its quad is. lin and z are taken problem by problem."""
     specs = list(spec)
     if not specs:
         raise ValueError(f"{solver} needs at least one spec")
@@ -342,7 +346,10 @@ def _eliminated(spec, solver: str) -> tuple:
     r_eff = np.stack([_fold_squared_l2(s) for s in specs])
     ridge = np.array([1e-10 * float(np.real(np.trace(s.quadratic))) / s.quadratic.shape[0] for s in specs])
     quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(basis.shape[1])
-    return specs, w0, basis, r_eff, quad
+    lin = 2.0 * _mv(basis.conj().T, _mv(r_eff, w0))
+    z, factored = cholesky_solve(quad, -lin)
+    z[~factored] = 0.0
+    return specs, w0, basis, r_eff, quad, lin, z, factored
 
 
 class _Outcomes:
@@ -373,10 +380,8 @@ class _Outcomes:
 
 def _convex(spec, solver: str) -> tuple:
     """The front end of the convex solvers: the ``_eliminated`` specs, w0,
-    B, R_eff and z-space quadratics of a batch, checked to hold L1, LINF,
-    GROUP_L2 and SQUARED_L2 terms only; lin = 2 B^H R_eff w0; each
-    problem's unpenalized optimum, quad z = -lin by ``cholesky_solve`` (0
-    where quad is not positive definite), and whether its quad is; the
+    B, R_eff, z-space quadratics, lin, starts and factored flags of a batch,
+    checked to hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only; the
     indices of the active terms (L1, LINF or GROUP_L2 terms of positive
     weight in some problem), in spec order, and the (T, active terms) matrix
     of their weights; whether each problem is left to iterate on (a positive
@@ -384,16 +389,13 @@ def _convex(spec, solver: str) -> tuple:
     other problem has ended at its unpenalized optimum after 0 iterations
     with certificate 0, or failed at w0 where quad is not positive
     definite."""
-    specs, w0, basis, r_eff, quad = _eliminated(spec, solver)
+    specs, w0, basis, r_eff, quad, lin, z, factored = _eliminated(spec, solver)
     first = specs[0]
     if first.is_smooth_nonconvex:
         raise ValueError(f"{solver} handles convex specs only; use smooth_solve")
     for term in first.penalties:
         if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
             raise ValueError(f"unsupported penalty kind for {solver}: {term.kind}")
-    lin = 2.0 * ((r_eff @ w0) @ basis.conj())
-    z, factored = cholesky_solve(quad, -lin)
-    z[~factored] = 0.0
     active_terms = [j for j, t in enumerate(first.penalties)
                     if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
     weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(len(specs), -1)
@@ -1040,21 +1042,22 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
 _STEP_TOL = 1e-7
 
 
-def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
+def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
     """Descent on the smooth (possibly nonconvex) objective containing
     squared-L2 and quartic (||v||^2 - 1)^2 penalties, for one spec or a
     batch of them.
 
-    ``spec`` is one ProblemSpec, returning one SolverResult (``w_init`` is
-    then one start point or None), or a sequence of T specs, returning a
-    list of T results (``w_init`` is then None or one start point per spec),
-    under the batch contract of this module; the quadratics and penalty
-    weights of a batch are free. The descent runs on stacked (T, m) arrays,
-    each problem with its own step, stopping test and linear solves
-    (``cholesky_solve``); every product and solve is taken problem by
-    problem, so a batch reproduces single solves bit for bit.
+    ``spec`` is one ProblemSpec, returning one SolverResult, or a sequence
+    of T specs, returning a list of T results, under the batch contract of
+    this module; the quadratics and penalty weights of a batch are free. The
+    descent runs on stacked (T, m) arrays, each problem with its own step,
+    stopping test and linear solves (``cholesky_solve``); every product and
+    solve is taken problem by problem, so a batch reproduces single solves
+    bit for bit.
 
-    Works in the eliminated variable z. The Wirtinger gradient
+    Starts at the unpenalized optimum, the minimizer of w^H R_eff w on the
+    constraint, and works in the eliminated variable z. The Wirtinger
+    gradient
 
         g(z) = B^H [ 2 R_eff w + sum_q 4 gamma (||G^H w||^2 - 1) G G^H w ]
 
@@ -1077,30 +1080,15 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions(), w_init=None):
     points (not guaranteed to be global minima of a nonconvex spec).
     """
     if isinstance(spec, ProblemSpec):
-        return smooth_solve([spec], opts, None if w_init is None else [w_init])[0]
-    specs, w0, basis, r_eff, quad = _eliminated(spec, "smooth_solve")
+        return smooth_solve([spec], opts)[0]
+    specs, w0, basis, r_eff, quad, _, z, factored = _eliminated(spec, "smooth_solve")
     smooth = _SmoothObjective(specs, basis, r_eff)
-    count = len(specs)
-    m = basis.shape[1]
     basis_h = basis.conj().T
-    out = _Outcomes(count, m)
-
-    if w_init is None:
-        z = np.zeros((count, m), dtype=complex)
-    else:
-        starts = [np.asarray(w, dtype=complex).ravel() for w in w_init]
-        if len(starts) != count:
-            raise ValueError(f"smooth_solve needs one w_init per spec, got {len(starts)} for {count}")
-        if any(abs(w.conj() @ specs[0].constraint_vector - 1.0) > 1e-6 for w in starts):
-            raise ValueError("w_init does not satisfy the distortionless constraint")
-        z = _mv(basis_h, np.stack(starts) - w0)
-    if not m:  # w0 is the only feasible point
+    out = _Outcomes(len(specs), basis.shape[1])
+    if not basis.shape[1]:  # w0 is the only feasible point
         out.stop(slice(None), z, 0, 0.0, SolverStatus.CONVERGED)
         return out.results(specs, w0, basis)
 
-    # whether each quadratic-only model is positive definite; one that is not
-    # fails its problem at w0
-    factored = _definite(quad)
     # z-space Gram matrices of the quartic operators, for the refreshed
     # curvature model below
     p_z = [basis_h @ (g_op @ (g_adj @ basis)) for g_op, g_adj in zip(smooth.q_ops, smooth.q_adj)]

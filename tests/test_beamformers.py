@@ -17,7 +17,7 @@ from caponshape.arrays import (
     synthesize_snapshots,
 )
 from caponshape.beamformers import (
-    _convex_terms,
+    _penalty_terms,
     BeamformerKind,
     BeamformerSpec,
     capon_closed_form,
@@ -85,7 +85,7 @@ def test_capon_rejects_dead_covariance():
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
-def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, bad):
+def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, snapshots, bad):
     # never factored: a Cholesky factor reads one triangle only, and an
     # infinite diagonal factors without complaint
     with pytest.raises(NumericalError):
@@ -97,10 +97,11 @@ def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, bad):
         broken[row, col] = bad
         with pytest.raises(NumericalError):
             capon_closed_form(broken, a0)
-        # in a batch the bad trial fails alone
-        for kind in (BeamformerKind.CAPON, BeamformerKind.MSPR_RELAXED):
+        # in a batch of any kind the bad trial fails alone
+        snm = [snm_weighting(manifold, snapshots.data)] * 3
+        for kind in BeamformerKind:
             batch = solve_trials([BeamformerSpec(kind, GAMMAS.get(kind))] * 3, [covariance, broken, covariance],
-                                 manifold, split, a0, None, BENCHMARK_OPTIONS)
+                                 manifold, split, a0, snm, BENCHMARK_OPTIONS)
             assert [out.status for out in batch] == [SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE,
                                                      SolverStatus.CONVERGED], kind
             assert np.isnan(batch[1].weights).all()
@@ -256,10 +257,11 @@ def test_mspr_capon_converges_to_a_stationary_point(covariance, split, a0):
     ))
     _, basis = eliminate_constraint(a0)
     # the 40 dB interferer puts the covariance at ~1e4 scale; the gradient
-    # ends at 1.6e-9 of its value at the closed-form start, where a stop at
-    # steps of 1e-3 ||w|| leaves 1.2e-7
-    start = np.linalg.norm(smooth_gradient(spec, basis, capon_closed_form(covariance, a0).weights))
-    assert np.linalg.norm(smooth_gradient(spec, basis, out.weights)) <= 2e-8 * start
+    # ends at 2.3e-14 of its value at the closed form (a stop at steps of
+    # 1e-3 ||w|| leaves 4.4e-14 from the unpenalized optimum, 1.2e-7 from
+    # the closed form)
+    closed = np.linalg.norm(smooth_gradient(spec, basis, capon_closed_form(covariance, a0).weights))
+    assert np.linalg.norm(smooth_gradient(spec, basis, out.weights)) <= 2e-8 * closed
 
 
 def test_beamformer_spec_validation():
@@ -353,7 +355,7 @@ def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, 
             assert abs(got.iterations - ref.iterations) <= (2 if smooth else 0), kind
             if cone and draw >= 5:
                 spec = ProblemSpec(r, a0, tuple(replace(t, weight=t.weight * gamma)
-                                                for t in _convex_terms(methods[0], manifold, split)))
+                                                for t in _penalty_terms(methods[0], manifold, split)))
                 expected = objective_value(spec, ref.weights)
                 assert abs(objective_value(spec, got.weights) - expected) <= 1e-10 * expected, kind
             else:

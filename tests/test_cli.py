@@ -311,13 +311,13 @@ def test_montecarlo_tunes_each_auto_gamma_once(tmp_path, monkeypatch):
     # the held-out tuning draw does not depend on the mismatch, so two
     # mismatch values share one sweep per auto method
     calls = []
-    select_gamma = evaluation.select_gamma
+    gamma_sweep = evaluation.gamma_sweep
 
     def counted(method, *args, **kwargs):
         calls.append(method.kind.value)
-        return select_gamma(method, *args, **kwargs)
+        return gamma_sweep(method, *args, **kwargs)
 
-    monkeypatch.setattr("caponshape.evaluation.select_gamma", counted)
+    monkeypatch.setattr("caponshape.evaluation.gamma_sweep", counted)
     path = write_config(tmp_path, trials=1, mismatch_list=[0.0, 3.0],
                         methods=[{"kind": "capon"}, {"kind": "sparse", "gamma": "auto"},
                                  {"kind": "mixed_norm", "gamma": "auto"}])
@@ -340,6 +340,17 @@ def test_montecarlo_reports_and_warns_about_capped_solves(tmp_path, monkeypatch)
     capon, sparse = (entry["solver"] for entry in doc["methods"])
     assert capon["converged"] == 2 and capon["max_iters"] == 0
     assert sparse["max_iters"] == 2 and sparse["iterations_max"] == 1
+
+
+def test_montecarlo_and_pattern_warn_about_capped_tuning_sweeps(tmp_path, monkeypatch):
+    # the 41-point sweep that tunes an auto gamma is reported as sweep does,
+    # beside the command's own solves
+    monkeypatch.setattr("caponshape.cli.BENCHMARK_OPTIONS", SolverOptions(max_iters=1, tol=1e-4))
+    path = write_config(tmp_path, trials=1, methods=[{"kind": "sparse", "gamma": "auto"}])
+    for argv in (["montecarlo"], ["pattern"]):
+        result = CliRunner().invoke(main, argv + ["--config", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "warning: sparse stopped at its iteration cap on 41 of 41 grid points" in result.stderr.splitlines()
 
 
 def test_packaged_montecarlo_warns_about_a_gamma_tuned_to_a_grid_endpoint(tmp_path):
@@ -451,7 +462,8 @@ def test_sweep_warns_about_capped_grid_points(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     capped = [line for line in result.stderr.splitlines() if "iteration cap" in line]
     # the gamma-0 point has no penalty: the convex kinds end it without an
-    # iteration, and mspr_relaxed's first step from the closed form stops it
+    # iteration, and mspr_relaxed's first step from the unpenalized optimum
+    # stops it
     assert capped == [f"warning: {kind} stopped at its iteration cap on 2 of 3 grid points" for kind in kinds]
     rows = read_rows(tmp_path / "out" / "gamma_sweep.csv")
     assert rows[0] == ["kind", "gamma", "sinr_db", "sidelobe_mean_db", "mspr", "selected"]

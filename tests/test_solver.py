@@ -15,6 +15,7 @@ from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     _RHO,
     _Cones,
+    _eliminated,
     _max_step,
     _Newton,
     _real_form,
@@ -288,11 +289,11 @@ def _quartic_spec(rng, m=6):
 
 def test_smooth_solve_objective_nonincreasing():
     # the iterate after k steps is what a solve capped at k steps returns;
-    # with no start point given, step 0 is w0
+    # step 0 is the start of every solver, the unpenalized optimum
     rng = np.random.default_rng(12)
     spec = _quartic_spec(rng)
-    w0, _ = eliminate_constraint(spec.constraint_vector)
-    objs = [objective_value(spec, w0)]
+    _, w0, basis, _, _, _, z, _ = _eliminated([spec], "smooth_solve")
+    objs = [objective_value(spec, w0 + basis @ z[0])]
     objs += [objective_value(spec, smooth_solve(spec, SolverOptions(max_iters=k)).w) for k in range(1, 8)]
     assert objs[-1] < objs[0]
     assert np.all(np.diff(objs) <= 1e-12 * max(1.0, abs(objs[0])))
@@ -303,16 +304,15 @@ def test_smooth_solve_meets_gradient_tolerance():
     spec = _quartic_spec(rng)
     res = smooth_solve(spec)
     assert res.status is SolverStatus.CONVERGED
-    # the curvature model keeps only the complex-linear part of the
-    # quartic's Hessian, so on this random spec the descent converges
-    # linearly, in 56 iterations
-    assert res.iterations <= 60
-    # the certificate is the gradient norm at the returned point, 1.4e-7 of
-    # the gradient at the start; a stop at steps of 1e-3 ||w|| leaves 1.3e-3
+    # from the unpenalized optimum the descent takes 3 iterations on this
+    # random spec
+    assert res.iterations <= 3
+    # the certificate is the gradient norm at the returned point, 2.0e-12 of
+    # the gradient at w0; a stop at steps of 1e-3 ||w|| leaves 9.5e-9
     w0, basis = eliminate_constraint(spec.constraint_vector)
     g = np.linalg.norm(smooth_gradient(spec, basis, res.w))
     assert res.dual_residual == pytest.approx(g, rel=1e-12)
-    assert g <= 1e-5 * np.linalg.norm(smooth_gradient(spec, basis, w0))
+    assert g <= 1e-10 * np.linalg.norm(smooth_gradient(spec, basis, w0))
 
 
 def test_smooth_solve_iteration_cap_reports_max_iters():
@@ -339,13 +339,13 @@ def test_smooth_solve_stops_at_its_fixed_point(scenario, split, a0, seed, mismat
     got = mspr_capon(r, split, a0, gamma, BENCHMARK_OPTIONS)
     assert got.status is SolverStatus.CONVERGED
     assert got.iterations <= 15
-    # the gradient ends at most 7.4e-8 of its value at the closed-form start;
-    # a stop at steps of 1e-3 ||w|| leaves up to 7.7e-6
+    # the gradient ends at most 4.0e-9 of its value at the closed form; a
+    # stop at steps of 1e-3 ||w|| leaves up to 6.6e-8
     spec = ProblemSpec(r, a0, (PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
                                PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma)))
     _, basis = eliminate_constraint(a0)
-    start = np.linalg.norm(smooth_gradient(spec, basis, closed_form(r, a0)))
-    assert got.subgrad_residual <= 3e-7 * start
+    closed = np.linalg.norm(smooth_gradient(spec, basis, closed_form(r, a0)))
+    assert got.subgrad_residual <= 2e-8 * closed
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -392,13 +392,11 @@ def test_smooth_batch_reproduces_single_solves(scenario, split, a0):
                                  PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma)))
              for r, gamma in zip(covariances, gammas)]
     specs.insert(2, ProblemSpec(-1e6 * np.eye(8), a0, specs[1].penalties))
-    starts = [closed_form(r, a0) for r in covariances]
-    starts.insert(2, a0 / np.vdot(a0, a0))
-    batch = smooth_solve(specs, BENCHMARK_OPTIONS, w_init=starts)
+    batch = smooth_solve(specs, BENCHMARK_OPTIONS)
     assert [r.status for r in batch].count(SolverStatus.NUMERICAL_FAILURE) == 1
     assert batch[2].status is SolverStatus.NUMERICAL_FAILURE
-    for spec, start, got in zip(specs, starts, batch):
-        alone = smooth_solve(spec, BENCHMARK_OPTIONS, w_init=start)
+    for spec, got in zip(specs, batch):
+        alone = smooth_solve(spec, BENCHMARK_OPTIONS)
         assert got.status is alone.status
         assert got.iterations == alone.iterations
         npt.assert_array_equal(got.w, alone.w)
@@ -422,8 +420,6 @@ def test_smooth_batch_validation(a0):
         smooth_solve([ProblemSpec(np.eye(8), a0, quartic), ProblemSpec(np.eye(8), 1j * a0, quartic)])
     with pytest.raises(ValueError):
         smooth_solve([ProblemSpec(np.eye(8), a0, quartic), ProblemSpec(np.eye(8), a0)])
-    with pytest.raises(ValueError):
-        smooth_solve([ProblemSpec(np.eye(8), a0, quartic)] * 2, w_init=[a0 / 8.0])
 
 
 def test_smooth_solve_rejects_nonsmooth_kinds():
@@ -431,13 +427,6 @@ def test_smooth_solve_rejects_nonsmooth_kinds():
     l1 = PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0)
     with pytest.raises(ValueError):
         smooth_solve(ProblemSpec(np.eye(3), a, (l1,)))
-
-
-def test_smooth_solve_rejects_infeasible_start():
-    rng = np.random.default_rng(14)
-    spec = _quartic_spec(rng)
-    with pytest.raises(ValueError):
-        smooth_solve(spec, w_init=np.zeros(6, dtype=complex))
 
 
 def test_smooth_gradient_matches_finite_differences():

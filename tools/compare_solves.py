@@ -12,7 +12,9 @@ seed 0 and writes one JSON file:
 ``diff`` reads two such files and prints, per kind, the status changes, how
 many solves changed their iterations and by how much at most, the iteration
 sums, and the largest SINR difference; then, per kind over the sweeps, the
-changed selections and the largest SINR difference at a grid point.
+changed selections and the largest SINR difference at a grid point. It
+exits 1, and says why on its last line, when any status (of a trial or a
+grid point) or any sweep selection changed.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/compare_solves.py dump PARENT_TREE parent.json
     OPENBLAS_NUM_THREADS=1 python3 tools/compare_solves.py dump . change.json
@@ -136,6 +138,13 @@ def diff(before: Path, after: Path) -> None:
     print(f"{'kind':16} {'sweeps':>6} {'selected chg':>12} {'status':>6} {'max |d SINR| dB':>15}")
     for kind, row in sweeps.items():
         print(f"{kind:16} {row['n']:6d} {row['selected']:12d} {row['status']:6d} {row['sinr_max']:15.3g}")
+
+    statuses = sum(row["status"] for row in rows.values()) + sum(row["status"] for row in sweeps.values())
+    selections = sum(row["selected"] for row in sweeps.values())
+    if statuses or selections:
+        print(f"FAIL: {statuses} statuses and {selections} sweep selections changed")
+        sys.exit(1)
+    print("no status and no sweep selection changed")
 
 
 def main() -> None:
