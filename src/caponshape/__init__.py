@@ -13,6 +13,7 @@ from .arrays import (
     difference_operator,
     linear_to_db,
     sample_covariance,
+    snapshot_moments,
     snm_weighting,
     split_manifold,
     steering_vector,

@@ -3,6 +3,11 @@ Uniform linear array model: steering vectors, manifolds, snapshot synthesis,
 covariance estimation, and the finite-difference operators used by the
 pattern-shaping penalties.
 
+A snapshot draw is a mixing matrix times the real standard normals of the
+scenario's seed. ``synthesize_snapshots`` forms the M x K product; the Monte
+Carlo runs keep a draw as its moments (``snapshot_moments``), taken from the
+Gram matrix and the row means of the normals, and never form it.
+
 All angles are in degrees in [-90, 90]; powers are linear unless a name says
 otherwise. Every function here is pure: randomness enters only through the
 explicit seed carried by a :class:`Scenario`.
@@ -26,6 +31,7 @@ __all__ = [
     "build_manifold",
     "split_manifold",
     "synthesize_snapshots",
+    "snapshot_moments",
     "sample_covariance",
     "snm_weighting",
     "difference_operator",
@@ -222,10 +228,24 @@ def split_manifold(manifold: ArrayManifold, presumed_doa_deg: float, b: int) -> 
     )
 
 
-def _complex_gaussian(rng: np.random.Generator, power: float, size) -> np.ndarray:
-    # circular: real/imag parts independent N(0, power/2)
-    scale = math.sqrt(power / 2.0)
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+def _draw(scenario: Scenario) -> tuple:
+    """A draw as ``mixing @ normals``.
+
+    ``normals`` is the real (2S + 2M) x K array of standard normals from the
+    scenario's seed; its rows hold the real and imaginary parts of the SOI
+    amplitudes, then of each interferer's in listed order, then of the
+    noise, one sensor per row. ``mixing`` is the complex M x (2S + 2M)
+    matrix with columns sqrt(p/2) a and i sqrt(p/2) a per source of power p
+    and steering vector a, then sqrt(sigma^2/2) I and i sqrt(sigma^2/2) I
+    for the noise.
+    """
+    geom = scenario.geometry
+    columns = [math.sqrt(source.power / 2.0) * steering_vector(geom, source.doa_deg)
+               for source in (scenario.soi,) + scenario.interferers]
+    noise = math.sqrt(scenario.noise_power / 2.0) * np.eye(geom.num_sensors)
+    mixing = np.column_stack([part for column in columns for part in (column, 1j * column)] + [noise, 1j * noise])
+    normals = np.random.default_rng(scenario.seed).standard_normal((mixing.shape[1], scenario.num_snapshots))
+    return mixing, normals
 
 
 def synthesize_snapshots(scenario: Scenario) -> SnapshotMatrix:
@@ -237,16 +257,24 @@ def synthesize_snapshots(scenario: Scenario) -> SnapshotMatrix:
     grid-snapped) source angles. The draw order is fixed (SOI, interferers in
     listed order, noise) so the result is a pure function of the scenario.
     """
-    geom = scenario.geometry
-    k = scenario.num_snapshots
-    rng = np.random.default_rng(scenario.seed)
-    s = _complex_gaussian(rng, scenario.soi.power, k)
-    x = np.outer(steering_vector(geom, scenario.soi.doa_deg), s)
-    for interferer in scenario.interferers:
-        beta = _complex_gaussian(rng, interferer.power, k)
-        x += np.outer(steering_vector(geom, interferer.doa_deg), beta)
-    x += _complex_gaussian(rng, scenario.noise_power, (geom.num_sensors, k))
-    return SnapshotMatrix(data=x, soi_amplitudes=s)
+    mixing, normals = _draw(scenario)
+    soi = math.sqrt(scenario.soi.power / 2.0) * (normals[0] + 1j * normals[1])
+    return SnapshotMatrix(data=mixing @ normals, soi_amplitudes=soi)
+
+
+def snapshot_moments(scenario: Scenario) -> tuple:
+    """The M x M sample covariance and the length-M mean snapshot of the
+    scenario's draw, without forming its M x K snapshot matrix.
+
+    With the draw X = C Y (C the mixing matrix, Y the normals), the
+    covariance is C (Y Y^T / K) C^H, symmetrized to be exactly Hermitian,
+    and the mean snapshot is C times the row means of Y. They equal
+    ``sample_covariance`` and the column mean of
+    ``synthesize_snapshots(scenario).data`` up to rounding.
+    """
+    mixing, normals = _draw(scenario)
+    r = mixing @ ((normals @ normals.T) / normals.shape[1]) @ mixing.conj().T
+    return 0.5 * (r + r.conj().T), mixing @ normals.mean(axis=1)
 
 
 def sample_covariance(x: np.ndarray) -> np.ndarray:
@@ -265,7 +293,9 @@ def snm_weighting(manifold: ArrayManifold, x: np.ndarray) -> np.ndarray:
 
     For each row n of A^H X take the modulus of the complex mean over
     snapshots, normalize by the largest row value, and square. Directions
-    with coherent received energy get weights near 1.
+    with coherent received energy get weights near 1. The mean is linear in
+    X, so ``x`` may be the M x 1 mean snapshot (see ``snapshot_moments``)
+    in place of the M x K draw.
 
     Returns
     -------

@@ -270,7 +270,8 @@ def solve_trials(
     column scale), MSPR_RELAXED in one ``smooth_solve``. A trial whose
     covariance is not finite (never solved, NaN weights) or whose solve
     fails numerically comes back with status NUMERICAL_FAILURE rather than
-    raising, so it fails alone.
+    raising, so it fails alone. The steering vector is shared by the batch,
+    so one with a NaN or infinite entry raises ValueError for every kind.
     """
     methods = list(methods)
     mats = [_covariance_matrix(r) for r in covariances]
@@ -281,6 +282,8 @@ def solve_trials(
     if any((m.kind, m.b, m.tv_orders) != (kind, first.b, first.tv_orders) for m in methods):
         raise ValueError("a batch solves one kind with one b and tv_orders; only gamma may differ")
     a = np.asarray(a, dtype=complex).ravel()
+    if not np.isfinite(a).all():
+        raise ValueError("steering vector must be finite")
     if kind is BeamformerKind.CAPON:
         return capon_closed_form(mats, a)
     if any(m.gamma is None for m in methods):
@@ -318,7 +321,8 @@ def solve_method(
     one-trial case of ``solve_trials``, raising NumericalError where a batch
     would report a failed trial.
 
-    ``x`` (the raw snapshots) is required only by WEIGHTED_SPARSE.
+    ``x`` (the M x K snapshots, or the M x 1 mean snapshot, which gives the
+    same SNM weights) is required only by WEIGHTED_SPARSE.
     """
     snm = None
     if method.kind is BeamformerKind.WEIGHTED_SPARSE and x is not None:

@@ -31,12 +31,14 @@ from importlib import resources
 from pathlib import Path
 
 import click
+import numpy as np
 
-from .arrays import (ArrayGeometry, Scenario, SourceSpec, build_manifold, db_to_linear, linear_to_db, sample_covariance,
-                     split_manifold, steering_vector, synthesize_snapshots)
+# sample_covariance, synthesize_snapshots, mspr, sidelobe_mean_db and sinr are
+# not called here but stay importable from this module, where bench/spans.py
+# hooks them
+from .arrays import (ArrayGeometry, Scenario, SourceSpec, build_manifold, db_to_linear, linear_to_db,  # noqa: F401
+                     sample_covariance, snapshot_moments, split_manifold, steering_vector, synthesize_snapshots)
 from .beamformers import BeamformerKind, BeamformerSpec, solve_method
-# mspr, sidelobe_mean_db and sinr are not called here but stay importable from
-# this module, where bench/spans.py hooks them
 from .evaluation import (  # noqa: F401
     DEFAULT_GAMMA_GRID,
     beam_pattern,
@@ -368,12 +370,11 @@ def pattern(config_path, out_dir, seed):
                                           manifold, config.b, BENCHMARK_OPTIONS)
     out = _out_path(config)
 
-    snapshots = synthesize_snapshots(config.scenario)
-    r = sample_covariance(snapshots.data)
+    r, mean = snapshot_moments(config.scenario)
     manifest = {"seed": config.scenario.seed, "scenario": _scenario_doc(config.scenario), "files": []}
     used_names: dict = {}
     for method, points in zip(methods, sweeps):
-        result = solve_method(method, r, manifold, split, a, snapshots.data, BENCHMARK_OPTIONS)
+        result = solve_method(method, r, manifold, split, a, mean[:, np.newaxis], BENCHMARK_OPTIONS)
         _warn(method.kind.value, int(result.status is SolverStatus.MAX_ITERS), "1 solves", points)
         pat = beam_pattern(result.weights, manifold)
         stem = f"pattern_{method.kind.value}"

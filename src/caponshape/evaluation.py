@@ -16,19 +16,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import (
+# sample_covariance, synthesize_snapshots and solve_method are not called
+# here but stay importable from this module, where bench/spans.py hooks them
+from .arrays import (  # noqa: F401
     ArrayManifold,
     ManifoldSplit,
     Scenario,
     build_manifold,
     sample_covariance,
+    snapshot_moments,
     snm_weighting,
     split_manifold,
     steering_vector,
     synthesize_snapshots,
 )
-# solve_method is not called here but stays importable from this module,
-# where bench/spans.py hooks it
 from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method, solve_trials  # noqa: F401
 from .solver import NumericalError, SolverOptions, SolverStatus, cholesky_solve
 
@@ -263,9 +264,9 @@ def gamma_sweep(
     validation = scenario.with_soi_doa(scenario.presumed_doa_deg)
     split = split_manifold(manifold, validation.presumed_doa_deg, b)
     a = steering_vector(validation.geometry, validation.presumed_doa_deg)
-    data = synthesize_snapshots(validation).data
-    r = sample_covariance(data)
-    snm = [snm_weighting(manifold, data)] * len(grid) if method.kind is BeamformerKind.WEIGHTED_SPARSE else None
+    r, mean = snapshot_moments(validation)
+    snm = ([snm_weighting(manifold, mean[:, np.newaxis])] * len(grid)
+           if method.kind is BeamformerKind.WEIGHTED_SPARSE else None)
     methods = [method.with_gamma(float(gamma)) for gamma in grid]
     results = solve_trials(methods, [r] * len(grid), manifold, split, a, snm, options)
     ratio_split = resolve_split(method, manifold, split)
@@ -341,8 +342,9 @@ def monte_carlo(
     against the presumed direction and is scored against the truth. Methods
     with gamma = auto are tuned once by sweep on a held-out draw (seed
     base_seed - 1, no mismatch) and the tuned value is frozen across trials.
-    All draws are synthesized first; then each method solves them as one
-    batch (``solve_trials``). Solver failures are excluded from the
+    All draws are taken first, each as its covariance and mean snapshot
+    (``snapshot_moments``); then each method solves them as one batch
+    (``solve_trials``). Solver failures are excluded from the
     statistics and counted.
     """
     if trials < 1:
@@ -357,17 +359,17 @@ def monte_carlo(
 
     resolved, _ = resolve_auto_gammas(methods, scenario, base_seed, manifold, b, options)
 
-    # the solves need each draw's covariance (and SNM weights) only, so the
-    # snapshots are dropped draw by draw
+    # the solves need each draw's covariance (and SNM weights, which the
+    # mean snapshot gives) only, so no draw forms its snapshots
     truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch_deg)
     trial_scenarios = [truth.with_seed(base_seed + t) for t in range(trials)]
     needs_snm = any(method.kind is BeamformerKind.WEIGHTED_SPARSE for method in resolved)
     covariances, snm = [], []
     for trial_scenario in trial_scenarios:
-        data = synthesize_snapshots(trial_scenario).data
-        covariances.append(sample_covariance(data))
+        r, mean = snapshot_moments(trial_scenario)
+        covariances.append(r)
         if needs_snm:
-            snm.append(snm_weighting(manifold, data))
+            snm.append(snm_weighting(manifold, mean[:, np.newaxis]))
 
     entries = []
     for method in resolved:

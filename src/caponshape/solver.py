@@ -1066,18 +1066,21 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
     Hermitian curvature model refreshed at each iterate (the quadratic-part
     Hessian plus the quartic's complex-linear curvature), falling back to
     the quadratic-only model where the model is not positive definite (a
-    Cholesky factorization is the test); with no quartic terms this is an
-    exact Newton step. A problem stops with status CONVERGED when its
-    accepted step moves z by at most 1e-7 ||w||, w the point the step leaves:
-    the line search then works at the rounding floor of f, where it can no
-    longer tell its steps apart. It returns the point that step reaches, and
-    ``dual_residual`` is ||g|| there. The test reads no option and does not
-    change under R -> cR, gamma -> c gamma. ``opts.max_iters`` caps the
-    iterations with status MAX_ITERS. A problem whose quadratic-only model
-    is not positive definite ends at w0 with status NUMERICAL_FAILURE; one
-    whose line search finds no decrease ends at its last iterate with that
-    status. The objective sequence is nonincreasing. Returns stationary
-    points (not guaranteed to be global minima of a nonconvex spec).
+    Cholesky factorization is the test). A problem stops with status
+    CONVERGED when its accepted step moves z by at most 1e-7 ||w||, w the
+    point the step leaves: the line search then works at the rounding floor
+    of f, where it can no longer tell its steps apart. It returns the point
+    that step reaches, and ``dual_residual`` is ||g|| there. The test reads
+    no option and does not change under R -> cR, gamma -> c gamma.
+    ``opts.max_iters`` caps the iterations with status MAX_ITERS. A problem
+    with no positive quartic weight is a quadratic and ends at its start,
+    its minimizer, after 0 iterations with its gradient norm as its
+    certificate, as the convex solvers end a problem with no active
+    penalty. A problem whose quadratic-only model is not positive definite
+    ends at w0 with status NUMERICAL_FAILURE; one whose line search finds
+    no decrease ends at its last iterate with that status. The objective
+    sequence is nonincreasing. Returns stationary points (not guaranteed to
+    be global minima of a nonconvex spec).
     """
     if isinstance(spec, ProblemSpec):
         return smooth_solve([spec], opts)[0]
@@ -1107,8 +1110,13 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
             x[~ok] = cholesky_solve(quad[rows[~ok]], g[~ok])[0]
         return -x
 
-    # a problem whose quadratic-only model cannot be factored fails at w0
-    rows = np.flatnonzero(factored)
+    # a problem with no positive quartic weight is a quadratic, whose
+    # minimizer is its start; one whose quadratic-only model cannot be
+    # factored fails at w0
+    quartic = (smooth.q_wts > 0).any(axis=1)
+    done = np.flatnonzero(factored & ~quartic)
+    out.stop(done, z[done], 0, _row_norms(smooth.gradient(w0 + _mv(basis, z[done]), done)), SolverStatus.CONVERGED)
+    rows = np.flatnonzero(factored & quartic)
     z = z[rows]
     w = w0 + _mv(basis, z)
     f_curr = smooth.value(w, rows)

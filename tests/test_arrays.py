@@ -2,6 +2,7 @@
 estimation, SNM weighting, difference operators, and scenario validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -16,6 +17,7 @@ from caponshape.arrays import (
     difference_operator,
     linear_to_db,
     sample_covariance,
+    snapshot_moments,
     snm_weighting,
     split_manifold,
     steering_vector,
@@ -154,6 +156,52 @@ def test_snapshot_row_power_matches_total_source_power():
     snap = synthesize_snapshots(sc)
     var = float(np.mean(np.abs(snap.data[0]) ** 2))
     assert abs(var - 4.0) / 4.0 < 0.02
+
+
+# the first draws of the packaged scenario (seed 7) as drawn before draws
+# were kept as moments: the random stream must not move
+_PACKAGED_SOI = (0.0027507065300806355 - 0.6808309961396642j, 0.6680153298436519 - 2.0122993054192153j,
+                 -0.6129908797959238 + 0.3668332031114157j)
+_PACKAGED_DATA = (
+    (-123.00667101580636 - 9.732754250764799j, 50.514751376775756 - 34.90117666724674j),
+    (130.4791104912533 + 3.1226267716232625j, -18.561731740312737 + 28.163466446341616j),
+    (-105.98653711770272 + 18.65445556640283j, 20.641788089556268 - 34.60358897165166j),
+    (94.10462565624809 - 58.418432765741116j, -32.795899669684296 + 45.332923741442364j),
+    (-104.09943878008738 + 75.41145311583452j, 21.695390978788566 - 55.533440064485085j),
+    (93.87647702031602 - 73.96931557090731j, 12.433015147759455 + 43.08409043959375j),
+    (-57.019114579785075 + 87.89365879494032j, -14.56336724282356 - 44.434780595930654j),
+    (30.539488000026147 - 118.62301399560974j, 2.4468537838158486 + 46.90008798490595j),
+)
+
+
+def test_snapshots_keep_the_packaged_stream(snapshots):
+    npt.assert_array_equal(snapshots.soi_amplitudes[:3], _PACKAGED_SOI)
+    expected = np.array(_PACKAGED_DATA)
+    assert np.linalg.norm(snapshots.data[:, :2] - expected) <= 1e-15 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("num_snapshots", [1, 100, 10_000])
+@pytest.mark.parametrize("with_interferers", [True, False], ids=["interferers", "no_interferers"])
+def test_snapshot_moments_match_the_snapshots(scenario, num_snapshots, with_interferers):
+    draw = replace(scenario, num_snapshots=num_snapshots,
+                   interferers=scenario.interferers if with_interferers else ())
+    x = synthesize_snapshots(draw).data
+    r, mean = snapshot_moments(draw)
+    npt.assert_array_equal(r, r.conj().T)
+    expected = sample_covariance(x)
+    assert np.linalg.norm(r - expected) <= 1e-13 * np.linalg.norm(expected)
+    expected = x.mean(axis=1)
+    assert np.linalg.norm(mean - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_snm_weighting_of_the_mean_snapshot_matches_the_draw(scenario, manifold):
+    # the SNM weights are linear in the snapshots up to the modulus, so the
+    # mean snapshot stands in for the draw
+    for seed in (7, 8, 9):
+        draw = scenario.with_seed(seed)
+        mean = snapshot_moments(draw)[1]
+        npt.assert_allclose(snm_weighting(manifold, mean[:, np.newaxis]),
+                            snm_weighting(manifold, synthesize_snapshots(draw).data), rtol=0.0, atol=1e-12)
 
 
 def test_sample_covariance_rank_one():

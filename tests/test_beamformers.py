@@ -8,9 +8,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from caponshape import solver
 from caponshape.arrays import (
     difference_operator,
     sample_covariance,
+    snapshot_moments,
     snm_weighting,
     split_manifold,
     steering_vector,
@@ -107,6 +109,19 @@ def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, snapsho
             assert np.isnan(batch[1].weights).all()
 
 
+@pytest.mark.parametrize("kind", list(BeamformerKind), ids=lambda k: k.value)
+def test_solve_trials_rejects_a_non_finite_steering_vector(covariance, manifold, split, a0, snapshots, kind):
+    # a is shared by the batch, so no trial can be solved; this holds too
+    # when no covariance of the batch is finite
+    snm = [snm_weighting(manifold, snapshots.data)] * 2
+    methods = [BeamformerSpec(kind, GAMMAS.get(kind))] * 2
+    for bad in (np.nan, np.inf):
+        steering = np.where(np.arange(8) == 3, bad, a0)
+        for covariances in ([covariance] * 2, [np.full((8, 8), np.nan)] * 2):
+            with pytest.raises(ValueError, match="steering vector"):
+                solve_trials(methods, covariances, manifold, split, steering, snm, BENCHMARK_OPTIONS)
+
+
 def test_capon_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         capon_closed_form(np.eye(3), np.ones(2))
@@ -121,6 +136,16 @@ def test_gamma_zero_reduces_every_kind_to_closed_form(covariance, manifold, spli
         out = _solve(kind, 0.0, covariance, manifold, split, a0, snapshots.data, SolverOptions())
         assert np.linalg.norm(out.weights - w_cf) <= 1e-6 * scale, kind
         assert out.constraint_residual <= 1e-9, kind
+
+
+def test_gamma_zero_mspr_relaxed_ends_at_the_start_of_sparse(covariance, manifold, split, a0):
+    # at gamma 0 both are the quadratic program, and both solvers end a
+    # problem with no active penalty at its start without an iteration
+    sparse = _solve(BeamformerKind.SPARSE, 0.0, covariance, manifold, split, a0)
+    relaxed = _solve(BeamformerKind.MSPR_RELAXED, 0.0, covariance, manifold, split, a0)
+    assert sparse.iterations == relaxed.iterations == 0
+    assert relaxed.status is SolverStatus.CONVERGED
+    npt.assert_array_equal(relaxed.weights, sparse.weights)
 
 
 def test_sparse_capon_penalty_monotone_in_gamma(covariance, manifold, split, a0):
@@ -245,23 +270,28 @@ def test_convex_kinds_never_increase_their_penalty(covariance, manifold, split, 
         assert penalty(out.weights) <= penalty(w_cf) * (1.0 + 1e-6), kind
 
 
-def test_mspr_capon_converges_to_a_stationary_point(covariance, split, a0):
+def test_mspr_capon_converges_to_a_stationary_point(monkeypatch, scenario, split, a0):
+    # a 3 deg draw whose start, the unpenalized optimum, is far from
+    # stationary: the descent moves w by 0.36, 0.31, 0.16, 0.032, 9.5e-4 and
+    # 8.4e-7 of ||w|| before its steps reach rounding. The gradient ends at
+    # 7e-14 of its value at the closed form; a stop at steps of 1e-3 ||w||
+    # skips the 8.4e-7 step and ends at 8.4e-8, and must fail the bound
     gamma = GAMMAS[BeamformerKind.MSPR_RELAXED]
-    out = mspr_capon(covariance, split, a0, gamma)
-    assert out.status is SolverStatus.CONVERGED
-    assert out.iterations <= 15
-    assert out.constraint_residual <= 1e-9
+    covariance = snapshot_moments(scenario.with_soi_doa(scenario.presumed_doa_deg + 3.0).with_seed(55))[0]
     spec = ProblemSpec(covariance, a0, (
         PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
         PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma),
     ))
     _, basis = eliminate_constraint(a0)
-    # the 40 dB interferer puts the covariance at ~1e4 scale; the gradient
-    # ends at 2.3e-14 of its value at the closed form (a stop at steps of
-    # 1e-3 ||w|| leaves 4.4e-14 from the unpenalized optimum, 1.2e-7 from
-    # the closed form)
     closed = np.linalg.norm(smooth_gradient(spec, basis, capon_closed_form(covariance, a0).weights))
+    out = mspr_capon(covariance, split, a0, gamma)
+    assert out.status is SolverStatus.CONVERGED
+    assert out.iterations <= 15
+    assert out.constraint_residual <= 1e-9
     assert np.linalg.norm(smooth_gradient(spec, basis, out.weights)) <= 2e-8 * closed
+    monkeypatch.setattr(solver, "_STEP_TOL", 1e-3)
+    loose = mspr_capon(covariance, split, a0, gamma)
+    assert np.linalg.norm(smooth_gradient(spec, basis, loose.weights)) > 2e-8 * closed
 
 
 def test_beamformer_spec_validation():

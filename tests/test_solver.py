@@ -1,6 +1,7 @@
 """Constraint elimination, the ADMM path, the interior-point path, and the
 smooth descent path."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -816,7 +817,7 @@ def test_every_solver_fails_an_unfactorable_problem_at_w0(scenario, manifold, sp
     # one failure contract for the three batched solvers: a problem whose
     # quadratic is not positive definite ends at w0 after 0 iterations with
     # an infinite certificate, and its batch neighbours solve as they do alone;
-    # a convex problem of gamma 0 ends at its unpenalized optimum
+    # a problem of gamma 0 ends at its unpenalized optimum after 0 iterations
     if solver == "smooth_solve":
         gamma = 0.1
         terms = (PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
@@ -827,8 +828,7 @@ def test_every_solver_fails_an_unfactorable_problem_at_w0(scenario, manifold, sp
         solve = admm_solve if solver == "admm_solve" else cone_solve
     good = _packaged_covariances(scenario, 3)
     specs = [ProblemSpec(r, a0, terms) for r in (good[0], -1e6 * np.eye(8), good[1])]
-    if solve is not smooth_solve:
-        specs.append(ProblemSpec(good[2], a0, tuple(replace(t, weight=0.0) for t in terms)))
+    specs.append(ProblemSpec(good[2], a0, tuple(replace(t, weight=0.0) for t in terms)))
     batch = solve(specs, BENCHMARK_OPTIONS)
 
     failed = batch[1]
@@ -849,10 +849,13 @@ def test_every_solver_fails_an_unfactorable_problem_at_w0(scenario, manifold, sp
             assert got.iterations == alone.iterations
             npt.assert_array_equal(got.w, alone.w)
             assert got.dual_residual == alone.dual_residual
-    if solve is not smooth_solve:
-        unpenalized = batch[3]
-        assert unpenalized.status is SolverStatus.CONVERGED
-        assert unpenalized.iterations == 0 and unpenalized.dual_residual == 0.0
+    unpenalized = batch[3]
+    assert unpenalized.status is SolverStatus.CONVERGED and unpenalized.iterations == 0
+    # the convex solvers certify a problem with no active penalty by 0, the
+    # smooth one by its gradient norm
+    certificate = (np.linalg.norm(smooth_gradient(specs[3], eliminate_constraint(a0)[1], unpenalized.w))
+                   if solve is smooth_solve else 0.0)
+    assert math.isclose(unpenalized.dual_residual, certificate, rel_tol=1e-12)
 
 
 def test_cone_solve_pulls_a_step_back_inside_the_cones(scenario, manifold, a0):
