@@ -6,7 +6,9 @@ pattern-shaping penalties.
 A snapshot draw is a mixing matrix times the real standard normals of the
 scenario's seed. ``synthesize_snapshots`` forms the M x K product; the Monte
 Carlo runs keep a draw as its moments (``snapshot_moments``), taken from the
-Gram matrix and the row means of the normals, and never form it.
+Gram matrix and the row means of the normals, and never form it. The normals
+do not depend on the source directions, so one draw of a seed gives the
+moments for any number of SOI directions.
 
 All angles are in degrees in [-90, 90]; powers are linear unless a name says
 otherwise. Every function here is pure: randomness enters only through the
@@ -228,24 +230,25 @@ def split_manifold(manifold: ArrayManifold, presumed_doa_deg: float, b: int) -> 
     )
 
 
-def _draw(scenario: Scenario) -> tuple:
-    """A draw as ``mixing @ normals``.
-
-    ``normals`` is the real (2S + 2M) x K array of standard normals from the
-    scenario's seed; its rows hold the real and imaginary parts of the SOI
-    amplitudes, then of each interferer's in listed order, then of the
-    noise, one sensor per row. ``mixing`` is the complex M x (2S + 2M)
-    matrix with columns sqrt(p/2) a and i sqrt(p/2) a per source of power p
-    and steering vector a, then sqrt(sigma^2/2) I and i sqrt(sigma^2/2) I
-    for the noise.
-    """
+def _mixing(scenario: Scenario) -> np.ndarray:
+    """The complex M x (2S + 2M) matrix that maps a draw's normals to its
+    snapshots: columns sqrt(p/2) a and i sqrt(p/2) a per source of power p
+    and steering vector a (the SOI, then each interferer in listed order),
+    then sqrt(sigma^2/2) I and i sqrt(sigma^2/2) I for the noise."""
     geom = scenario.geometry
     columns = [math.sqrt(source.power / 2.0) * steering_vector(geom, source.doa_deg)
                for source in (scenario.soi,) + scenario.interferers]
     noise = math.sqrt(scenario.noise_power / 2.0) * np.eye(geom.num_sensors)
-    mixing = np.column_stack([part for column in columns for part in (column, 1j * column)] + [noise, 1j * noise])
-    normals = np.random.default_rng(scenario.seed).standard_normal((mixing.shape[1], scenario.num_snapshots))
-    return mixing, normals
+    return np.column_stack([part for column in columns for part in (column, 1j * column)] + [noise, 1j * noise])
+
+
+def _normals(scenario: Scenario) -> np.ndarray:
+    """The real (2S + 2M) x K standard normals of the scenario's seed, one
+    row per column of ``_mixing``: the real and imaginary parts of the SOI
+    amplitudes, then of each interferer's, then of the noise, one sensor per
+    row. They depend on the seed and the source count, not on the DOAs."""
+    rows = 2 * (1 + len(scenario.interferers) + scenario.geometry.num_sensors)
+    return np.random.default_rng(scenario.seed).standard_normal((rows, scenario.num_snapshots))
 
 
 def synthesize_snapshots(scenario: Scenario) -> SnapshotMatrix:
@@ -257,12 +260,12 @@ def synthesize_snapshots(scenario: Scenario) -> SnapshotMatrix:
     grid-snapped) source angles. The draw order is fixed (SOI, interferers in
     listed order, noise) so the result is a pure function of the scenario.
     """
-    mixing, normals = _draw(scenario)
+    normals = _normals(scenario)
     soi = math.sqrt(scenario.soi.power / 2.0) * (normals[0] + 1j * normals[1])
-    return SnapshotMatrix(data=mixing @ normals, soi_amplitudes=soi)
+    return SnapshotMatrix(data=_mixing(scenario) @ normals, soi_amplitudes=soi)
 
 
-def snapshot_moments(scenario: Scenario) -> tuple:
+def snapshot_moments(scenario: Scenario, soi_doas_deg=None):
     """The M x M sample covariance and the length-M mean snapshot of the
     scenario's draw, without forming its M x K snapshot matrix.
 
@@ -271,10 +274,24 @@ def snapshot_moments(scenario: Scenario) -> tuple:
     and the mean snapshot is C times the row means of Y. They equal
     ``sample_covariance`` and the column mean of
     ``synthesize_snapshots(scenario).data`` up to rounding.
+
+    With ``soi_doas_deg`` None this returns one (covariance, mean) pair, for
+    the scenario's own SOI direction. With a sequence of directions it
+    returns a list of one pair per direction, each equal bit for bit to the
+    pair of ``scenario.with_soi_doa(doa)``: the seed is drawn once, and Y Y^T
+    / K and the row means of Y serve every direction, which changes only the
+    two SOI columns of C.
     """
-    mixing, normals = _draw(scenario)
-    r = mixing @ ((normals @ normals.T) / normals.shape[1]) @ mixing.conj().T
-    return 0.5 * (r + r.conj().T), mixing @ normals.mean(axis=1)
+    doas = [scenario.soi.doa_deg] if soi_doas_deg is None else list(soi_doas_deg)
+    normals = _normals(scenario)
+    gram = (normals @ normals.T) / normals.shape[1]
+    row_means = normals.mean(axis=1)
+    moments = []
+    for doa in doas:
+        mixing = _mixing(scenario.with_soi_doa(doa))
+        r = mixing @ gram @ mixing.conj().T
+        moments.append((0.5 * (r + r.conj().T), mixing @ row_means))
+    return moments[0] if soi_doas_deg is None else moments
 
 
 def sample_covariance(x: np.ndarray) -> np.ndarray:

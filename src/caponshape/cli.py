@@ -400,23 +400,16 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
         raise ValueError(f"trials must be >= 1, got {config.trials}")
     manifold, _, _ = _prepare(config)
     out = _out_path(config)
-    # tuned once here: the held-out draw does not depend on the mismatch
+    # tuned here, so that the tuning sweeps can be warned about; the held-out
+    # draw does not depend on the mismatch, so one sweep serves every value
     methods, sweeps = resolve_auto_gammas(config.methods, config.scenario, config.scenario.seed,
                                           manifold, config.b, BENCHMARK_OPTIONS)
+    reports = monte_carlo(config.scenario, methods, config.trials, config.scenario.seed, config.mismatch_list,
+                          manifold, config.b, BENCHMARK_OPTIONS)
 
     summary_rows = []
     capped = [0] * len(methods)
-    for mismatch in config.mismatch_list:
-        report = monte_carlo(
-            config.scenario,
-            methods,
-            config.trials,
-            config.scenario.seed,
-            mismatch,
-            manifold,
-            config.b,
-            BENCHMARK_OPTIONS,
-        )
+    for mismatch, report in zip(config.mismatch_list, reports):
         _write_json(report.to_dict(), out / _report_name(mismatch))
         for j, entry in enumerate(report.methods):
             capped[j] += entry.solver_stats()[SolverStatus.MAX_ITERS.value]

@@ -330,25 +330,35 @@ def monte_carlo(
     methods,
     trials: int,
     base_seed: int,
-    mismatch_deg: float = 0.0,
+    mismatch_deg=0.0,
     manifold: ArrayManifold | None = None,
     b: int = 15,
     options: SolverOptions = SolverOptions(),
-) -> SinrReport:
+):
     """Repeated-draw SINR benchmark.
 
     Trial t re-synthesizes the scenario with seed base_seed + t and the true
     SOI direction moved to presumed + mismatch_deg; every method solves
     against the presumed direction and is scored against the truth. Methods
-    with gamma = auto are tuned once by sweep on a held-out draw (seed
-    base_seed - 1, no mismatch) and the tuned value is frozen across trials.
-    All draws are taken first, each as its covariance and mean snapshot
-    (``snapshot_moments``); then each method solves them as one batch
-    (``solve_trials``). Solver failures are excluded from the
+    with gamma = auto are tuned once per call by sweep on a held-out draw
+    (seed base_seed - 1, no mismatch) and the tuned value is frozen across
+    trials and mismatch values. Solver failures are excluded from the
     statistics and counted.
+
+    ``mismatch_deg`` is a float, for which one SinrReport is returned, or a
+    nonempty sequence of floats, for which a list of one SinrReport per
+    value is returned, in order. Trial t has the same seed at every value,
+    so its seed is drawn once for all of them, and each value's draw is kept
+    as its covariance and mean snapshot (``snapshot_moments``). Then, value
+    by value, each method solves that value's draws as one batch
+    (``solve_trials``).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    single = np.ndim(mismatch_deg) == 0
+    mismatches = [float(mismatch_deg)] if single else [float(value) for value in mismatch_deg]
+    if not mismatches:
+        raise ValueError("mismatch_deg must hold at least one value")
     methods = list(methods)
     if not methods:
         raise ValueError("methods list must be nonempty")
@@ -361,35 +371,40 @@ def monte_carlo(
 
     # the solves need each draw's covariance (and SNM weights, which the
     # mean snapshot gives) only, so no draw forms its snapshots
-    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch_deg)
-    trial_scenarios = [truth.with_seed(base_seed + t) for t in range(trials)]
+    truths = [scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch) for mismatch in mismatches]
+    doas = [truth.soi.doa_deg for truth in truths]
     needs_snm = any(method.kind is BeamformerKind.WEIGHTED_SPARSE for method in resolved)
-    covariances, snm = [], []
-    for trial_scenario in trial_scenarios:
-        r, mean = snapshot_moments(trial_scenario)
-        covariances.append(r)
-        if needs_snm:
-            snm.append(snm_weighting(manifold, mean[:, np.newaxis]))
+    covariances = [[] for _ in mismatches]
+    snm = [[] for _ in mismatches]
+    for t in range(trials):
+        for i, (r, mean) in enumerate(snapshot_moments(scenario.with_seed(base_seed + t), doas)):
+            covariances[i].append(r)
+            if needs_snm:
+                snm[i].append(snm_weighting(manifold, mean[:, np.newaxis]))
 
-    entries = []
-    for method in resolved:
-        outcomes = solve_trials([method] * trials, covariances, manifold, split, a, snm, options)
-        vals = tuple(
-            sinr(out.weights, trial_scenario)
-            for out, trial_scenario in zip(outcomes, trial_scenarios)
-            if out.status is not SolverStatus.NUMERICAL_FAILURE
-        )
-        entries.append(
-            MethodSinr(
-                method=method,
-                mean_sinr_db=float(np.mean(vals)) if vals else math.nan,
-                std_db=float(np.std(vals)) if vals else math.nan,
-                trials=trials,
-                failures=trials - len(vals),
-                per_trial_db=vals,
-                statuses=tuple(out.status for out in outcomes),
-                iterations=tuple(out.iterations for out in outcomes),
-                subgrad_residuals=tuple(out.subgrad_residual for out in outcomes),
+    reports = []
+    for mismatch, truth, value_covariances, value_snm in zip(mismatches, truths, covariances, snm):
+        trial_scenarios = [truth.with_seed(base_seed + t) for t in range(trials)]
+        entries = []
+        for method in resolved:
+            outcomes = solve_trials([method] * trials, value_covariances, manifold, split, a, value_snm, options)
+            vals = tuple(
+                sinr(out.weights, trial_scenario)
+                for out, trial_scenario in zip(outcomes, trial_scenarios)
+                if out.status is not SolverStatus.NUMERICAL_FAILURE
             )
-        )
-    return SinrReport(methods=tuple(entries), mismatch_deg=float(mismatch_deg), seed=int(base_seed))
+            entries.append(
+                MethodSinr(
+                    method=method,
+                    mean_sinr_db=float(np.mean(vals)) if vals else math.nan,
+                    std_db=float(np.std(vals)) if vals else math.nan,
+                    trials=trials,
+                    failures=trials - len(vals),
+                    per_trial_db=vals,
+                    statuses=tuple(out.status for out in outcomes),
+                    iterations=tuple(out.iterations for out in outcomes),
+                    subgrad_residuals=tuple(out.subgrad_residual for out in outcomes),
+                )
+            )
+        reports.append(SinrReport(methods=tuple(entries), mismatch_deg=mismatch, seed=int(base_seed)))
+    return reports[0] if single else reports

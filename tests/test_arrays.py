@@ -194,6 +194,33 @@ def test_snapshot_moments_match_the_snapshots(scenario, num_snapshots, with_inte
     assert np.linalg.norm(mean - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("num_snapshots", [1, 100, 10_000])
+@pytest.mark.parametrize("with_interferers", [True, False], ids=["interferers", "no_interferers"])
+def test_snapshot_moments_share_one_draw_across_soi_directions(scenario, num_snapshots, with_interferers):
+    draw = replace(scenario, num_snapshots=num_snapshots,
+                   interferers=scenario.interferers if with_interferers else ())
+    doas = (draw.soi.doa_deg, draw.presumed_doa_deg + 3.0, -20.0)
+    moments = snapshot_moments(draw, doas)
+    assert len(moments) == len(doas)
+    for doa, (r, mean) in zip(doas, moments):
+        expected_r, expected_mean = snapshot_moments(draw.with_soi_doa(doa))
+        npt.assert_array_equal(r, expected_r)
+        npt.assert_array_equal(mean, expected_mean)
+
+
+def test_snapshot_moments_draw_a_seed_once_for_every_soi_direction(scenario, monkeypatch):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    snapshot_moments(scenario, (0.0, 3.0, -20.0))
+    assert seeds == [scenario.seed]
+
+
 def test_snm_weighting_of_the_mean_snapshot_matches_the_draw(scenario, manifold):
     # the SNM weights are linear in the snapshots up to the modulus, so the
     # mean snapshot stands in for the draw

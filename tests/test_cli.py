@@ -283,6 +283,21 @@ def test_montecarlo_writes_reports_and_summary(tmp_path):
     assert [row[0] for row in rows[1:]] == ["capon", "sparse", "capon", "sparse"]
 
 
+def test_montecarlo_writes_each_mismatch_value_as_a_run_of_its_own_would(tmp_path):
+    # one call draws each seed once for both values; the files must not tell
+    runs = {}
+    for mismatch in ("0,3", "0", "3"):
+        out = tmp_path / mismatch.replace(",", "_")
+        result = CliRunner().invoke(main, ["montecarlo", "--trials", "2", "--mismatch", mismatch, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        runs[mismatch] = out
+    for mismatch in ("0", "3"):
+        name = f"sinr_mismatch_{mismatch}.json"
+        assert (runs["0,3"] / name).read_bytes() == (runs[mismatch] / name).read_bytes()
+    rows = read_rows(runs["0,3"] / "sinr_summary.csv")
+    assert rows == read_rows(runs["0"] / "sinr_summary.csv") + read_rows(runs["3"] / "sinr_summary.csv")[1:]
+
+
 def test_montecarlo_writes_strict_json_when_every_trial_fails(tmp_path, monkeypatch):
     def every_trial_fails(method, covariances, *args, **kwargs):
         return [WeightVector(np.full(4, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0)

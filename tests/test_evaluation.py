@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from caponshape import evaluation
 from caponshape.arrays import (
     ArrayGeometry,
     Scenario,
@@ -232,6 +233,8 @@ def test_monte_carlo_validates_inputs(scenario, manifold, config):
         monte_carlo(scenario, [BeamformerSpec(BeamformerKind.CAPON)], 0, scenario.seed)
     with pytest.raises(ValueError):
         monte_carlo(scenario, [], 1, scenario.seed)
+    with pytest.raises(ValueError, match="at least one value"):
+        monte_carlo(scenario, [BeamformerSpec(BeamformerKind.CAPON)], 1, scenario.seed, ())
 
 
 def every_trial_fails(method, covariances, *args, **kwargs):
@@ -250,17 +253,51 @@ def test_monte_carlo_counts_solver_failures(monkeypatch, scenario, manifold, con
     assert entry.solver_stats()["numerical_failure"] == 2
 
 
-def test_monte_carlo_resolves_auto_gamma_once(scenario, manifold, config):
+def test_monte_carlo_resolves_auto_gamma_once(scenario, manifold, config, monkeypatch):
     # the tuned value is chosen on the held-out draw (seed - 1) and then
-    # frozen into the reported method spec
-    report = monte_carlo(scenario, [BeamformerSpec(BeamformerKind.MSPR_RELAXED)], 1,
-                         scenario.seed, 0.0, manifold, config.b, BENCHMARK_OPTIONS)
-    resolved = report.methods[0].method
-    assert not resolved.gamma_is_auto
+    # frozen into the reported method spec, one sweep for every mismatch value
     expected = select_gamma(BeamformerSpec(BeamformerKind.MSPR_RELAXED),
                             scenario.with_seed(scenario.seed - 1), manifold, config.b,
                             options=BENCHMARK_OPTIONS)
-    assert resolved.gamma == expected
+    sweeps = []
+    sweep = evaluation.gamma_sweep
+
+    def counted(method, *args, **kwargs):
+        sweeps.append(method.kind)
+        return sweep(method, *args, **kwargs)
+
+    monkeypatch.setattr("caponshape.evaluation.gamma_sweep", counted)
+    for mismatch in (0.0, (0.0, 3.0)):
+        sweeps.clear()
+        reports = monte_carlo(scenario, [BeamformerSpec(BeamformerKind.MSPR_RELAXED)], 1,
+                              scenario.seed, mismatch, manifold, config.b, BENCHMARK_OPTIONS)
+        assert sweeps == [BeamformerKind.MSPR_RELAXED]
+        for report in [reports] if isinstance(mismatch, float) else reports:
+            resolved = report.methods[0].method
+            assert not resolved.gamma_is_auto
+            assert resolved.gamma == expected
+
+
+def test_monte_carlo_over_mismatch_values_equals_one_call_per_value(scenario, manifold, config):
+    # every trial's seed is drawn once for both values; the reports must not
+    # tell that from one call per value
+    gammas = {BeamformerKind.SPARSE: 0.3162277660168379, BeamformerKind.WEIGHTED_SPARSE: 10.0,
+              BeamformerKind.MIXED_NORM: 0.19952623149688797, BeamformerKind.TVM_SPARSE: 0.19952623149688797,
+              BeamformerKind.MSPR_RELAXED: 0.025118864315095794}
+    methods = [BeamformerSpec(BeamformerKind.CAPON)] + [BeamformerSpec(kind, gamma) for kind, gamma in gammas.items()]
+    joint = monte_carlo(scenario, methods, 3, scenario.seed, (0.0, 3.0), manifold, config.b, BENCHMARK_OPTIONS)
+    assert [report.mismatch_deg for report in joint] == [0.0, 3.0]
+    for mismatch, report in zip((0.0, 3.0), joint):
+        alone = monte_carlo(scenario, methods, 3, scenario.seed, mismatch, manifold, config.b, BENCHMARK_OPTIONS)
+        assert report.seed == alone.seed
+        assert [entry.method.kind for entry in report.methods] == list(BeamformerKind)
+        for entry, expected in zip(report.methods, alone.methods):
+            assert entry.method == expected.method
+            assert entry.per_trial_db == expected.per_trial_db, entry.method.kind
+            assert entry.statuses == expected.statuses, entry.method.kind
+            assert entry.iterations == expected.iterations, entry.method.kind
+            assert entry.subgrad_residuals == expected.subgrad_residuals, entry.method.kind
+            assert entry == expected
 
 
 def test_monte_carlo_admm_certificates_meet_the_tolerance(scenario, manifold, config):

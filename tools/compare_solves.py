@@ -7,14 +7,20 @@ seed 0 and writes one JSON file:
   the criterion-10 gammas): kind, mismatch, seed, status, iterations and
   SINR (dB) of every trial;
 * the four ``gamma_tune`` sweeps (held-out draws 6-9, 41 gammas per shaped
-  method): each grid point's gamma, SINR and status, and the selected one.
+  method): each grid point's gamma, SINR and status, and the selected one;
+* the SHA-256 digest of every file that the CLI ``montecarlo`` writes for
+  ``mc_packaged`` chunks 0-11 and ``capon_large_k`` chunks 0-3, run as the
+  benchmark runs them. The trials above come from one ``monte_carlo`` call
+  per mismatch value, which every tree accepts; the CLI runs take the
+  tree's own path, where one call serves all of a chunk's mismatch values.
 
 ``diff`` reads two such files and prints, per kind, the status changes, how
 many solves changed their iterations and by how much at most, the iteration
 sums, and the largest SINR difference; then, per kind over the sweeps, the
-changed selections and the largest SINR difference at a grid point. It
-exits 1, and says why on its last line, when any status (of a trial or a
-grid point) or any sweep selection changed.
+changed selections and the largest SINR difference at a grid point; then
+the CLI output files whose digests differ. It exits 1, and says why on its
+last line, when any status (of a trial or a grid point) or any sweep
+selection changed.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/compare_solves.py dump PARENT_TREE parent.json
     OPENBLAS_NUM_THREADS=1 python3 tools/compare_solves.py dump . change.json
@@ -31,6 +37,7 @@ this file.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -41,6 +48,8 @@ from pathlib import Path
 CHUNKS = 12
 BENCH_SEED = 0
 DRAWS = 4
+# CLI runs whose output files are digested: workload and chunk count
+CLI_RUNS = (("mc_packaged", CHUNKS), ("capon_large_k", 4))
 
 
 def _number(x):
@@ -50,7 +59,7 @@ def _number(x):
 
 def dump(tree: Path, out: Path) -> None:
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
-    from caponshape.cli import BENCHMARK_OPTIONS, _prepare, load_run_config
+    from caponshape.cli import BENCHMARK_OPTIONS, _prepare, load_run_config, main
     from caponshape.evaluation import best_point_index, gamma_sweep, monte_carlo
     from caponshape.solver import SolverStatus
     from workloads import WORKLOADS
@@ -88,8 +97,20 @@ def dump(tree: Path, out: Path) -> None:
                     best = best_point_index(points)
                     sweeps.append([held_out.seed, method.kind.value, points[best].gamma,
                                    [[p.gamma, _number(p.sinr_db), p.status.value] for p in points]])
-    out.write_text(json.dumps({"tree": str(tree.resolve()), "trials": trials, "sweeps": sweeps}) + "\n")
-    print(f"{len(trials)} trial solves and {len(sweeps)} sweeps written to {out}")
+
+        outputs = []
+        for name, chunks in CLI_RUNS:
+            workload = WORKLOADS[name]
+            config_path = Path(scratch) / f"{name}.json"
+            config_path.write_text(json.dumps(workload.config(packaged)))
+            for chunk in range(chunks):
+                out_dir = Path(scratch) / f"{name}_{chunk}"
+                main.main(args=workload.argv(config_path, out_dir, BENCH_SEED, chunk), standalone_mode=False)
+                for path in sorted(out_dir.iterdir()):
+                    outputs.append([name, chunk, path.name, hashlib.sha256(path.read_bytes()).hexdigest()])
+    out.write_text(json.dumps({"tree": str(tree.resolve()), "trials": trials, "sweeps": sweeps,
+                               "outputs": outputs}) + "\n")
+    print(f"{len(trials)} trial solves, {len(sweeps)} sweeps and {len(outputs)} CLI output files written to {out}")
 
 
 def _gap(x, y) -> float:
@@ -138,6 +159,12 @@ def diff(before: Path, after: Path) -> None:
     print(f"{'kind':16} {'sweeps':>6} {'selected chg':>12} {'status':>6} {'max |d SINR| dB':>15}")
     for kind, row in sweeps.items():
         print(f"{kind:16} {row['n']:6d} {row['selected']:12d} {row['status']:6d} {row['sinr_max']:15.3g}")
+
+    digests = [{(name, chunk, file): digest for name, chunk, file, digest in doc["outputs"]} for doc in (a, b)]
+    changed = sorted(key for key in digests[0].keys() | digests[1].keys() if digests[0].get(key) != digests[1].get(key))
+    print(f"CLI output files: {len(changed)} of {len(digests[1])} differ")
+    for name, chunk, file in changed:
+        print(f"  {name} chunk {chunk}: {file}")
 
     statuses = sum(row["status"] for row in rows.values()) + sum(row["status"] for row in sweeps.values())
     selections = sum(row["selected"] for row in sweeps.values())
