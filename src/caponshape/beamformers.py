@@ -60,6 +60,12 @@ __all__ = [
 ]
 
 
+# the most problems that solve_trials passes a solver in one call; a larger
+# batch solves in consecutive slices of this size, which keeps the solvers'
+# stacked arrays in cache and bounds their memory
+_BATCH_CAP = 50
+
+
 class BeamformerKind(enum.Enum):
     CAPON = "capon"
     SPARSE = "sparse"
@@ -261,13 +267,16 @@ def solve_trials(
     auto). A batch of Monte Carlo trials repeats one spec over many
     covariances; a gamma sweep repeats one covariance over a grid of gammas.
     ``snm`` holds each covariance's SNM weight vector (see
-    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. CAPON
-    solves as one stack in ``capon_closed_form``. The shaped kinds build
-    their penalty terms once and reweight them per problem, so the batch
-    shares the operator objects and solves in one call from the unpenalized
-    optimum: SPARSE, MIXED_NORM and TVM_SPARSE in one ``cone_solve``,
-    WEIGHTED_SPARSE in one ``admm_solve`` (each trial's SNM weights its
-    column scale), MSPR_RELAXED in one ``smooth_solve``. A trial whose
+    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. A solver
+    takes at most 50 problems per call (``_BATCH_CAP``): a larger batch
+    solves in consecutive slices of that size, and the results come back in
+    input order. CAPON solves each slice as one stack in
+    ``capon_closed_form``. The shaped kinds build their penalty terms once
+    and reweight them per problem, so a slice shares the operator objects
+    and solves in one call from the unpenalized optimum: SPARSE, MIXED_NORM
+    and TVM_SPARSE in one ``cone_solve``, WEIGHTED_SPARSE in one
+    ``admm_solve`` (each trial's SNM weights its column scale), MSPR_RELAXED
+    in one ``smooth_solve``. A trial whose
     covariance is not finite (never solved, NaN weights) or whose solve
     fails numerically comes back with status NUMERICAL_FAILURE rather than
     raising, so it fails alone. The steering vector is shared by the batch,
@@ -285,7 +294,7 @@ def solve_trials(
     if not np.isfinite(a).all():
         raise ValueError("steering vector must be finite")
     if kind is BeamformerKind.CAPON:
-        return capon_closed_form(mats, a)
+        return _in_slices(lambda batch: capon_closed_form(batch, a), mats)
     if any(m.gamma is None for m in methods):
         raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
     if kind is BeamformerKind.WEIGHTED_SPARSE:
@@ -302,10 +311,16 @@ def solve_trials(
     ]
     solve = (smooth_solve if kind is BeamformerKind.MSPR_RELAXED
              else admm_solve if kind is BeamformerKind.WEIGHTED_SPARSE else cone_solve)
-    solved = iter(solve(specs, options) if specs else ())
+    solved = iter(_in_slices(lambda batch: solve(batch, options), specs))
     return [_weights(next(solved)) if ok
             else WeightVector(np.full(a.size, np.nan, dtype=complex), math.nan, SolverStatus.NUMERICAL_FAILURE, 0)
             for ok in finite]
+
+
+def _in_slices(solve, problems: list) -> list:
+    """solve(batch) over consecutive slices of at most ``_BATCH_CAP``
+    problems, with the results in input order."""
+    return [out for lo in range(0, len(problems), _BATCH_CAP) for out in solve(problems[lo:lo + _BATCH_CAP])]
 
 
 def solve_method(

@@ -349,9 +349,13 @@ def monte_carlo(
     nonempty sequence of floats, for which a list of one SinrReport per
     value is returned, in order. Trial t has the same seed at every value,
     so its seed is drawn once for all of them, and each value's draw is kept
-    as its covariance and mean snapshot (``snapshot_moments``). Then, value
-    by value, each method solves that value's draws as one batch
-    (``solve_trials``).
+    as its covariance and mean snapshot (``snapshot_moments``). Each method
+    then solves the draws of every value, concatenated in value order, in
+    one ``solve_trials`` call, which passes its solvers consecutive slices
+    of a bounded size; the results are split back by value to be scored. A
+    solve's answer can depend on the batch it is part of up to rounding
+    (an iteration count by one, the SINR by a few 1e-6 dB), so a call over
+    several values need not match one call per value digit for digit.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -381,13 +385,18 @@ def monte_carlo(
             covariances[i].append(r)
             if needs_snm:
                 snm[i].append(snm_weighting(manifold, mean[:, np.newaxis]))
+    # draw i * trials + t is trial t at mismatch value i
+    covariances = [r for value in covariances for r in value]
+    snm = [q for value in snm for q in value]
+    solved = [solve_trials([method] * len(covariances), covariances, manifold, split, a, snm, options)
+              for method in resolved]
 
     reports = []
-    for mismatch, truth, value_covariances, value_snm in zip(mismatches, truths, covariances, snm):
+    for i, (mismatch, truth) in enumerate(zip(mismatches, truths)):
         trial_scenarios = [truth.with_seed(base_seed + t) for t in range(trials)]
         entries = []
-        for method in resolved:
-            outcomes = solve_trials([method] * trials, value_covariances, manifold, split, a, value_snm, options)
+        for method, method_outcomes in zip(resolved, solved):
+            outcomes = method_outcomes[i * trials:(i + 1) * trials]
             vals = tuple(
                 sinr(out.weights, trial_scenario)
                 for out, trial_scenario in zip(outcomes, trial_scenarios)

@@ -32,8 +32,12 @@ def prox_l1(v: np.ndarray, t) -> np.ndarray:
     t = _per_row(t, "threshold")
     v = np.asarray(v)
     # 1 - t/max(|v|, t) is the factor max(0, 1 - t/|v|), and 0 at a zero
-    # entry; a zero threshold divides by max(|v|, 1) instead
-    return v * (1.0 - t / np.maximum(np.abs(v), np.where(t > 0, t, 1.0)))
+    # entry; a zero threshold divides by max(|v|, 1) instead. The factor is
+    # formed in one buffer.
+    factor = np.maximum(np.abs(v), np.where(t > 0, t, 1.0))
+    np.divide(t, factor, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    return v * factor
 
 
 def _water_level(mod: np.ndarray, r: np.ndarray) -> np.ndarray:

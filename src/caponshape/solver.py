@@ -13,7 +13,9 @@ feasible to machine precision. A stack of Hermitian matrices is tested for
 positive definiteness in one place, ``_definite``, and solved in one,
 ``cholesky_solve``: the solvers' unpenalized start, the
 interior-point Newton systems and the smooth path's directions all solve
-through it. ADMM alone takes inverses, of its z-systems, because it reuses
+through it (the Newton systems through its two halves, ``_guarded`` and
+``_solve_guarded``, so that an iteration's two solves share one test).
+ADMM alone takes inverses, of its z-systems, because it reuses
 them on every iteration. The nonsmooth penalties (L1, LINF, group-L2) make
 the problem a second-order cone program, which cone_solve solves by a
 primal-dual interior-point method over the stacked operator K = [G_j^H B];
@@ -275,6 +277,25 @@ def _definite(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _guarded(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The definiteness test of ``_definite`` on a (T, m, m) stack, and the
+    stack with each failed matrix swapped for the identity, which
+    ``_solve_guarded`` can then solve as one."""
+    ok = _definite(mats)
+    if not ok.all():
+        mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
+    return mats, ok
+
+
+def _solve_guarded(mats: np.ndarray, ok: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One stacked LAPACK solve of a ``_guarded`` stack, NaN where ``ok`` is
+    False."""
+    # a 2-D right-hand side would read as one (m, K) matrix when T == m
+    x = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
+    x[~ok] = np.nan
+    return x
+
+
 def cholesky_solve(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian (complex) or
     symmetric (real) stack and its (T, m) right-hand sides: the definiteness
@@ -282,13 +303,8 @@ def cholesky_solve(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     matrix is swapped for the identity. Returns x, NaN where a matrix is not
     finite and positive definite, and whether each is. LAPACK solves each
     slice on its own, so a batch reproduces single solves bit for bit."""
-    ok = _definite(mats)
-    if not ok.all():
-        mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
-    # a 2-D right-hand side would read as one (m, K) matrix when T == m
-    x = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
-    x[~ok] = np.nan
-    return x, ok
+    mats, ok = _guarded(mats)
+    return _solve_guarded(mats, ok, rhs), ok
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -408,6 +424,9 @@ def _convex(spec, solver: str) -> tuple:
 
 # the overall multiplier of admm_solve's splitting penalties
 _RHO = 2.0
+# admm_solve takes back(u) by its product, not by its running sum, on every
+# _REFRESH-th iteration, so that the sum's rounding does not accumulate
+_REFRESH = 32
 
 
 def admm_solve(spec, opts: SolverOptions = SolverOptions()):
@@ -432,20 +451,27 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     weight 0 gets splitting penalty and prox threshold 0, which leaves it
     inert. The fixed point does not depend on this choice. Blocks are
     stacked into one operator K shared by the batch (per-problem scales and
-    splitting penalties enter as row weights). Each iteration costs two
-    (T, m) x m-by-n products (the z-update's K^H product, with K^H c folded
-    into the linear term once, and K z), one batched m x m
-    inverse-times-vector, and the row-wise block proxes; the products run as
-    real GEMMs on the interleaved real and imaginary parts. The z-systems
-    are inverted once per call (the one inverse in this module), since every
-    iteration applies them again.
-    The dual residual, a third product K^H diag(rho) (v - v_old), is taken
-    only on an iteration where some problem's primal residual is below
-    ``tol`` or non-finite (only such a problem can stop) and on the cap
-    iteration. The z-system of problem t is
-    quad_t + (S_t K)^H diag(rho_t) (S_t K), one Gram matrix per problem.
-    Stops a problem when its absolute primal and dual residual norms (in the
-    original, unscaled block units) both drop below ``tol``.
+    splitting penalties enter as row weights). The z-system of problem t is
+    quad_t + gram_t with gram_t = (S_t K)^H diag(rho_t) (S_t K), one Gram
+    matrix per problem. Writing back(y) = (S_t K)^H diag(rho_t) y, the loop
+    carries back(v) and back(u) in z-space: the z-update's right-hand side
+    is back(v) - back(u) - back(c) - lin, with back(c) folded into the
+    linear term once, and u+ = u + K z + c - v+ advances back(u) by
+    gram_t z + back(c) - back(v+). So each iteration costs two (T, m) x
+    m-by-n products, K z and the one back-product back(v), two batched
+    m x m matrix-times-vector products (the inverted z-system and gram_t),
+    and the row-wise block proxes; the products run as real GEMMs on the
+    interleaved real and imaginary parts. Every 32nd iteration takes
+    back(u) by its product instead of the running sum, so that the sum's
+    rounding does not accumulate (residual replacement). The z-systems are
+    inverted once per call (the one inverse in this module), since every
+    iteration applies them again. The dual residual
+    K^H diag(rho) (v+ - v) is the difference of two consecutive back(v),
+    taken only on an iteration where some problem's primal residual is
+    below ``tol`` or non-finite (only such a problem can stop) and on the
+    cap iteration. Stops a problem when its absolute primal and dual
+    residual norms (in the original, unscaled block units) both drop below
+    ``tol``.
 
     The dual residual is also the stationarity certificate: with
     u+ = u + K z+ + c - v+, the z-update gives quad z+ + lin + K^H diag(rho)
@@ -488,7 +514,9 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     # z-system is not positive definite fails at w0
     active = np.flatnonzero(_definite(system) & pending)
     inv_a = np.linalg.inv(system[active])
-    ts_a, rho_a, scale_a, c_a = (x[active] for x in (prox_ts, rho_k, scale, c))
+    rho_a, scale_a, c_a = (x[active] for x in (rho_k, scale, c))
+    # one threshold column per term, formed once
+    ts_a = [prox_ts[active, j] for j in range(len(terms))]
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
     # active problem t, as real GEMMs
     k_fwd = _real_form(k_mat.T)
@@ -500,43 +528,52 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     def back(y):
         return _times(rho_a * y, k_back)
 
-    # the z-update right-hand side is back(v - u - c) - lin; back(c) is
-    # folded into the linear term once
-    lin_a = lin[active] + back(c_a)
+    # bv = back(v) and bu = back(u), carried in z-space (see above)
+    bc_a = back(c_a)
+    lin_a = lin[active] + bc_a
+    gram_a = gram[active]
     term_slices = list(zip(terms, slices))
     z = z[active]
     v = forward(z)
     u = np.zeros_like(v)
+    bv, bu = back(v), np.zeros_like(z)
     rd = np.full(active.size, math.inf)
     for it in range(1, opts.max_iters + 1):
         if not active.size:
             break
-        z = (inv_a @ (back(v - u) - lin_a)[:, :, np.newaxis])[:, :, 0]
+        z = _mv(inv_a, bv - bu - lin_a)
         kzc = forward(z)
-        v_old = v
         arg = kzc + u
-        blocks = [_prox_block(term.kind, arg[:, sl], ts_a[:, j]) for j, (term, sl) in enumerate(term_slices)]
+        blocks = [_prox_block(term.kind, arg[:, sl], t) for t, (term, sl) in zip(ts_a, term_slices)]
         v = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        resid = kzc - v
-        u = u + resid
-        rp = _row_norms(resid)
+        kzc -= v
+        u += kzc
+        rp = _row_norms(kzc)
+        bv_old, bv = bv, back(v)
+        if it % _REFRESH:
+            bu += _mv(gram_a, z)
+            bu += bc_a
+            bu -= bv
+        else:
+            bu = back(u)
         # a problem can stop only when its primal residual is small
         # (converged, if the dual residual is small too) or non-finite, so the
-        # dual residual back(v - v_old) is taken only on an iteration where
-        # some problem's is, and on the cap iteration, whose results report
-        # it (tests on lists are cheaper than on short arrays)
+        # dual residual bv - bv_old is taken only on an iteration where some
+        # problem's is, and on the cap iteration, whose results report it
+        # (tests on lists are cheaper than on short arrays)
         primal = rp.tolist()
         if it < opts.max_iters and min(primal) >= opts.tol and math.isfinite(sum(primal)):
             continue
-        rd = _row_norms(back(v - v_old))
+        rd = _row_norms(bv - bv_old)
         stopped = [d < opts.tol if p < opts.tol else not p < math.inf for p, d in zip(primal, rd.tolist())]
         if any(stopped):
             stopped = np.array(stopped)
             out.stop(active[stopped], z[stopped], it, rd[stopped],
                      np.where(rp[stopped] < opts.tol, SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE))
             going = ~stopped
-            active, z, v, u, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a = (
-                x[going] for x in (active, z, v, u, rd, lin_a, inv_a, ts_a, rho_a, scale_a, c_a)
+            ts_a = [t[going] for t in ts_a]
+            active, z, u, bv, bu, rd, lin_a, bc_a, gram_a, inv_a, rho_a, scale_a, c_a = (
+                x[going] for x in (active, z, u, bv, bu, rd, lin_a, bc_a, gram_a, inv_a, rho_a, scale_a, c_a)
             )
     out.stop(active, z, opts.max_iters, rd, SolverStatus.MAX_ITERS)
     return out.results(specs, w0, basis)
@@ -745,13 +782,15 @@ class _Newton:
     row (den = 2 wb0^2 - 1), and beta^-2 (K^H K - 2 p p^T / den) with
     p = K^H wb1 per group; a LINF term keeps beta^-2 (I + 2 wb1 wb1^T) per
     row and eliminates its shared variable by a rank-one update. The result
-    is one real symmetric 2m x 2m matrix per problem, solved by
-    ``cholesky_solve``; where it is not positive definite the direction is
-    NaN, and ``_step`` stalls the problem.
+    is one real symmetric 2m x 2m matrix per problem, solved as
+    ``cholesky_solve`` solves it; where it is not positive definite the
+    direction is NaN, and ``_step`` stalls the problem. Both solves of an
+    iteration share one definiteness test, taken at the first.
     """
 
     def __init__(self, cones: _Cones, sc: _Scaling, p_real: np.ndarray):
         self.cones, self.sc = cones, sc
+        self.ok = None
         # the 2 x 2 block of a pair row is binv2 I + f wb1 wb1^T, with
         # f = -2 binv2 / den for an L1 row and 2 binv2 for a LINF row
         pairs = cones.pairs
@@ -791,7 +830,9 @@ class _Newton:
         rhs = cones.back(rhs)
         for cone_sl, c, h in self.linf:
             rhs -= c * (rho0[:, cone_sl].sum(axis=1) / h)[:, np.newaxis]
-        dx = cholesky_solve(self.mat, rhs)[0]
+        if self.ok is None:
+            self.mat, self.ok = _guarded(self.mat)
+        dx = _solve_guarded(self.mat, self.ok, rhs)
         dz = dx.view(complex)
         dy = cones.forward(dz)
         q = cones.per_cone(_re_dot(sc.wb1, dy))

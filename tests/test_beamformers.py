@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caponshape import solver
+from caponshape import beamformers, solver
 from caponshape.arrays import (
     difference_operator,
     sample_covariance,
@@ -432,6 +432,37 @@ def test_benchmark_options_move_sinr_by_under_1e3_db(scenario, manifold, split, 
         for ref, got in zip(tight, loose):
             assert ref.status is got.status is SolverStatus.CONVERGED, kind
             assert got.iterations == ref.iterations, kind
+            npt.assert_array_equal(got.weights, ref.weights, err_msg=kind.value)
+
+
+def test_solve_trials_passes_its_solvers_bounded_slices_in_order(monkeypatch, scenario, manifold, split, a0):
+    # a cap of 50 or more keeps a benchmark chunk (25 draws at each of two
+    # mismatch values) and a 41-point gamma sweep one batch; a smaller cap
+    # runs the same slicing on fewer draws
+    assert beamformers._BATCH_CAP >= 50
+    cap = 4
+    monkeypatch.setattr(beamformers, "_BATCH_CAP", cap)
+    sizes = []
+    for name in ("capon_closed_form", "cone_solve", "admm_solve", "smooth_solve"):
+        def counted(batch, *args, solve=getattr(beamformers, name)):
+            sizes.append(len(batch))
+            return solve(batch, *args)
+
+        monkeypatch.setattr(beamformers, name, counted)
+    moments = [snapshot_moments(scenario.with_seed(seed)) for seed in range(7, 7 + 2 * cap + 3)]
+    covariances = [r for r, _ in moments]
+    snm = [snm_weighting(manifold, mean[:, np.newaxis]) for _, mean in moments]
+    for kind in BeamformerKind:
+        methods = [BeamformerSpec(kind, GAMMAS.get(kind))] * len(moments)
+        sizes.clear()
+        batch = solve_trials(methods, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        assert sizes == [cap, cap, 3], kind
+        sliced = [out for lo in range(0, len(moments), cap)
+                  for out in solve_trials(methods[lo:lo + cap], covariances[lo:lo + cap], manifold, split, a0,
+                                          snm[lo:lo + cap], BENCHMARK_OPTIONS)]
+        for got, ref in zip(batch, sliced, strict=True):
+            assert (got.status, got.iterations, got.subgrad_residual) == (ref.status, ref.iterations,
+                                                                         ref.subgrad_residual), kind
             npt.assert_array_equal(got.weights, ref.weights, err_msg=kind.value)
 
 

@@ -587,7 +587,9 @@ def test_admm_batch_validation(a0):
 def textbook_admm(spec, opts):
     """Scaled ADMM (Boyd et al. 2011, section 3.1.1) for one problem, on the
     splitting admm_solve documents: three products per iteration and the dual
-    residual taken on every iteration."""
+    residual taken on every iteration. Returns w, the iterations, the status
+    and the dual residual ||K^H diag(rho) (v - v_old)|| of the last
+    iteration."""
     w0, basis = eliminate_constraint(spec.constraint_vector)
     r = spec.quadratic
     quad = 2.0 * (basis.conj().T @ r @ basis) + 1e-10 * np.real(np.trace(r)) / r.shape[0] * np.eye(basis.shape[1])
@@ -614,8 +616,8 @@ def textbook_admm(spec, opts):
         u = u + kzc - v
         primal, dual = np.linalg.norm(kzc - v), np.linalg.norm(k.conj().T @ (rho * (v - v_old)))
         if primal < opts.tol and dual < opts.tol:
-            return w0 + basis @ z, it, SolverStatus.CONVERGED
-    return w0 + basis @ z, opts.max_iters, SolverStatus.MAX_ITERS
+            return w0 + basis @ z, it, SolverStatus.CONVERGED, dual
+    return w0 + basis @ z, opts.max_iters, SolverStatus.MAX_ITERS, dual
 
 
 # the gammas the packaged sweep selects (acceptance criterion 10)
@@ -627,8 +629,9 @@ CRITERION_10_GAMMAS = {"sparse": 0.3162277660168379, "weighted_sparse": 10.0,
 @pytest.mark.parametrize("kind", list(CRITERION_10_GAMMAS))
 def test_admm_matches_the_textbook_iteration(scenario, manifold, split, a0, kind, mismatch):
     # the batched loop takes the dual residual only on iterations where some
-    # problem may stop, folds back(c) into the linear term and clips the LINF
-    # prox; none of that may change a single problem's iterates
+    # problem may stop, carries back(v) and back(u) in z-space, folds back(c)
+    # into the linear term and clips the LINF prox; none of that may change a
+    # single problem's iterates
     truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
     draws = [synthesize_snapshots(truth.with_seed(scenario.seed + t)).data for t in range(5)]
     gamma = CRITERION_10_GAMMAS[kind]
@@ -636,10 +639,35 @@ def test_admm_matches_the_textbook_iteration(scenario, manifold, split, a0, kind
         replace(t, weight=t.weight * gamma, scale=snm_weighting(manifold, x) if kind == "weighted_sparse" else None)
         for t in _unit_terms(kind, manifold, split))) for x in draws]
     for spec, got in zip(specs, admm_solve(specs, BENCHMARK_OPTIONS)):
-        w, iterations, status = textbook_admm(spec, BENCHMARK_OPTIONS)
+        w, iterations, status, _ = textbook_admm(spec, BENCHMARK_OPTIONS)
         assert got.status is status
         assert got.iterations == iterations
         assert np.linalg.norm(got.w - w) <= 1e-10 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("mismatch", [0.0, 3.0])
+def test_admm_carried_products_do_not_drift(scenario, manifold, split, a0, mismatch):
+    # admm_solve advances back(u) by a running sum and takes it by its
+    # product only every _REFRESH iterations. weighted_sparse at gamma 10
+    # runs these draws to a 2000-iteration cap at the default tol; with the
+    # refresh its weights stay within 4.1e-12 of the textbook's, and without
+    # it they drift to 7e-12 to 3.8e-10. The certificate is the norm of
+    # back(v) - back(v_old), two terms that agree in their leading digits, so
+    # it carries only the few digits that iterates rounding apart share:
+    # taking back(v - v_old) by its own product reads up to 1.2e-4 relative
+    # from the textbook's
+    truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
+    draws = [synthesize_snapshots(truth.with_seed(seed)).data for seed in range(7, 12)]
+    specs = [ProblemSpec(sample_covariance(x), a0, tuple(replace(t, weight=10.0, scale=snm_weighting(manifold, x))
+                                                         for t in _unit_terms("weighted_sparse", manifold, split)))
+             for x in draws]
+    opts = SolverOptions(max_iters=2000)
+    for spec, got in zip(specs, admm_solve(specs, opts)):
+        w, iterations, status, dual = textbook_admm(spec, opts)
+        assert got.status is status is SolverStatus.MAX_ITERS
+        assert got.iterations == iterations
+        assert np.linalg.norm(got.w - w) <= 2e-11 * np.linalg.norm(w)
+        assert abs(got.dual_residual - dual) <= 1e-3 * dual
 
 
 CONE_KINDS = ("sparse", "mixed_norm", "tvm_sparse")

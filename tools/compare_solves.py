@@ -11,8 +11,9 @@ seed 0 and writes one JSON file:
 * the SHA-256 digest of every file that the CLI ``montecarlo`` writes for
   ``mc_packaged`` chunks 0-11 and ``capon_large_k`` chunks 0-3, run as the
   benchmark runs them. The trials above come from one ``monte_carlo`` call
-  per mismatch value, which every tree accepts; the CLI runs take the
-  tree's own path, where one call serves all of a chunk's mismatch values.
+  per chunk over both mismatch values, as the CLI makes it, so they are
+  solved in the benchmark's own batches; a tree must accept a sequence of
+  mismatch values there (every tree since ``monte_carlo`` took one does).
 
 ``diff`` reads two such files and prints, per kind, the status changes, how
 many solves changed their iterations and by how much at most, the iteration
@@ -74,9 +75,9 @@ def dump(tree: Path, out: Path) -> None:
             seed = mc.chunk_seed(BENCH_SEED, chunk)
             config = load_run_config(str(config_path), scratch, mc.trials_per_chunk, seed=seed)
             manifold, _, _ = _prepare(config)
-            for mismatch in config.mismatch_list:
-                report = monte_carlo(config.scenario, config.methods, config.trials, seed, mismatch, manifold,
-                                     config.b, BENCHMARK_OPTIONS)
+            reports = monte_carlo(config.scenario, config.methods, config.trials, seed, config.mismatch_list,
+                                  manifold, config.b, BENCHMARK_OPTIONS)
+            for mismatch, report in zip(config.mismatch_list, reports):
                 for entry in report.methods:
                     sinrs = iter(entry.per_trial_db)
                     for t, (status, iters) in enumerate(zip(entry.statuses, entry.iterations)):
