@@ -205,7 +205,8 @@ def mspr_capon(
 
     Smooth but nonconvex; starts at the unpenalized optimum, the minimizer
     of w^H R_eff w on the constraint (R_eff = R + gamma A_S A_S^H, the
-    sidelobe term folded in), and descends to a stationary point.
+    sidelobe term folded in), and returns the global minimizer (see
+    ``smooth_solve``).
     """
     return solve_method(BeamformerSpec(BeamformerKind.MSPR_RELAXED, gamma), r, None, split, a, None, options)
 

@@ -11,20 +11,16 @@ The affine constraint is eliminated exactly: w = w0 + B z with w0 = a/||a||^2
 and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. A stack of Hermitian matrices is tested for
 positive definiteness in one place, ``_definite``, and solved in one,
-``cholesky_solve``: the solvers' unpenalized start, the
-interior-point Newton systems and the smooth path's directions all solve
-through it (the Newton systems through its two halves, ``_guarded`` and
-``_solve_guarded``, so that an iteration's two solves share one test).
-ADMM alone takes inverses, of its z-systems, because it reuses
-them on every iteration. The nonsmooth penalties (L1, LINF, group-L2) make
-the problem a second-order cone program, which cone_solve solves by a
-primal-dual interior-point method over the stacked operator K = [G_j^H B];
-admm_solve solves the same problems by scaled ADMM over K, and is the one
-of the two that takes a per-problem column scale. The quartic term takes a
-smooth descent path with Armijo backtracking preconditioned by a curvature
-model, which stops a problem once its accepted step moves z by at most
-1e-7 ||w||, a test that needs no tolerance option and is invariant to a
-joint scaling of R and the penalty weights.
+``cholesky_solve``: the solvers' unpenalized start and the interior-point
+Newton systems (through its halves ``_guarded`` and ``_solve_guarded``, so
+that an iteration's two solves share one test) solve through it. The
+nonsmooth penalties (L1, LINF, group-L2) make the problem a second-order
+cone program, which cone_solve solves by a primal-dual interior-point
+method over the stacked operator K = [G_j^H B]; admm_solve solves the same
+problems by scaled ADMM over K, and is the one of the two that takes a
+per-problem column scale. The quartic term makes the problem nonconvex;
+smooth_solve finds its global minimizer from one eigendecomposition per
+problem and the root of a scalar secular equation.
 
 The batch contract, the same for all three solvers: each takes one problem,
 as a batch of one, or a batch of problems that share the constraint and the
@@ -179,7 +175,8 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """``max_iters`` caps every solver. ``tol`` is ADMM's alone: it stops a
+    """``max_iters`` caps every solver: ADMM and interior-point iterations,
+    and the smooth path's root steps. ``tol`` is ADMM's alone: it stops a
     problem when both its primal and dual residual norms are below it. The
     interior-point and smooth paths stop on fixed relative tests instead
     (``cone_solve`` and ``smooth_solve`` say which)."""
@@ -464,14 +461,13 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     interleaved real and imaginary parts. Every 32nd iteration takes
     back(u) by its product instead of the running sum, so that the sum's
     rounding does not accumulate (residual replacement). The z-systems are
-    inverted once per call (the one inverse in this module), since every
-    iteration applies them again. The dual residual
-    K^H diag(rho) (v+ - v) is the difference of two consecutive back(v),
-    taken only on an iteration where some problem's primal residual is
-    below ``tol`` or non-finite (only such a problem can stop) and on the
-    cap iteration. Stops a problem when its absolute primal and dual
-    residual norms (in the original, unscaled block units) both drop below
-    ``tol``.
+    inverted once per call, since every iteration applies them again. The
+    dual residual K^H diag(rho) (v+ - v) is the difference of two
+    consecutive back(v), taken only on an iteration where some problem's
+    primal residual is below ``tol`` or non-finite (only such a problem can
+    stop) and on the cap iteration. Stops a problem when its absolute primal
+    and dual residual norms (in the original, unscaled block units) both
+    drop below ``tol``.
 
     The dual residual is also the stationarity certificate: with
     u+ = u + K z+ + c - v+, the z-update gives quad z+ + lin + K^H diag(rho)
@@ -771,6 +767,41 @@ def _max_step(cones: _Cones, sc: _Scaling, d0, d1) -> np.ndarray:
     return alpha.min(axis=1)
 
 
+def _newton_matrix(cones: _Cones, sc: _Scaling, p_real: np.ndarray) -> tuple:
+    """The reduced Newton matrix of ``_Newton``, one real symmetric 2m x 2m
+    matrix per problem, and the (cone slice, c, h) of each LINF term's
+    rank-one elimination of its shared variable."""
+    # the 2 x 2 block of a pair row is binv2 I + f wb1 wb1^T, with
+    # f = -2 binv2 / den for an L1 row and 2 binv2 for a LINF row
+    pairs = cones.pairs
+    binv2, den = sc.binv2[:, :pairs], sc.den[:, :pairs]
+    f = np.where(cones.private[:pairs], -2.0 * binv2 / den, 2.0 * binv2)
+    w1 = sc.wb1[:, :pairs]
+    e = w1 * w1
+    e *= 0.5 * f
+    vals = (binv2 + 0.5 * f * _re_dot(w1, w1)) @ cones.gram + e.view(float) @ cones.gram_e
+    mat = np.empty_like(p_real)
+    iu, ju = cones.upper
+    mat[:, iu, ju] = vals
+    mat[:, ju, iu] = vals
+    mat += p_real
+    for cone, rows, gram in cones.groups:
+        p = cones.back(sc.wb1[:, rows], rows)
+        mat += sc.binv2[:, cone, np.newaxis, np.newaxis] * gram
+        coef = 2.0 * sc.binv2[:, cone] / sc.den[:, cone]
+        mat -= coef[:, np.newaxis, np.newaxis] * (p[:, :, np.newaxis] * p[:, np.newaxis, :])
+    # a LINF term: c = K^H H_yt over its rows with H_yt = -2 binv2 wb0 wb1,
+    # h = sum of H_tt = binv2 den over its cones
+    linf = []
+    for cone_sl, row_sl in cones.linf:
+        hyt = (-2.0 * sc.binv2[:, cone_sl] * sc.wb0[:, cone_sl]) * sc.wb1[:, row_sl]
+        c = cones.back(hyt, row_sl)
+        h = (sc.binv2[:, cone_sl] * sc.den[:, cone_sl]).sum(axis=1)
+        mat -= (c[:, :, np.newaxis] * c[:, np.newaxis, :]) / h[:, np.newaxis, np.newaxis]
+        linf.append((cone_sl, c, h))
+    return mat, linf
+
+
 class _Newton:
     """The reduced Newton system of one iteration, solved for any
     right-hand side rho = W^-1 ds (Vandenberghe 2010, sec. 4).
@@ -782,43 +813,17 @@ class _Newton:
     row (den = 2 wb0^2 - 1), and beta^-2 (K^H K - 2 p p^T / den) with
     p = K^H wb1 per group; a LINF term keeps beta^-2 (I + 2 wb1 wb1^T) per
     row and eliminates its shared variable by a rank-one update. The result
-    is one real symmetric 2m x 2m matrix per problem, solved as
-    ``cholesky_solve`` solves it; where it is not positive definite the
-    direction is NaN, and ``_step`` stalls the problem. Both solves of an
-    iteration share one definiteness test, taken at the first.
+    (``_newton_matrix``) is one real symmetric 2m x 2m matrix per problem,
+    solved as ``cholesky_solve`` solves it; where it is not positive
+    definite the direction is NaN, and ``_step`` stalls the problem. Both
+    solves of an iteration share one definiteness test, taken when the
+    matrix is built.
     """
 
     def __init__(self, cones: _Cones, sc: _Scaling, p_real: np.ndarray):
         self.cones, self.sc = cones, sc
-        self.ok = None
-        # the 2 x 2 block of a pair row is binv2 I + f wb1 wb1^T, with
-        # f = -2 binv2 / den for an L1 row and 2 binv2 for a LINF row
-        pairs = cones.pairs
-        binv2, den = sc.binv2[:, :pairs], sc.den[:, :pairs]
-        f = np.where(cones.private[:pairs], -2.0 * binv2 / den, 2.0 * binv2)
-        w1 = sc.wb1[:, :pairs]
-        e = w1 * w1
-        e *= 0.5 * f
-        vals = (binv2 + 0.5 * f * _re_dot(w1, w1)) @ cones.gram + e.view(float) @ cones.gram_e
-        self.mat = mat = np.empty_like(p_real)
-        iu, ju = cones.upper
-        mat[:, iu, ju] = vals
-        mat[:, ju, iu] = vals
-        mat += p_real
-        for cone, rows, gram in cones.groups:
-            p = cones.back(sc.wb1[:, rows], rows)
-            mat += sc.binv2[:, cone, np.newaxis, np.newaxis] * gram
-            coef = 2.0 * sc.binv2[:, cone] / sc.den[:, cone]
-            mat -= coef[:, np.newaxis, np.newaxis] * (p[:, :, np.newaxis] * p[:, np.newaxis, :])
-        # a LINF term: c = K^H H_yt over its rows with H_yt = -2 binv2 wb0 wb1,
-        # h = sum of H_tt = binv2 den over its cones
-        self.linf = []
-        for cone_sl, row_sl in cones.linf:
-            hyt = (-2.0 * sc.binv2[:, cone_sl] * sc.wb0[:, cone_sl]) * sc.wb1[:, row_sl]
-            c = cones.back(hyt, row_sl)
-            h = (sc.binv2[:, cone_sl] * sc.den[:, cone_sl]).sum(axis=1)
-            mat -= (c[:, :, np.newaxis] * c[:, np.newaxis, :]) / h[:, np.newaxis, np.newaxis]
-            self.linf.append((cone_sl, c, h))
+        mat, self.linf = _newton_matrix(cones, sc, p_real)
+        self.mat, self.ok = _guarded(mat)
 
     def solve(self, rho0, rho1, dual: bool = True) -> tuple:
         """dz, ds = (dt, dy) and, if ``dual``, dlambda for rho."""
@@ -830,8 +835,6 @@ class _Newton:
         rhs = cones.back(rhs)
         for cone_sl, c, h in self.linf:
             rhs -= c * (rho0[:, cone_sl].sum(axis=1) / h)[:, np.newaxis]
-        if self.ok is None:
-            self.mat, self.ok = _guarded(self.mat)
         dx = _solve_guarded(self.mat, self.ok, rhs)
         dz = dx.view(complex)
         dy = cones.forward(dz)
@@ -1018,47 +1021,26 @@ def _step(cones: _Cones, p_real, s0, s1, l0, l1, gap) -> tuple:
 
 
 class _SmoothObjective:
-    """The smooth objectives of a batch that shares the constraint and the
-    penalty operators: per problem the squared-L2-folded quadratic and the
-    quartic weights, with value and z-gradient evaluations on stacked (T, M)
-    points. ``rows`` picks the problems a (k, M) point belongs to."""
+    """The smooth objectives of a batch: per problem R_eff and the weight
+    gamma of the one quartic term gamma (||G^H w||^2 - 1)^2 (0 if there is
+    none), with z-gradients at the (k, M) points of the problems ``rows``."""
 
     def __init__(self, specs: list, basis: np.ndarray, r_eff: np.ndarray):
         first = specs[0]
         for term in first.penalties:
             if term.kind not in (PenaltyKind.SQUARED_L2, PenaltyKind.QUARTIC_UNIT):
-                raise ValueError(
-                    f"smooth_solve accepts SQUARED_L2/QUARTIC_UNIT only, got {term.kind}"
-                )
-        quartics = [j for j, t in enumerate(first.penalties)
-                    if t.kind is PenaltyKind.QUARTIC_UNIT and any(s.penalties[j].weight > 0 for s in specs)]
-        self.basis = basis
-        self.r_eff = r_eff
-        self.q_ops = [first.penalties[j].operator for j in quartics]
-        self.q_adj = [g_op.conj().T for g_op in self.q_ops]
-        self.q_wts = np.array([[s.penalties[j].weight for j in quartics] for s in specs], dtype=float).reshape(
-            len(specs), len(quartics))
+                raise ValueError(f"smooth_solve accepts SQUARED_L2/QUARTIC_UNIT only, got {term.kind}")
+        quartics = [j for j, t in enumerate(first.penalties) if t.kind is PenaltyKind.QUARTIC_UNIT]
+        if len(quartics) > 1:
+            raise ValueError(f"smooth_solve takes at most one QUARTIC_UNIT term, got {len(quartics)}")
+        self.basis, self.r_eff = basis, r_eff
+        self.g_op = first.penalties[quartics[0]].operator if quartics else np.zeros((basis.shape[0], 0))
+        self.gamma = np.array([s.penalties[quartics[0]].weight if quartics else 0.0 for s in specs])
 
-    def parts(self, w: np.ndarray, rows) -> tuple:
-        """R_eff w, and G^H w with ||G^H w||^2 for each quartic term."""
-        quartic = []
-        for g_adj in self.q_adj:
-            v = _mv(g_adj, w)
-            quartic.append((v, _row_norms(v) ** 2))
-        return _mv(self.r_eff[rows], w), quartic
-
-    def value(self, w: np.ndarray, rows) -> np.ndarray:
-        rw, quartic = self.parts(w, rows)
-        total = np.real(_mv(w.conj()[:, np.newaxis, :], rw)[:, 0])
-        for (_, s), wt in zip(quartic, self.q_wts[rows].T):
-            total = total + wt * (s - 1.0) ** 2
-        return total
-
-    def gradient(self, w: np.ndarray, rows, parts=None) -> np.ndarray:
-        rw, quartic = self.parts(w, rows) if parts is None else parts
-        grad_w = 2.0 * rw
-        for g_op, (v, s), wt in zip(self.q_ops, quartic, self.q_wts[rows].T):
-            grad_w = grad_w + (4.0 * wt * (s - 1.0))[:, np.newaxis] * _mv(g_op, v)
+    def gradient(self, w: np.ndarray, rows) -> np.ndarray:
+        v = _mv(self.g_op.conj().T, w)
+        grad_w = 2.0 * _mv(self.r_eff[rows], w)
+        grad_w += (4.0 * self.gamma[rows] * (_row_norms(v) ** 2 - 1.0))[:, np.newaxis] * _mv(self.g_op, v)
         return _mv(self.basis.conj().T, grad_w)
 
 
@@ -1074,124 +1056,131 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
     return _SmoothObjective([spec], basis, _fold_squared_l2(spec)[np.newaxis]).gradient(w, slice(None))[0]
 
 
-# a problem stops once its accepted step moves z by at most this much
-# relative to ||w||, above the rounding noise of steps below about
-# 1e-8 ||w||; the step shrinks quadratically, though, and one that lands near
-# this threshold falls on either side of it under rounding, so iteration
-# counts can still differ by one or two (under a change of the phase of
-# the constraint vector, for one)
-_STEP_TOL = 1e-7
+# the secular bracket ends at nu = -_POLE / max(d) where that is above
+# -2 gamma, so that 1 + nu d > 0 holds under rounding
+_POLE = 1.0 - 4.0 * np.finfo(float).eps
+# smooth_solve stops a problem once its root is known to within this much
+# of the scale of the secular function
+_ROOT_TOL = 1e-12
 
 
 def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
-    """Descent on the smooth (possibly nonconvex) objective containing
-    squared-L2 and quartic (||v||^2 - 1)^2 penalties, for one spec or a
-    batch of them.
+    """The global minimizer of the smooth (nonconvex) objective with
+    squared-L2 penalties and at most one quartic gamma (||G^H w||^2 - 1)^2
+    term (a second raises ValueError), for one spec or a batch of them.
 
     ``spec`` is one ProblemSpec, returning one SolverResult, or a sequence
     of T specs, returning a list of T results, under the batch contract of
-    this module; the quadratics and penalty weights of a batch are free. The
-    descent runs on stacked (T, m) arrays, each problem with its own step,
-    stopping test and linear solves (``cholesky_solve``); every product and
-    solve is taken problem by problem, so a batch reproduces single solves
-    bit for bit.
+    this module; the quadratics and penalty weights of a batch are free.
+    Every product, factorization and eigendecomposition is taken problem by
+    problem, so a batch reproduces single solves bit for bit.
 
-    Starts at the unpenalized optimum, the minimizer of w^H R_eff w on the
-    constraint, and works in the eliminated variable z. The Wirtinger
-    gradient
+    In the eliminated variable z the objective is q(z) + gamma (p(z) - 1)^2,
+    q(z) = w^H R_eff w with gradient quad z + lin (the front end's, ridge
+    included) and p(z) = ||G^H w||^2 with gradient P z + p0. A stationary
+    point solves (quad + nu P) z = -(lin + nu p0), nu = 2 gamma (p(z) - 1).
+    With quad = L L^H and L^-1 P L^-H = U diag(d) U^H, z(nu) is explicit,
+    and phi(nu) = nu - 2 gamma (p(z(nu)) - 1), a sum of m scalar terms,
+    increases and is concave on nu > -1/max(d), with one root there (the
+    secular equation of Li, Stoica and Wang 2003, "On robust Capon
+    beamforming and diagonal loading", and of the trust-region problem). At
+    the root quad + nu P is positive semidefinite, so z minimizes q + nu p,
+    and gamma (s - 1)^2 - nu s is least at s = p(z); adding the two shows
+    that z is the global minimizer. Where phi stays positive down to
+    -1/max(d) (the hard case), the minimizer is z there plus the top
+    eigenvector, scaled so that p(z) = 1 + nu / (2 gamma).
 
-        g(z) = B^H [ 2 R_eff w + sum_q 4 gamma (||G^H w||^2 - 1) G G^H w ]
-
-    (R_eff = R with squared-L2 folds) drives Armijo backtracking line search
-    (halving, initial step 1). The search direction is -H^-1 g with H a
-    Hermitian curvature model refreshed at each iterate (the quadratic-part
-    Hessian plus the quartic's complex-linear curvature), falling back to
-    the quadratic-only model where the model is not positive definite (a
-    Cholesky factorization is the test). A problem stops with status
-    CONVERGED when its accepted step moves z by at most 1e-7 ||w||, w the
-    point the step leaves: the line search then works at the rounding floor
-    of f, where it can no longer tell its steps apart. It returns the point
-    that step reaches, and ``dual_residual`` is ||g|| there. The test reads
-    no option and does not change under R -> cR, gamma -> c gamma.
-    ``opts.max_iters`` caps the iterations with status MAX_ITERS. A problem
-    with no positive quartic weight is a quadratic and ends at its start,
-    its minimizer, after 0 iterations with its gradient norm as its
-    certificate, as the convex solvers end a problem with no active
-    penalty. A problem whose quadratic-only model is not positive definite
-    ends at w0 with status NUMERICAL_FAILURE; one whose line search finds
-    no decrease ends at its last iterate with that status. The objective
-    sequence is nonincreasing. Returns stationary points (not guaranteed to
-    be global minima of a nonconvex spec).
+    Newton's method inside a bisection bracket finds the root from nu = 0,
+    the unpenalized optimum, at O(m) per step (an iteration; a hard case
+    takes 1). A problem stops CONVERGED once a step puts the root within
+    1e-12 of 2 gamma (1 + p(z(0)) + p(z(nu))), the scale of phi, of the
+    point it reaches, and returns z there; ``dual_residual`` is the norm of
+    the objective's gradient (of q without its ridge). The test reads no
+    option and does not change under R -> cR, gamma -> c gamma.
+    ``opts.max_iters`` caps the steps with status MAX_ITERS. A problem with
+    no positive quartic weight ends at its start, its minimizer, after 0
+    iterations with its gradient norm as its certificate; one whose
+    quadratic is not positive definite fails at w0.
     """
     if isinstance(spec, ProblemSpec):
         return smooth_solve([spec], opts)[0]
     specs, w0, basis, r_eff, quad, _, z, factored = _eliminated(spec, "smooth_solve")
     smooth = _SmoothObjective(specs, basis, r_eff)
-    basis_h = basis.conj().T
     out = _Outcomes(len(specs), basis.shape[1])
     if not basis.shape[1]:  # w0 is the only feasible point
         out.stop(slice(None), z, 0, 0.0, SolverStatus.CONVERGED)
         return out.results(specs, w0, basis)
 
-    # z-space Gram matrices of the quartic operators, for the refreshed
-    # curvature model below
-    p_z = [basis_h @ (g_op @ (g_adj @ basis)) for g_op, g_adj in zip(smooth.q_ops, smooth.q_adj)]
-
-    def directions(g, parts, rows):
-        # -H^-1 g with the Hermitian curvature model H of the quartic around
-        # the current point, or the quadratic-only model where H is
-        # indefinite
-        h = quad[rows]
-        for g_op, (v, s), wt, pz in zip(smooth.q_ops, parts[1], smooth.q_wts[rows].T, p_z):
-            y = _mv(basis_h, _mv(g_op, v))
-            h = h + ((4.0 * wt * (s - 1.0))[:, np.newaxis, np.newaxis] * pz
-                     + (8.0 * wt)[:, np.newaxis, np.newaxis] * (y[:, :, np.newaxis] * y.conj()[:, np.newaxis, :]))
-        x, ok = cholesky_solve(h, g)
-        if not ok.all():
-            x[~ok] = cholesky_solve(quad[rows[~ok]], g[~ok])[0]
-        return -x
-
-    # a problem with no positive quartic weight is a quadratic, whose
-    # minimizer is its start; one whose quadratic-only model cannot be
-    # factored fails at w0
-    quartic = (smooth.q_wts > 0).any(axis=1)
+    # a problem with no positive quartic weight ends at its start, its
+    # minimizer; one whose quadratic is not positive definite fails at w0
+    quartic = smooth.gamma > 0
     done = np.flatnonzero(factored & ~quartic)
     out.stop(done, z[done], 0, _row_norms(smooth.gradient(w0 + _mv(basis, z[done]), done)), SolverStatus.CONVERGED)
     rows = np.flatnonzero(factored & quartic)
-    z = z[rows]
-    w = w0 + _mv(basis, z)
-    f_curr = smooth.value(w, rows)
-    for it in range(opts.max_iters):
-        if not rows.size:
+    z, gamma = z[rows], smooth.gamma[rows]
+    # V = L^-H U: V^H quad V = I and V^H P V = diag(d), d ascending
+    gz = basis.conj().T @ smooth.g_op
+    l_inv = np.linalg.inv(np.linalg.cholesky(quad[rows]))
+    lg = l_inv @ gz
+    d, u = np.linalg.eigh(2.0 * (lg @ lg.conj().transpose(0, 2, 1)))
+    v = l_inv.conj().transpose(0, 2, 1) @ u
+    # in the coordinates x of z = z(0) + V x, z(nu) is x = -s e with
+    # s = nu / (1 + nu d) and e = V^H (P z(0) + p0), p's gradient at the
+    # start, so that p(z(nu)) = p(z(0)) - sum |e|^2 (s - d s^2 / 2)
+    gw = _mv(smooth.g_op.conj().T, w0 + _mv(basis, z))
+    p_start = _row_norms(gw) ** 2
+    e = _mv(v.conj().transpose(0, 2, 1), 2.0 * _mv(gz, gw))
+    c = e.real**2 + e.imag**2
+
+    def secular(nu):
+        # phi(nu), phi'(nu), |phi''(nu)| and p(z(nu)), from the sums over
+        # |e|^2 of s - d s^2 / 2, r^3 and d r^4 with r = 1 / (1 + nu d)
+        r = 1.0 / (1.0 + nu[:, np.newaxis] * d)
+        s = nu[:, np.newaxis] * r
+        sums = _mv(np.stack([s - 0.5 * d * s * s, r**3, d * r**4], axis=1), c)
+        p = p_start - sums[:, 0]
+        return nu - 2.0 * gamma * (p - 1.0), 1.0 + 2.0 * gamma * sums[:, 1], 6.0 * gamma * sums[:, 2], p
+
+    # the root lies in [lo, hi]: nu >= -2 gamma since p >= 0, and
+    # nu <= 2 gamma (p(z(0)) - 1) where it is positive, since p decreases;
+    # lo stays just above the pole -1/max(d) where that is higher
+    pole = 2.0 * gamma * d[:, -1] > _POLE
+    lo = np.where(pole, -_POLE / np.where(pole, d[:, -1], 1.0), -2.0 * gamma)
+    hi = np.maximum(0.0, 2.0 * gamma * (p_start - 1.0))
+    # phi(lo) >= 0: the root is at lo, within rounding (the hard case)
+    phi_lo = secular(lo)[0]
+    hard = phi_lo >= 0
+    nu = np.where(hard, lo, 0.0)
+    iterations = hard.astype(int)
+    going = ~hard
+    for it in range(1, opts.max_iters + 1):
+        if not going.any():
             break
-        parts = smooth.parts(w, rows)
-        g = smooth.gradient(w, rows, parts)
-        direction = directions(g, parts, rows)
-        slope = np.real(_mv(g.conj()[:, np.newaxis, :], direction)[:, 0])
-        # Armijo backtracking: each pass tries the step 2^-k, k < 60, on
-        # every problem still searching; a problem takes the first step
-        # with sufficient decrease, and one that finds none stays put
-        z_new, w_new, f_new = z.copy(), w.copy(), f_curr.copy()
-        pending = np.arange(rows.size)
-        for k in range(60):
-            step = 0.5 ** k
-            z_try = z[pending] + step * direction[pending]
-            w_try = w0 + _mv(basis, z_try)
-            f_try = smooth.value(w_try, rows[pending])
-            hit = f_try <= f_curr[pending] + 1e-4 * step * slope[pending]
-            took = pending[hit]
-            z_new[took], w_new[took], f_new[took] = z_try[hit], w_try[hit], f_try[hit]
-            pending = pending[~hit]
-            if not pending.size:
-                break
-        failed = np.zeros(rows.size, dtype=bool)
-        failed[pending] = True
-        out.stop(rows[failed], z[failed], it, _row_norms(g[failed]), SolverStatus.NUMERICAL_FAILURE)
-        settled = ~failed & (_row_norms(z_new - z) <= _STEP_TOL * _row_norms(w))
-        if settled.any():
-            out.stop(rows[settled], z_new[settled], it + 1,
-                     _row_norms(smooth.gradient(w_new[settled], rows[settled])), SolverStatus.CONVERGED)
-        going = ~(failed | settled)
-        rows, z, w, f_curr = rows[going], z_new[going], w_new[going], f_new[going]
-    out.stop(rows, z, opts.max_iters, _row_norms(smooth.gradient(w, rows)), SolverStatus.MAX_ITERS)
+        phi, slope, curve, p = secular(nu)
+        lo = np.where(phi < 0, nu, lo)
+        hi = np.where(phi > 0, nu, hi)
+        # a Newton step, or the midpoint where it leaves the bracket; the
+        # root lies within the step's length of its end, and within
+        # |phi''| step^2 / 2 after a Newton step from the left, where
+        # phi < 0 (phi is concave, |phi''| falls to the right and phi' >= 1)
+        new = nu - phi / slope
+        newton = (lo <= new) & (new <= hi)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        gap = np.abs(new - nu)
+        gap = np.where(newton & (phi < 0), np.minimum(gap, 0.5 * curve * gap**2), gap)
+        nu = np.where(going, new, nu)
+        iterations[going] = it
+        going &= ~(gap <= _ROOT_TOL * 2.0 * gamma * (1.0 + p_start + p))
+    x = -(nu[:, np.newaxis] / (1.0 + nu[:, np.newaxis] * d)) * e
+    # the hard case: x takes the top eigenvector times tau, in the phase of
+    # p's gradient g there, so that p(z) grows by delta = phi(lo) / (2 gamma)
+    # to 1 + lo / (2 gamma)
+    g = x[hard, -1] * d[hard, -1] + e[hard, -1]
+    g_abs, delta = np.abs(g), phi_lo[hard] / (2.0 * gamma[hard])
+    den = g_abs + np.sqrt(g_abs**2 + 2.0 * d[hard, -1] * delta)
+    tau = np.divide(2.0 * delta, den, out=np.zeros_like(den), where=den > 0)
+    x[hard, -1] += tau * np.divide(g, g_abs, out=np.ones_like(g), where=g_abs > 0)
+    z = z + _mv(v, x)
+    out.stop(rows, z, iterations, _row_norms(smooth.gradient(w0 + _mv(basis, z), rows)),
+             np.where(going, SolverStatus.MAX_ITERS, SolverStatus.CONVERGED))
     return out.results(specs, w0, basis)

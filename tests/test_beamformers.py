@@ -8,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from caponshape import beamformers, solver
+from caponshape import beamformers
 from caponshape.arrays import (
     difference_operator,
     sample_covariance,
@@ -270,28 +270,26 @@ def test_convex_kinds_never_increase_their_penalty(covariance, manifold, split, 
         assert penalty(out.weights) <= penalty(w_cf) * (1.0 + 1e-6), kind
 
 
-def test_mspr_capon_converges_to_a_stationary_point(monkeypatch, scenario, split, a0):
-    # a 3 deg draw whose start, the unpenalized optimum, is far from
-    # stationary: the descent moves w by 0.36, 0.31, 0.16, 0.032, 9.5e-4 and
-    # 8.4e-7 of ||w|| before its steps reach rounding. The gradient ends at
-    # 7e-14 of its value at the closed form; a stop at steps of 1e-3 ||w||
-    # skips the 8.4e-7 step and ends at 8.4e-8, and must fail the bound
+def test_mspr_capon_converges_to_a_stationary_point(scenario, split, a0):
+    # on packaged seeds 7-56 at 0 and 3 deg, the solve ends at a gradient of
+    # at most 9.5e-9 of its value at the closed form (seed 52, 0 deg), which
+    # the ridge of the z-space quadratic leaves
     gamma = GAMMAS[BeamformerKind.MSPR_RELAXED]
-    covariance = snapshot_moments(scenario.with_soi_doa(scenario.presumed_doa_deg + 3.0).with_seed(55))[0]
-    spec = ProblemSpec(covariance, a0, (
-        PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
-        PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma),
-    ))
     _, basis = eliminate_constraint(a0)
-    closed = np.linalg.norm(smooth_gradient(spec, basis, capon_closed_form(covariance, a0).weights))
-    out = mspr_capon(covariance, split, a0, gamma)
-    assert out.status is SolverStatus.CONVERGED
-    assert out.iterations <= 15
-    assert out.constraint_residual <= 1e-9
-    assert np.linalg.norm(smooth_gradient(spec, basis, out.weights)) <= 2e-8 * closed
-    monkeypatch.setattr(solver, "_STEP_TOL", 1e-3)
-    loose = mspr_capon(covariance, split, a0, gamma)
-    assert np.linalg.norm(smooth_gradient(spec, basis, loose.weights)) > 2e-8 * closed
+    for mismatch in (0.0, 3.0):
+        truth = scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch)
+        for seed in range(7, 57):
+            covariance = snapshot_moments(truth.with_seed(seed))[0]
+            spec = ProblemSpec(covariance, a0, (
+                PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
+                PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma),
+            ))
+            closed = np.linalg.norm(smooth_gradient(spec, basis, capon_closed_form(covariance, a0).weights))
+            out = mspr_capon(covariance, split, a0, gamma)
+            assert out.status is SolverStatus.CONVERGED, (seed, mismatch)
+            assert out.iterations <= 15, (seed, mismatch)
+            assert out.constraint_residual <= 1e-9, (seed, mismatch)
+            assert np.linalg.norm(smooth_gradient(spec, basis, out.weights)) <= 2e-8 * closed, (seed, mismatch)
 
 
 def test_beamformer_spec_validation():

@@ -1,5 +1,5 @@
 """Constraint elimination, the ADMM path, the interior-point path, and the
-smooth descent path."""
+smooth path by its secular equation."""
 
 import math
 from dataclasses import replace
@@ -8,6 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from caponshape import solver
 from caponshape.arrays import difference_operator, sample_covariance, snm_weighting, synthesize_snapshots
 from caponshape.beamformers import mspr_capon
 from caponshape.cli import BENCHMARK_OPTIONS
@@ -18,7 +19,6 @@ from caponshape.solver import (
     _Cones,
     _eliminated,
     _max_step,
-    _Newton,
     _real_form,
     _Scaling,
     PenaltyKind,
@@ -305,11 +305,10 @@ def test_smooth_solve_meets_gradient_tolerance():
     spec = _quartic_spec(rng)
     res = smooth_solve(spec)
     assert res.status is SolverStatus.CONVERGED
-    # from the unpenalized optimum the descent takes 3 iterations on this
-    # random spec
+    # from the unpenalized optimum the root takes 3 steps on this random spec
     assert res.iterations <= 3
-    # the certificate is the gradient norm at the returned point, 2.0e-12 of
-    # the gradient at w0; a stop at steps of 1e-3 ||w|| leaves 9.5e-9
+    # the certificate is the gradient norm at the returned point, 3.2e-11 of
+    # the gradient at w0 (the ridge of the z-space quadratic)
     w0, basis = eliminate_constraint(spec.constraint_vector)
     g = np.linalg.norm(smooth_gradient(spec, basis, res.w))
     assert res.dual_residual == pytest.approx(g, rel=1e-12)
@@ -340,8 +339,7 @@ def test_smooth_solve_stops_at_its_fixed_point(scenario, split, a0, seed, mismat
     got = mspr_capon(r, split, a0, gamma, BENCHMARK_OPTIONS)
     assert got.status is SolverStatus.CONVERGED
     assert got.iterations <= 15
-    # the gradient ends at most 4.0e-9 of its value at the closed form; a
-    # stop at steps of 1e-3 ||w|| leaves up to 6.6e-8
+    # the gradient ends at most 4.7e-9 of its value at the closed form
     spec = ProblemSpec(r, a0, (PenaltyTerm(split.a_main, PenaltyKind.QUARTIC_UNIT, gamma),
                                PenaltyTerm(split.a_side, PenaltyKind.SQUARED_L2, gamma)))
     _, basis = eliminate_constraint(a0)
@@ -428,6 +426,75 @@ def test_smooth_solve_rejects_nonsmooth_kinds():
     l1 = PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0)
     with pytest.raises(ValueError):
         smooth_solve(ProblemSpec(np.eye(3), a, (l1,)))
+    # the secular equation holds for one quartic term
+    quartic = PenaltyTerm(np.eye(3), PenaltyKind.QUARTIC_UNIT, 1.0)
+    with pytest.raises(ValueError):
+        smooth_solve(ProblemSpec(np.eye(3), a, (quartic, quartic)))
+
+
+def test_smooth_solve_completes_the_hard_case():
+    # R = I, a = e1 and the quartic 2 (|w_2|^2 - 1)^2: the start w0 = e1 is a
+    # saddle (objective 3); the gradient of |w_2|^2 vanishes there, so the
+    # secular function stays positive down to its pole, and the minimizer
+    # adds the top eigenvector until |w_2|^2 = 1 + nu / (2 gamma) = 0.75
+    # (objective 1 + 0.75 + 2 * 0.25^2 = 1.875)
+    spec = ProblemSpec(np.eye(3), np.array([1.0, 0.0, 0.0]),
+                       (PenaltyTerm(np.array([[0.0], [1.0], [0.0]]), PenaltyKind.QUARTIC_UNIT, 2.0),))
+    for got in smooth_solve([spec, spec]) + [smooth_solve(spec)]:
+        assert got.status is SolverStatus.CONVERGED
+        assert objective_value(spec, got.w) == pytest.approx(1.875, rel=1e-9)
+        assert abs(got.w[1]) ** 2 == pytest.approx(0.75, rel=1e-9)
+        assert got.w[2] == 0 and got.constraint_residual < 1e-15
+
+
+def _plane_minimum(spec, center, radius, points=41, zooms=12):
+    # the least objective over a grid of the z-plane (two sensors: z is one
+    # complex number), zoomed onto its best point; at or above the minimum
+    w0, basis = eliminate_constraint(spec.constraint_vector)
+    best = math.inf
+    for _ in range(zooms):
+        axis = np.linspace(-radius, radius, points)
+        zs = (center + axis[:, np.newaxis] + 1j * axis[np.newaxis, :]).ravel()
+        ws = w0 + zs[:, np.newaxis] * basis[:, 0]
+        values = np.real(np.sum(ws.conj() * (ws @ spec.quadratic.T), axis=1))
+        for term in spec.penalties:
+            power = np.sum(np.abs(ws @ term.operator.conj()) ** 2, axis=1)
+            values += term.weight * ((power - 1.0) ** 2 if term.kind is PenaltyKind.QUARTIC_UNIT else power)
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best, center = values[k], zs[k]
+        radius *= 4.0 / (points - 1)
+    return best
+
+
+def test_smooth_solve_beats_a_grid_search_on_two_sensors():
+    # the returned objective is no higher than a dense grid search of the
+    # z-plane finds, on the hard case, where the start is a saddle, and on
+    # random two-sensor specs with quartic weights from mild to heavy (the
+    # secular root lies below 0 on 14 of the 20)
+    rng = np.random.default_rng(60)
+    specs = [ProblemSpec(np.eye(2), np.array([1.0, 0.0]),
+                         (PenaltyTerm(np.array([[0.0], [1.0]]), PenaltyKind.QUARTIC_UNIT, 2.0),))]
+    for _ in range(20):
+        specs.append(ProblemSpec(random_psd(rng, 2), random_vec(rng, 2), (
+            PenaltyTerm((rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) * 10.0 ** rng.uniform(-1.0, 0.0),
+                        PenaltyKind.QUARTIC_UNIT, float(10.0 ** rng.uniform(-1.0, 2.0))),
+            PenaltyTerm(random_vec(rng, 2)[:, np.newaxis], PenaltyKind.SQUARED_L2, 0.3),
+        )))
+    for spec in specs:
+        got = smooth_solve(spec)
+        assert got.status is SolverStatus.CONVERGED
+        # every minimizer z has q(z) <= f(z_q) at the minimizer z_q of the
+        # quadratic part q, so |z - z_q|^2 <= 2 (f(z_q) - q(z_q)) / q''
+        w0, basis = eliminate_constraint(spec.constraint_vector)
+        r_eff = spec.quadratic + sum(t.weight * t.operator @ t.operator.conj().T
+                                     for t in spec.penalties if t.kind is PenaltyKind.SQUARED_L2)
+        z_q = (basis.conj().T @ closed_form(r_eff, spec.constraint_vector))[0]
+        w_q = w0 + basis[:, 0] * z_q
+        curvature = 2.0 * np.real(basis[:, 0].conj() @ r_eff @ basis[:, 0])
+        excess = objective_value(spec, w_q) - np.real(w_q.conj() @ r_eff @ w_q)
+        radius = 1.01 * math.sqrt(2.0 * excess / curvature) + 1e-12
+        assert objective_value(spec, got.w) <= _plane_minimum(spec, z_q, radius) * (1.0 + 1e-12)
 
 
 def test_smooth_gradient_matches_finite_differences():
@@ -815,17 +882,18 @@ def test_cone_newton_failure_stays_with_its_problem(monkeypatch, scenario, manif
     r = specs[2].quadratic
     quad = 2.0 * (basis.conj().T @ r @ basis) + 1e-10 * np.real(np.trace(r)) / r.shape[0] * np.eye(basis.shape[1])
     target = _real_form(quad.T)
-    build, builds = _Newton.__init__, []
+    build, builds = solver._newton_matrix, []
 
-    def poisoned(self, cones, sc, p_real):
-        build(self, cones, sc, p_real)
+    def poisoned(cones, sc, p_real):
+        mat, linf = build(cones, sc, p_real)
         hit = np.abs(p_real - target).max(axis=(1, 2)) <= 1e-9 * np.abs(target).max()
         if hit.any():
             builds.append(hit.sum())
             if len(builds) > 3:
-                self.mat[hit, 0, 0] = np.nan if bad == "nan" else -self.mat[hit, 0, 0]
+                mat[hit, 0, 0] = np.nan if bad == "nan" else -mat[hit, 0, 0]
+        return mat, linf
 
-    monkeypatch.setattr(_Newton, "__init__", poisoned)
+    monkeypatch.setattr(solver, "_newton_matrix", poisoned)
     batch = cone_solve(specs)
     monkeypatch.undo()
     assert builds == [1] * 4
