@@ -58,8 +58,9 @@ __all__ = ["main", "RunConfig", "load_run_config", "BENCHMARK_OPTIONS"]
 # Looser than the solver defaults: benchmark runs solve tens of thousands of
 # instances. ``tol`` governs weighted_sparse alone, the one method still
 # solved by ADMM, whose rho is fixed; sparse, mixed_norm and tvm_sparse stop
-# at a fixed relative duality gap and mspr_relaxed at a fixed relative step,
-# never reach ``max_iters`` and give the same solves under both option sets.
+# at a fixed relative duality gap and mspr_relaxed within 1e-12 of 2 gamma
+# (1 + p(z(0)) + p(z(nu))) of its secular root; none reaches ``max_iters``, so
+# both option sets give the same solves.
 # Against the default tolerance, per-trial SINR moves by up to ~0.04 dB for
 # weighted_sparse (see the README); the mean-SINR margins are >= 1 dB.
 BENCHMARK_OPTIONS = SolverOptions(max_iters=2000, tol=1e-4)

@@ -25,10 +25,11 @@ problem and the root of a scalar secular equation.
 The batch contract, the same for all three solvers: each takes one problem,
 as a batch of one, or a batch of problems that share the constraint and the
 penalty operators, which one front end, ``_eliminated``, checks and
-eliminates. Each problem runs the iteration it would run alone and leaves
-the batch when it stops; its z, iterations, certificate and status go into
-one record, ``_Outcomes``, which forms its result at w = w0 + B z. A problem
-that never starts, because its quadratic (or ADMM's z-system) is not
+eliminates; it alone reads the problems' quadratics and weights (one (T, J)
+weight matrix). Each problem runs the iteration it would run alone and
+leaves the batch when it stops; its z, iterations, certificate and status go
+into one record, ``_Outcomes``, which forms its result at w = w0 + B z. A
+problem that never starts, because its quadratic (or ADMM's z-system) is not
 positive definite, fails at w0 after 0 iterations with an infinite
 certificate. Every other problem starts where the front end puts it: at the
 unpenalized optimum, the minimizer of w^H R_eff w on the constraint (R_eff
@@ -95,12 +96,12 @@ _PROX_FRIENDLY = (PenaltyKind.L1, PenaltyKind.LINF, PenaltyKind.GROUP_L2)
 
 @dataclass(frozen=True, eq=False)
 class PenaltyTerm:
-    """One term gamma * h(s * G^H w). ``operator`` is G (M x q complex).
+    """One term gamma * h(s * G^H w). ``operator`` is G, a finite complex
+    M x q matrix, kept as an array (the same object when given one).
 
-    ``scale`` is an optional positive length-q column weight s (default all
-    ones); it is kept apart from G so that problems differing only in s share
-    one stacked ADMM operator. It applies to the prox kinds (L1, LINF,
-    GROUP_L2). GROUP_L2 is the Euclidean norm of the whole vector s * G^H w.
+    ``scale`` is an optional positive length-q column weight s of an L1 term
+    (default all ones), kept apart from G so that problems differing only in
+    s share one stacked ADMM operator. GROUP_L2 is the norm of all of G^H w.
     """
 
     operator: np.ndarray
@@ -109,15 +110,18 @@ class PenaltyTerm:
     scale: np.ndarray | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, PenaltyKind):
+            raise ValueError(f"penalty kind must be a PenaltyKind, got {self.kind!r}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"penalty weight must be finite and >= 0, got {self.weight}")
         op = np.asarray(self.operator)
-        if op.ndim != 2:
-            raise ValueError(f"penalty operator must be a matrix, got shape {op.shape}")
+        if op.ndim != 2 or not np.isfinite(op).all():
+            raise ValueError(f"penalty operator must be a finite matrix, got shape {op.shape}")
+        object.__setattr__(self, "operator", op)
         if self.scale is not None:
             scale = np.asarray(self.scale, dtype=float)
-            if self.kind not in _PROX_FRIENDLY:
-                raise ValueError(f"a column scale applies to L1, LINF and GROUP_L2 terms, not {self.kind}")
+            if self.kind is not PenaltyKind.L1:
+                raise ValueError(f"a column scale applies to L1 terms only, not {self.kind}")
             if scale.shape != (op.shape[1],) or not np.all(np.isfinite(scale) & (scale > 0)):
                 raise ValueError("scale must hold one positive finite weight per operator column")
             object.__setattr__(self, "scale", scale)
@@ -165,7 +169,7 @@ class ProblemSpec:
         object.__setattr__(self, "constraint_vector", a)
         object.__setattr__(self, "penalties", tuple(self.penalties))
         for term in self.penalties:
-            if np.asarray(term.operator).shape[0] != a.size:
+            if term.operator.shape[0] != a.size:
                 raise ValueError("penalty operator row count does not match w's length")
 
     @property
@@ -229,16 +233,6 @@ def eliminate_constraint(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     w0 = a / norm**2
     q, _ = np.linalg.qr(a.reshape(-1, 1), mode="complete")
     return w0, q[:, 1:]
-
-
-def _fold_squared_l2(spec: ProblemSpec) -> np.ndarray:
-    """Quadratic matrix with gamma * ||G^H w||^2 penalties absorbed."""
-    r = spec.quadratic
-    for term in spec.penalties:
-        if term.kind is PenaltyKind.SQUARED_L2 and term.weight > 0:
-            g = term.operator
-            r = r + term.weight * (g @ g.conj().T)
-    return r
 
 
 # GROUP_L2 shrinks each row of its block as one group
@@ -335,14 +329,16 @@ def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _eliminated(spec, solver: str) -> tuple:
-    """The front end of every solver: the specs of a batch as a list,
-    checked to be nonempty and to share the constraint vector and the
-    penalty terms up to each term's weight and column scale; w0 and B of
-    the shared constraint; the (T, M, M) stack of squared-L2-folded
-    quadratics R_eff; the z-space quadratics 2 B^H R_eff B + ridge I with
-    ridge = 1e-10 * trace(R)/M per problem; lin = 2 B^H R_eff w0; and each
-    problem's start, quad z = -lin (0 where quad is not positive definite),
-    and whether its quad is. lin and z are taken problem by problem."""
+    """The front end of every solver, and the one reader of a batch's
+    per-problem parameters: the specs as a list, checked to be nonempty and
+    to share the constraint vector and the penalty terms up to each term's
+    weight and column scale; the (T, J) matrix of the terms' weights; w0
+    and B of the shared constraint; the (T, M, M) stack R_eff of the
+    quadratics plus each squared-L2 term's G G^H (formed once) times its
+    weight; the z-space quadratics 2 B^H R_eff B + ridge I with ridge =
+    1e-10 * trace(R)/M per problem; lin = 2 B^H R_eff w0; and each problem's
+    start, quad z = -lin (0 where quad is not positive definite), and
+    whether its quad is. lin and z are taken problem by problem."""
     specs = list(spec)
     if not specs:
         raise ValueError(f"{solver} needs at least one spec")
@@ -355,14 +351,19 @@ def _eliminated(spec, solver: str) -> tuple:
                     for x, y in zip(first.penalties, other.penalties))
         ):
             raise ValueError("a batch must share the constraint vector and the penalty operators")
+    weights = np.array([[t.weight for t in s.penalties] for s in specs], dtype=float)
     w0, basis = eliminate_constraint(first.constraint_vector)
-    r_eff = np.stack([_fold_squared_l2(s) for s in specs])
-    ridge = np.array([1e-10 * float(np.real(np.trace(s.quadratic))) / s.quadratic.shape[0] for s in specs])
+    r_eff = np.stack([s.quadratic for s in specs])
+    ridge = 1e-10 * np.real(np.trace(r_eff, axis1=1, axis2=2)) / r_eff.shape[1]
+    for j, term in enumerate(first.penalties):
+        if term.kind is PenaltyKind.SQUARED_L2:
+            rows = weights[:, j] > 0
+            r_eff[rows] += weights[rows, j, np.newaxis, np.newaxis] * (term.operator @ term.operator.conj().T)
     quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(basis.shape[1])
     lin = 2.0 * _mv(basis.conj().T, _mv(r_eff, w0))
     z, factored = cholesky_solve(quad, -lin)
     z[~factored] = 0.0
-    return specs, w0, basis, r_eff, quad, lin, z, factored
+    return specs, weights, w0, basis, r_eff, quad, lin, z, factored
 
 
 class _Outcomes:
@@ -396,22 +397,18 @@ def _convex(spec, solver: str) -> tuple:
     B, R_eff, z-space quadratics, lin, starts and factored flags of a batch,
     checked to hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only; the
     indices of the active terms (L1, LINF or GROUP_L2 terms of positive
-    weight in some problem), in spec order, and the (T, active terms) matrix
-    of their weights; whether each problem is left to iterate on (a positive
+    weight in some problem), in spec order, and their columns of the weight
+    matrix; whether each problem is left to iterate on (a positive
     weight and a free coordinate); and the outcome record, in which every
     other problem has ended at its unpenalized optimum after 0 iterations
     with certificate 0, or failed at w0 where quad is not positive
     definite."""
-    specs, w0, basis, r_eff, quad, lin, z, factored = _eliminated(spec, solver)
+    specs, weights, w0, basis, r_eff, quad, lin, z, factored = _eliminated(spec, solver)
     first = specs[0]
     if first.is_smooth_nonconvex:
         raise ValueError(f"{solver} handles convex specs only; use smooth_solve")
-    for term in first.penalties:
-        if term.kind not in _PROX_FRIENDLY and term.kind is not PenaltyKind.SQUARED_L2:
-            raise ValueError(f"unsupported penalty kind for {solver}: {term.kind}")
-    active_terms = [j for j, t in enumerate(first.penalties)
-                    if t.kind in _PROX_FRIENDLY and any(s.penalties[j].weight > 0 for s in specs)]
-    weights = np.array([[s.penalties[j].weight for j in active_terms] for s in specs]).reshape(len(specs), -1)
+    active_terms = [j for j, t in enumerate(first.penalties) if t.kind in _PROX_FRIENDLY and (weights[:, j] > 0).any()]
+    weights = weights[:, active_terms]
     pending = (weights > 0).any(axis=1) & (basis.shape[1] > 0)
     out = _Outcomes(len(specs), basis.shape[1])
     done = np.flatnonzero(factored & ~pending)
@@ -1021,21 +1018,21 @@ def _step(cones: _Cones, p_real, s0, s1, l0, l1, gap) -> tuple:
 
 
 class _SmoothObjective:
-    """The smooth objectives of a batch: per problem R_eff and the weight
-    gamma of the one quartic term gamma (||G^H w||^2 - 1)^2 (0 if there is
-    none), with z-gradients at the (k, M) points of the problems ``rows``."""
+    """The smooth objectives of a batch, from its shared penalty terms and
+    its ``_eliminated`` weight matrix: per problem R_eff and the weight gamma
+    of the one quartic term gamma (||G^H w||^2 - 1)^2 (0 if there is none),
+    with z-gradients at the (k, M) points of the problems ``rows``."""
 
-    def __init__(self, specs: list, basis: np.ndarray, r_eff: np.ndarray):
-        first = specs[0]
-        for term in first.penalties:
+    def __init__(self, terms: tuple, weights: np.ndarray, basis: np.ndarray, r_eff: np.ndarray):
+        for term in terms:
             if term.kind not in (PenaltyKind.SQUARED_L2, PenaltyKind.QUARTIC_UNIT):
                 raise ValueError(f"smooth_solve accepts SQUARED_L2/QUARTIC_UNIT only, got {term.kind}")
-        quartics = [j for j, t in enumerate(first.penalties) if t.kind is PenaltyKind.QUARTIC_UNIT]
+        quartics = [j for j, t in enumerate(terms) if t.kind is PenaltyKind.QUARTIC_UNIT]
         if len(quartics) > 1:
             raise ValueError(f"smooth_solve takes at most one QUARTIC_UNIT term, got {len(quartics)}")
         self.basis, self.r_eff = basis, r_eff
-        self.g_op = first.penalties[quartics[0]].operator if quartics else np.zeros((basis.shape[0], 0))
-        self.gamma = np.array([s.penalties[quartics[0]].weight if quartics else 0.0 for s in specs])
+        self.g_op = terms[quartics[0]].operator if quartics else np.zeros((basis.shape[0], 0))
+        self.gamma = weights[:, quartics[0]] if quartics else np.zeros(weights.shape[0])
 
     def gradient(self, w: np.ndarray, rows) -> np.ndarray:
         v = _mv(self.g_op.conj().T, w)
@@ -1053,7 +1050,8 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
     coordinate against central finite differences.
     """
     w = np.asarray(w, dtype=complex).reshape(1, -1)
-    return _SmoothObjective([spec], basis, _fold_squared_l2(spec)[np.newaxis]).gradient(w, slice(None))[0]
+    _, weights, _, _, r_eff, *_ = _eliminated([spec], "smooth_gradient")
+    return _SmoothObjective(spec.penalties, weights, basis, r_eff).gradient(w, slice(None))[0]
 
 
 # the secular bracket ends at nu = -_POLE / max(d) where that is above
@@ -1104,8 +1102,8 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
     """
     if isinstance(spec, ProblemSpec):
         return smooth_solve([spec], opts)[0]
-    specs, w0, basis, r_eff, quad, _, z, factored = _eliminated(spec, "smooth_solve")
-    smooth = _SmoothObjective(specs, basis, r_eff)
+    specs, weights, w0, basis, r_eff, quad, _, z, factored = _eliminated(spec, "smooth_solve")
+    smooth = _SmoothObjective(specs[0].penalties, weights, basis, r_eff)
     out = _Outcomes(len(specs), basis.shape[1])
     if not basis.shape[1]:  # w0 is the only feasible point
         out.stop(slice(None), z, 0, 0.0, SolverStatus.CONVERGED)

@@ -89,16 +89,44 @@ def test_penalty_term_validation():
             PenaltyTerm(np.eye(2), PenaltyKind.L1, bad)
     with pytest.raises(ValueError):
         PenaltyTerm(np.zeros(3), PenaltyKind.L1, 1.0)  # vector, not matrix
+    with pytest.raises(ValueError):
+        PenaltyTerm(np.eye(2), "l1", 1.0)  # a kind is a PenaltyKind
     # GROUP_L2 is the Euclidean norm of the whole block
     assert PenaltyTerm(np.eye(3), PenaltyKind.GROUP_L2, 1.0).value(np.array([3.0, 4.0j, 0.0])) == 5.0
     with pytest.raises(ValueError):
         PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0, scale=np.ones(2))  # one weight per column
     with pytest.raises(ValueError):
         PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0, scale=np.array([1.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        PenaltyTerm(np.eye(3), PenaltyKind.SQUARED_L2, 1.0, scale=np.ones(3))
+    # a column scale belongs to an L1 term only
+    for kind in (PenaltyKind.LINF, PenaltyKind.GROUP_L2, PenaltyKind.SQUARED_L2):
+        with pytest.raises(ValueError):
+            PenaltyTerm(np.eye(3), kind, 1.0, scale=np.ones(3))
     scaled = PenaltyTerm(np.eye(3), PenaltyKind.L1, 1.0, scale=np.array([1.0, 2.0, 3.0]))
     assert scaled.value(np.array([1.0, -1.0, 1.0j])) == 6.0
+    # a non-finite operator entry is refused where the term is made
+    for bad in (np.nan, np.inf):
+        op = np.eye(3, dtype=complex)
+        op[1, 2] = bad
+        with pytest.raises(ValueError):
+            PenaltyTerm(op, PenaltyKind.L1, 1.0)
+    # an array operator is kept as the same object; a nested list becomes
+    # its array and solves exactly as that array does, in every solver
+    rng = np.random.default_rng(21)
+    r, a = random_psd(rng, 4), random_vec(rng, 4)
+    g = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+    h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    assert PenaltyTerm(g, PenaltyKind.L1, 0.3).operator is g
+    convex = [(PenaltyTerm(x, PenaltyKind.L1, 0.3), PenaltyTerm(y, PenaltyKind.SQUARED_L2, 0.2))
+              for x, y in ((g, h), (g.tolist(), h.tolist()))]
+    smooth = [(PenaltyTerm(x, PenaltyKind.QUARTIC_UNIT, 0.7), PenaltyTerm(y, PenaltyKind.SQUARED_L2, 0.2))
+              for x, y in ((g, h), (g.tolist(), h.tolist()))]
+    assert isinstance(convex[1][0].operator, np.ndarray) and np.array_equal(convex[1][0].operator, g)
+    for solve, (arrayed, listed) in ((admm_solve, convex), (cone_solve, convex), (smooth_solve, smooth)):
+        want, got = solve(ProblemSpec(r, a, arrayed)), solve(ProblemSpec(r, a, listed))
+        assert got.status is want.status and got.iterations == want.iterations
+        assert got.iterations > 0 and np.array_equal(got.w, want.w)
+        assert objective_value(ProblemSpec(r, a, listed), got.w) == objective_value(
+            ProblemSpec(r, a, arrayed), want.w)
 
 
 def test_problem_spec_validation():
@@ -293,7 +321,7 @@ def test_smooth_solve_objective_nonincreasing():
     # step 0 is the start of every solver, the unpenalized optimum
     rng = np.random.default_rng(12)
     spec = _quartic_spec(rng)
-    _, w0, basis, _, _, _, z, _ = _eliminated([spec], "smooth_solve")
+    _, _, w0, basis, _, _, _, z, _ = _eliminated([spec], "smooth_solve")
     objs = [objective_value(spec, w0 + basis @ z[0])]
     objs += [objective_value(spec, smooth_solve(spec, SolverOptions(max_iters=k)).w) for k in range(1, 8)]
     assert objs[-1] < objs[0]
