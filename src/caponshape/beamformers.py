@@ -257,7 +257,7 @@ def solve_trials(
     manifold: ArrayManifold,
     split: ManifoldSplit,
     a: np.ndarray,
-    snm=None,
+    snapshots=None,
     options: SolverOptions = SolverOptions(),
 ) -> list:
     """Solve each covariance estimate of a batch with its own BeamformerSpec,
@@ -267,11 +267,13 @@ def solve_trials(
     ``b`` and ``tv_orders``; their gammas are free but must be resolved (not
     auto). A batch of Monte Carlo trials repeats one spec over many
     covariances; a gamma sweep repeats one covariance over a grid of gammas.
-    ``snm`` holds each covariance's SNM weight vector (see
-    ``snm_weighting``) and is required only by WEIGHTED_SPARSE. A solver
-    takes at most 50 problems per call (``_BATCH_CAP``): a larger batch
-    solves in consecutive slices of that size, and the results come back in
-    input order. CAPON solves each slice as one stack in
+    ``snapshots`` holds one ``x`` per covariance, as ``solve_method`` takes
+    it (the M x K draw, or its M x 1 mean snapshot, which gives the same SNM
+    weights); WEIGHTED_SPARSE requires it and forms each trial's SNM weights
+    from it with ``snm_weighting`` before any solve, and the other kinds
+    ignore it. A solver takes at most 50 problems per call (``_BATCH_CAP``):
+    a larger batch solves in consecutive slices of that size, and the
+    results come back in input order. CAPON solves each slice as one stack in
     ``capon_closed_form``. The shaped kinds build their penalty terms once
     and reweight them per problem, so a slice shares the operator objects
     and solves in one call from the unpenalized optimum: SPARSE, MIXED_NORM
@@ -299,9 +301,9 @@ def solve_trials(
     if any(m.gamma is None for m in methods):
         raise ValueError(f"{kind.name} needs a resolved gamma (got auto)")
     if kind is BeamformerKind.WEIGHTED_SPARSE:
-        if snm is None:
+        if snapshots is None:
             raise ValueError("WEIGHTED_SPARSE needs the snapshots (their SNM weights)")
-        scales = list(snm)
+        scales = [snm_weighting(manifold, x) for x in snapshots]
     else:
         scales = [None] * len(mats)
     terms = _penalty_terms(first, manifold, split)
@@ -338,12 +340,10 @@ def solve_method(
     would report a failed trial.
 
     ``x`` (the M x K snapshots, or the M x 1 mean snapshot, which gives the
-    same SNM weights) is required only by WEIGHTED_SPARSE.
+    same SNM weights) is required only by WEIGHTED_SPARSE, whose SNM weights
+    ``solve_trials`` forms from it.
     """
-    snm = None
-    if method.kind is BeamformerKind.WEIGHTED_SPARSE and x is not None:
-        snm = [snm_weighting(manifold, x)]
-    out = solve_trials([method], [r], manifold, split, a, snm, options)[0]
+    out = solve_trials([method], [r], manifold, split, a, None if x is None else [x], options)[0]
     if out.status is SolverStatus.NUMERICAL_FAILURE:
         raise NumericalError(f"{method.kind.value} solve failed numerically")
     return out

@@ -25,12 +25,11 @@ from .arrays import (  # noqa: F401
     build_manifold,
     sample_covariance,
     snapshot_moments,
-    snm_weighting,
     split_manifold,
     steering_vector,
     synthesize_snapshots,
 )
-from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method, solve_trials  # noqa: F401
+from .beamformers import BeamformerSpec, resolve_split, solve_method, solve_trials  # noqa: F401
 from .solver import NumericalError, SolverOptions, SolverStatus, cholesky_solve
 
 __all__ = [
@@ -254,8 +253,9 @@ def gamma_sweep(
     The draw uses the scenario's own seed with the true SOI direction forced
     to the presumed one; each grid point records output SINR, mean sidelobe
     level, the mainlobe-to-sidelobe ratio and the solver status. The grid
-    solves as one batch (``solve_trials``), with the SNM weights computed
-    once; a point that fails numerically raises NumericalError.
+    solves as one batch (``solve_trials``), which is given the draw's mean
+    snapshot for every point and forms WEIGHTED_SPARSE's SNM weights from
+    it; a point that fails numerically raises NumericalError.
     """
     if len(grid) == 0:
         raise ValueError("gamma grid must be nonempty")
@@ -265,10 +265,8 @@ def gamma_sweep(
     split = split_manifold(manifold, validation.presumed_doa_deg, b)
     a = steering_vector(validation.geometry, validation.presumed_doa_deg)
     r, mean = snapshot_moments(validation)
-    snm = ([snm_weighting(manifold, mean[:, np.newaxis])] * len(grid)
-           if method.kind is BeamformerKind.WEIGHTED_SPARSE else None)
     methods = [method.with_gamma(float(gamma)) for gamma in grid]
-    results = solve_trials(methods, [r] * len(grid), manifold, split, a, snm, options)
+    results = solve_trials(methods, [r] * len(grid), manifold, split, a, [mean[:, np.newaxis]] * len(grid), options)
     ratio_split = resolve_split(method, manifold, split)
     points = []
     for point, result in zip(methods, results):
@@ -351,7 +349,8 @@ def monte_carlo(
     so its seed is drawn once for all of them, and each value's draw is kept
     as its covariance and mean snapshot (``snapshot_moments``). Each method
     then solves the draws of every value, concatenated in value order, in
-    one ``solve_trials`` call, which passes its solvers consecutive slices
+    one ``solve_trials`` call, which forms WEIGHTED_SPARSE's SNM weights
+    from the mean snapshots and passes its solvers consecutive slices
     of a bounded size; the results are split back by value to be scored. A
     solve's answer can depend on the batch it is part of up to rounding
     (an iteration count by one, the SINR by a few 1e-6 dB), so a call over
@@ -373,35 +372,25 @@ def monte_carlo(
 
     resolved, _ = resolve_auto_gammas(methods, scenario, base_seed, manifold, b, options)
 
-    # the solves need each draw's covariance (and SNM weights, which the
-    # mean snapshot gives) only, so no draw forms its snapshots
+    # the solves need each draw's covariance and mean snapshot only (the
+    # mean gives the SNM weights), so no draw forms its snapshots
     truths = [scenario.with_soi_doa(scenario.presumed_doa_deg + mismatch) for mismatch in mismatches]
     doas = [truth.soi.doa_deg for truth in truths]
-    needs_snm = any(method.kind is BeamformerKind.WEIGHTED_SPARSE for method in resolved)
-    covariances = [[] for _ in mismatches]
-    snm = [[] for _ in mismatches]
-    for t in range(trials):
-        for i, (r, mean) in enumerate(snapshot_moments(scenario.with_seed(base_seed + t), doas)):
-            covariances[i].append(r)
-            if needs_snm:
-                snm[i].append(snm_weighting(manifold, mean[:, np.newaxis]))
+    moments = [snapshot_moments(scenario.with_seed(base_seed + t), doas) for t in range(trials)]
     # draw i * trials + t is trial t at mismatch value i
-    covariances = [r for value in covariances for r in value]
-    snm = [q for value in snm for q in value]
-    solved = [solve_trials([method] * len(covariances), covariances, manifold, split, a, snm, options)
+    draws = [moments[t][i] for i in range(len(mismatches)) for t in range(trials)]
+    covariances = [r for r, _ in draws]
+    means = [mean[:, np.newaxis] for _, mean in draws]
+    solved = [solve_trials([method] * len(covariances), covariances, manifold, split, a, means, options)
               for method in resolved]
 
     reports = []
     for i, (mismatch, truth) in enumerate(zip(mismatches, truths)):
-        trial_scenarios = [truth.with_seed(base_seed + t) for t in range(trials)]
         entries = []
         for method, method_outcomes in zip(resolved, solved):
             outcomes = method_outcomes[i * trials:(i + 1) * trials]
-            vals = tuple(
-                sinr(out.weights, trial_scenario)
-                for out, trial_scenario in zip(outcomes, trial_scenarios)
-                if out.status is not SolverStatus.NUMERICAL_FAILURE
-            )
+            vals = tuple(sinr(out.weights, truth)
+                         for out in outcomes if out.status is not SolverStatus.NUMERICAL_FAILURE)
             entries.append(
                 MethodSinr(
                     method=method,

@@ -147,7 +147,9 @@ class PenaltyTerm:
 class ProblemSpec:
     """Quadratic form, equality-constraint vector, and penalty list.
 
-    The quadratic matrix is Hermitian-symmetrized on construction.
+    The quadratic matrix is Hermitian-symmetrized on construction. The
+    constraint vector is kept as a 1-D complex array (the same object when
+    given one), so specs built from one vector share it.
     """
 
     quadratic: np.ndarray
@@ -156,7 +158,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         r = np.asarray(self.quadratic, dtype=complex)
-        a = np.asarray(self.constraint_vector, dtype=complex).ravel()
+        a = np.asarray(self.constraint_vector, dtype=complex)
+        a = a if a.ndim == 1 else a.ravel()
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError(f"quadratic must be square, got shape {r.shape}")
         if a.size != r.shape[0]:
@@ -345,7 +348,8 @@ def _eliminated(spec, solver: str) -> tuple:
     first = specs[0]
     for other in specs[1:]:
         if not (
-            np.array_equal(first.constraint_vector, other.constraint_vector)
+            (first.constraint_vector is other.constraint_vector
+             or np.array_equal(first.constraint_vector, other.constraint_vector))
             and len(first.penalties) == len(other.penalties)
             and all(x.kind is y.kind and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
                     for x, y in zip(first.penalties, other.penalties))

@@ -100,10 +100,9 @@ def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, snapsho
         with pytest.raises(NumericalError):
             capon_closed_form(broken, a0)
         # in a batch of any kind the bad trial fails alone
-        snm = [snm_weighting(manifold, snapshots.data)] * 3
         for kind in BeamformerKind:
             batch = solve_trials([BeamformerSpec(kind, GAMMAS.get(kind))] * 3, [covariance, broken, covariance],
-                                 manifold, split, a0, snm, BENCHMARK_OPTIONS)
+                                 manifold, split, a0, [snapshots.data] * 3, BENCHMARK_OPTIONS)
             assert [out.status for out in batch] == [SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE,
                                                      SolverStatus.CONVERGED], kind
             assert np.isnan(batch[1].weights).all()
@@ -113,13 +112,13 @@ def test_capon_rejects_non_finite_input(covariance, manifold, split, a0, snapsho
 def test_solve_trials_rejects_a_non_finite_steering_vector(covariance, manifold, split, a0, snapshots, kind):
     # a is shared by the batch, so no trial can be solved; this holds too
     # when no covariance of the batch is finite
-    snm = [snm_weighting(manifold, snapshots.data)] * 2
     methods = [BeamformerSpec(kind, GAMMAS.get(kind))] * 2
     for bad in (np.nan, np.inf):
         steering = np.where(np.arange(8) == 3, bad, a0)
         for covariances in ([covariance] * 2, [np.full((8, 8), np.nan)] * 2):
             with pytest.raises(ValueError, match="steering vector"):
-                solve_trials(methods, covariances, manifold, split, steering, snm, BENCHMARK_OPTIONS)
+                solve_trials(methods, covariances, manifold, split, steering, [snapshots.data] * 2,
+                             BENCHMARK_OPTIONS)
 
 
 def test_capon_rejects_shape_mismatch():
@@ -348,15 +347,36 @@ def test_solve_method_b_override_re_splits(covariance, manifold, split, a0):
 def test_solve_trials_matches_one_trial_solves(scenario, manifold, split, a0):
     draws = [synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data for t in range(3)]
     covariances = [sample_covariance(x) for x in draws]
-    snm = [snm_weighting(manifold, x) for x in draws]
     for kind in BeamformerKind:
         method = BeamformerSpec(kind, GAMMAS.get(kind))
-        batch = solve_trials([method] * 3, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        batch = solve_trials([method] * 3, covariances, manifold, split, a0, draws, BENCHMARK_OPTIONS)
         for r, x, got in zip(covariances, draws, batch):
             alone = solve_method(method, r, manifold, split, a0, x, BENCHMARK_OPTIONS)
             assert got.status is alone.status, kind
             assert got.iterations == alone.iterations, kind
             assert np.linalg.norm(got.weights - alone.weights) <= 1e-8 * np.linalg.norm(alone.weights), kind
+        # only weighted_sparse reads the snapshots
+        if kind is not BeamformerKind.WEIGHTED_SPARSE:
+            for got, ref in zip(batch, solve_trials([method] * 3, covariances, manifold, split, a0, None,
+                                                    BENCHMARK_OPTIONS), strict=True):
+                assert (got.status, got.iterations, got.subgrad_residual) == (ref.status, ref.iterations,
+                                                                             ref.subgrad_residual), kind
+                npt.assert_array_equal(got.weights, ref.weights, err_msg=kind.value)
+
+
+def test_weighted_sparse_checks_every_snapshot_before_solving(monkeypatch, scenario, manifold, split, a0):
+    # snm_weighting rejects a draw of the wrong sensor count, and the whole
+    # batch fails before admm_solve sees any of it
+    draws = [synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data for t in range(3)]
+    covariances = [sample_covariance(x) for x in draws]
+
+    def never(*args):
+        raise AssertionError("admm_solve ran")
+
+    monkeypatch.setattr(beamformers, "admm_solve", never)
+    with pytest.raises(ValueError, match="does not match the manifold"):
+        solve_trials([BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, 0.1)] * 3, covariances, manifold, split, a0,
+                     draws[:2] + [draws[2][:-1]], BENCHMARK_OPTIONS)
 
 
 def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, a0):
@@ -371,11 +391,10 @@ def test_solve_trials_is_invariant_to_the_phase_of_a(scenario, manifold, split, 
     phase = np.exp(0.7j)
     draws = [synthesize_snapshots(scenario.with_seed(seed)).data for seed in range(7, 57)]
     covariances = [sample_covariance(x) for x in draws]
-    snm = [snm_weighting(manifold, x) for x in draws]
     for kind, gamma in GAMMAS.items():
         methods = [BeamformerSpec(kind, gamma)] * len(draws)
-        base = solve_trials(methods, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
-        turned = solve_trials(methods, covariances, manifold, split, phase * a0, snm, BENCHMARK_OPTIONS)
+        base = solve_trials(methods, covariances, manifold, split, a0, draws, BENCHMARK_OPTIONS)
+        turned = solve_trials(methods, covariances, manifold, split, phase * a0, draws, BENCHMARK_OPTIONS)
         smooth = kind is BeamformerKind.MSPR_RELAXED
         cone = kind not in (BeamformerKind.WEIGHTED_SPARSE, BeamformerKind.MSPR_RELAXED)
         for draw, (r, got, ref) in enumerate(zip(covariances, turned, base)):
@@ -449,15 +468,15 @@ def test_solve_trials_passes_its_solvers_bounded_slices_in_order(monkeypatch, sc
         monkeypatch.setattr(beamformers, name, counted)
     moments = [snapshot_moments(scenario.with_seed(seed)) for seed in range(7, 7 + 2 * cap + 3)]
     covariances = [r for r, _ in moments]
-    snm = [snm_weighting(manifold, mean[:, np.newaxis]) for _, mean in moments]
+    means = [mean[:, np.newaxis] for _, mean in moments]
     for kind in BeamformerKind:
         methods = [BeamformerSpec(kind, GAMMAS.get(kind))] * len(moments)
         sizes.clear()
-        batch = solve_trials(methods, covariances, manifold, split, a0, snm, BENCHMARK_OPTIONS)
+        batch = solve_trials(methods, covariances, manifold, split, a0, means, BENCHMARK_OPTIONS)
         assert sizes == [cap, cap, 3], kind
         sliced = [out for lo in range(0, len(moments), cap)
                   for out in solve_trials(methods[lo:lo + cap], covariances[lo:lo + cap], manifold, split, a0,
-                                          snm[lo:lo + cap], BENCHMARK_OPTIONS)]
+                                          means[lo:lo + cap], BENCHMARK_OPTIONS)]
         for got, ref in zip(batch, sliced, strict=True):
             assert (got.status, got.iterations, got.subgrad_residual) == (ref.status, ref.iterations,
                                                                          ref.subgrad_residual), kind

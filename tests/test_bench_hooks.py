@@ -6,7 +6,7 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
-from caponshape.arrays import sample_covariance, snm_weighting, synthesize_snapshots
+from caponshape.arrays import sample_covariance, synthesize_snapshots
 from caponshape.beamformers import BeamformerKind, BeamformerSpec, solve_trials
 from caponshape.cli import BENCHMARK_OPTIONS
 
@@ -44,10 +44,9 @@ def test_hooked_names_see_every_batched_call(monkeypatch, scenario, manifold, sp
         monkeypatch.setattr(target, name, counted(name, getattr(target, name)))
     draws = [synthesize_snapshots(scenario.with_seed(scenario.seed + t)).data for t in range(3)]
     covariances = [sample_covariance(x) for x in draws]
-    snm = [snm_weighting(manifold, x) for x in draws]
     calls.clear()
     out = solve_trials([BeamformerSpec(BeamformerKind.WEIGHTED_SPARSE, 0.2)] * 3, covariances, manifold, split, a0,
-                       snm, BENCHMARK_OPTIONS)
+                       draws, BENCHMARK_OPTIONS)
     rounds = max(w.iterations for w in out)
     assert rounds > 0
     assert calls == Counter({"prox_l1": rounds})

@@ -157,6 +157,26 @@ def test_problem_spec_symmetrizes_quadratic():
     npt.assert_allclose(spec.quadratic, [[1.0, 1.0], [1.0, 1.0]])
 
 
+def test_problem_spec_keeps_its_constraint_vector(scenario, manifold, a0):
+    # a 1-D complex vector is kept as given, so a batch built from one vector
+    # shares it; a column or a real vector becomes a 1-D complex copy
+    assert ProblemSpec(np.eye(8), a0).constraint_vector is a0
+    column = ProblemSpec(np.eye(8), a0[:, np.newaxis]).constraint_vector
+    assert column.shape == (8,) and np.array_equal(column, a0)
+    assert ProblemSpec(np.eye(2), np.ones(2)).constraint_vector.dtype == complex
+    # equal but distinct vectors still make one batch; different ones do not
+    covariances = [sample_covariance(synthesize_snapshots(scenario.with_seed(seed)).data) for seed in (7, 8)]
+    l1 = (PenaltyTerm(manifold.matrix, PenaltyKind.L1, 0.5),)
+    for solve in (admm_solve, cone_solve):
+        shared = solve([ProblemSpec(r, a0, l1) for r in covariances], BENCHMARK_OPTIONS)
+        copied = solve([ProblemSpec(r, a0.copy(), l1) for r in covariances], BENCHMARK_OPTIONS)
+        for got, ref in zip(copied, shared, strict=True):
+            assert got.status is ref.status is SolverStatus.CONVERGED and got.iterations == ref.iterations
+            npt.assert_array_equal(got.w, ref.w)
+        with pytest.raises(ValueError, match="share the constraint vector"):
+            solve([ProblemSpec(covariances[0], a0, l1), ProblemSpec(covariances[1], 1j * a0, l1)])
+
+
 def test_is_smooth_nonconvex_flag():
     a = np.ones(2)
     assert not ProblemSpec(np.eye(2), a).is_smooth_nonconvex
