@@ -83,7 +83,7 @@ class SourceSpec:
 class Scenario:
     """Complete description of one simulated reception: array, signal of
     interest, interferers, white-noise power per sensor, snapshot count, the
-    presumed (possibly mismatched) SOI direction, and the RNG seed.
+    presumed (possibly mismatched) SOI direction, and the RNG seed (>= 0).
     """
 
     geometry: ArrayGeometry
@@ -102,6 +102,8 @@ class Scenario:
             raise ValueError(f"num_snapshots must be >= 1, got {self.num_snapshots}")
         if not -90.0 <= self.presumed_doa_deg <= 90.0:
             raise ValueError(f"presumed_doa_deg must lie in [-90, 90], got {self.presumed_doa_deg}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         doas = [s.doa_deg for s in self.interferers]
         if len(set(doas)) != len(doas):
             raise ValueError(f"interferer DOAs must be distinct, got {doas}")

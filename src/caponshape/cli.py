@@ -152,8 +152,16 @@ def _scenario(doc: dict) -> Scenario:
         noise_power=_linear(doc, "noise_power_db", "scenario"),
         num_snapshots=_get(doc, "num_snapshots", int, where="scenario"),
         presumed_doa_deg=_get(doc, "presumed_doa_deg", float, where="scenario"),
-        seed=_get(doc, "seed", int, where="scenario"),
+        seed=_seed(_get(doc, "seed", int, where="scenario"), "scenario.seed"),
     )
+
+
+def _seed(seed: int, name: str) -> int:
+    """``seed`` if it is at least 1: gamma tuning draws at seed - 1, which
+    must be a valid seed too."""
+    if seed < 1:
+        raise ValueError(f"{name} must be an integer >= 1 (gamma tuning draws at seed - 1), got {seed}")
+    return seed
 
 
 def _scenario_doc(scenario: Scenario) -> dict:
@@ -218,8 +226,10 @@ def load_run_config(
     """Parse the JSON config and apply flag overrides.
 
     Every config field is checked, overridden or not. Raises ValueError,
-    naming the key, on malformed or inconsistent content, and when two
-    mismatch values would write the same report file.
+    naming the key, on malformed or inconsistent content: a seed below 1, a
+    mismatch value that moves the true SOI direction (presumed + mismatch)
+    out of [-90, 90], and two mismatch values that would write the same
+    report file.
     """
     if config_path is None:
         text = resources.files("caponshape").joinpath("data/default_config.json").read_text()
@@ -245,11 +255,16 @@ def load_run_config(
     file_trials = _get(doc, "trials", int, 1000)
 
     if seed is not None:
-        scenario = scenario.with_seed(seed)
+        scenario = scenario.with_seed(_seed(seed, "--seed"))
     if mismatch_csv is not None:
         mismatch_list = _float_list(mismatch_csv, "--mismatch")
     seen: dict = {}
-    for value in mismatch_list:
+    for i, value in enumerate(mismatch_list):
+        doa = scenario.presumed_doa_deg + value
+        if not -90.0 <= doa <= 90.0:
+            key = f"mismatch_list[{i}]" if mismatch_csv is None else "--mismatch"
+            raise ValueError(f"{key} moves the true SOI direction to {doa:g} deg (presumed "
+                             f"{scenario.presumed_doa_deg:g} + mismatch {value:g}), outside [-90, 90]")
         name = _report_name(value)
         if name in seen:
             raise ValueError(f"mismatch values {seen[name]!r} and {value!r} would both write {name}")
@@ -297,7 +312,7 @@ def _common_options(f):
         [
             click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="JSON config file (default: packaged benchmark scenario)."),
             click.option("--out", "out_dir", type=click.Path(file_okay=False), default=None, help="Output directory (default: config output_dir)."),
-            click.option("--seed", type=int, default=None, help="Base RNG seed override."),
+            click.option("--seed", type=int, default=None, help="Base RNG seed override, an integer >= 1 (gamma tuning draws at seed - 1)."),
         ]
     ):
         f = option(f)

@@ -219,10 +219,11 @@ def mspr(w: np.ndarray, split: ManifoldSplit) -> float:
 
 
 def sidelobe_mean_db(w: np.ndarray, manifold: ArrayManifold, split: ManifoldSplit) -> float:
-    """Mean normalized sidelobe power of w's beam pattern, in dB."""
+    """Mean normalized sidelobe power of w's beam pattern, in dB
+    (``DB_FLOOR`` when the sidelobe set is empty, as ``mspr`` is inf)."""
     pattern = beam_pattern(w, manifold)
     norm = np.linalg.norm(pattern.gains)
-    if norm == 0.0:
+    if norm == 0.0 or not split.sidelobe_indices.size:
         return DB_FLOOR
     power = np.abs(pattern.gains[split.sidelobe_indices] / norm) ** 2
     mean = float(power.mean())

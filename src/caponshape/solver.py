@@ -12,15 +12,15 @@ and B an orthonormal basis of a's orthogonal complement, so every iterate is
 feasible to machine precision. A stack of Hermitian matrices is tested for
 positive definiteness in one place, ``_definite``, and solved in one,
 ``cholesky_solve``: the solvers' unpenalized start and the interior-point
-Newton systems (through its halves ``_guarded`` and ``_solve_guarded``, so
-that an iteration's two solves share one test) solve through it. The
-nonsmooth penalties (L1, LINF, group-L2) make the problem a second-order
-cone program, which cone_solve solves by a primal-dual interior-point
-method over the stacked operator K = [G_j^H B]; admm_solve solves the same
-problems by scaled ADMM over K, and is the one of the two that takes a
-per-problem column scale. The quartic term makes the problem nonconvex;
-smooth_solve finds its global minimizer from one eigendecomposition per
-problem and the root of a scalar secular equation.
+Newton systems solve through it, the latter with the flags of one test per
+iteration, which its two solves share. The nonsmooth penalties (L1, LINF,
+group-L2) make the problem a second-order cone program, which cone_solve
+solves by a primal-dual interior-point method over the stacked operator
+K = [G_j^H B]; admm_solve solves the same problems by scaled ADMM over K,
+and is the one of the two that takes a per-problem column scale. The
+quartic term makes the problem nonconvex; smooth_solve finds its global
+minimizer from one eigendecomposition per problem and the root of a scalar
+secular equation.
 
 The batch contract, the same for all three solvers: each takes one problem,
 as a batch of one, or a batch of problems that share the constraint and the
@@ -271,34 +271,22 @@ def _definite(mats: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _guarded(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The definiteness test of ``_definite`` on a (T, m, m) stack, and the
-    stack with each failed matrix swapped for the identity, which
-    ``_solve_guarded`` can then solve as one."""
-    ok = _definite(mats)
+def cholesky_solve(mats: np.ndarray, rhs: np.ndarray, ok: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian (complex) or
+    symmetric (real) stack and its (T, m) right-hand sides: the definiteness
+    test of ``_definite``, or its flags ``ok`` from an earlier call on the
+    same stack, then one stacked LAPACK solve in which a failed matrix is
+    swapped for the identity. Returns x, NaN where a matrix is not finite
+    and positive definite, and whether each is. LAPACK solves each slice on
+    its own, so a batch reproduces single solves bit for bit."""
+    if ok is None:
+        ok = _definite(mats)
     if not ok.all():
         mats = np.where(ok[:, np.newaxis, np.newaxis], mats, np.eye(mats.shape[-1]))
-    return mats, ok
-
-
-def _solve_guarded(mats: np.ndarray, ok: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """One stacked LAPACK solve of a ``_guarded`` stack, NaN where ``ok`` is
-    False."""
     # a 2-D right-hand side would read as one (m, K) matrix when T == m
     x = np.linalg.solve(mats, rhs[..., np.newaxis])[..., 0]
     x[~ok] = np.nan
-    return x
-
-
-def cholesky_solve(mats: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve mats[t] x[t] = rhs[t] for a (T, m, m) Hermitian (complex) or
-    symmetric (real) stack and its (T, m) right-hand sides: the definiteness
-    test of ``_definite``, then one stacked LAPACK solve in which a failed
-    matrix is swapped for the identity. Returns x, NaN where a matrix is not
-    finite and positive definite, and whether each is. LAPACK solves each
-    slice on its own, so a batch reproduces single solves bit for bit."""
-    mats, ok = _guarded(mats)
-    return _solve_guarded(mats, ok, rhs), ok
+    return x, ok
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -400,18 +388,19 @@ def _convex(spec, solver: str) -> tuple:
     """The front end of the convex solvers: the ``_eliminated`` specs, w0,
     B, R_eff, z-space quadratics, lin, starts and factored flags of a batch,
     checked to hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only; the
-    indices of the active terms (L1, LINF or GROUP_L2 terms of positive
-    weight in some problem), in spec order, and their columns of the weight
-    matrix; whether each problem is left to iterate on (a positive
-    weight and a free coordinate); and the outcome record, in which every
-    other problem has ended at its unpenalized optimum after 0 iterations
-    with certificate 0, or failed at w0 where quad is not positive
-    definite."""
+    indices of the active terms (L1, LINF or GROUP_L2 terms with an operator
+    column and a positive weight in some problem), in spec order, and their
+    columns of the weight matrix; whether each problem is left to iterate
+    on (a positive weight and a free coordinate); and the outcome record, in
+    which every other problem has ended at its unpenalized optimum after 0
+    iterations with certificate 0, or failed at w0 where quad is not
+    positive definite."""
     specs, weights, w0, basis, r_eff, quad, lin, z, factored = _eliminated(spec, solver)
     first = specs[0]
     if first.is_smooth_nonconvex:
         raise ValueError(f"{solver} handles convex specs only; use smooth_solve")
-    active_terms = [j for j, t in enumerate(first.penalties) if t.kind in _PROX_FRIENDLY and (weights[:, j] > 0).any()]
+    active_terms = [j for j, t in enumerate(first.penalties)
+                    if t.kind in _PROX_FRIENDLY and t.operator.shape[1] and (weights[:, j] > 0).any()]
     weights = weights[:, active_terms]
     pending = (weights > 0).any(axis=1) & (basis.shape[1] > 0)
     out = _Outcomes(len(specs), basis.shape[1])
@@ -435,9 +424,9 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     of T specs, returning a list of T results, under the batch contract of
     this module; the quadratics, penalty weights and column scales of a
     batch are free. Each problem has its own factorization, residuals and
-    stopping test. A problem with no active penalty (weight > 0, squared-L2
-    aside) ends at the unpenalized optimum after 0 iterations, as it does
-    alone.
+    stopping test. A problem with no active penalty (weight > 0 on an
+    operator with a column, squared-L2 aside) ends at the unpenalized
+    optimum after 0 iterations, as it does alone.
 
     Squared-L2 penalties are folded into the quadratic; each remaining
     penalty j becomes a split variable v_j = S_j K_j z + S_j c_j with
@@ -823,8 +812,8 @@ class _Newton:
 
     def __init__(self, cones: _Cones, sc: _Scaling, p_real: np.ndarray):
         self.cones, self.sc = cones, sc
-        mat, self.linf = _newton_matrix(cones, sc, p_real)
-        self.mat, self.ok = _guarded(mat)
+        self.mat, self.linf = _newton_matrix(cones, sc, p_real)
+        self.ok = _definite(self.mat)
 
     def solve(self, rho0, rho1, dual: bool = True) -> tuple:
         """dz, ds = (dt, dy) and, if ``dual``, dlambda for rho."""
@@ -836,7 +825,7 @@ class _Newton:
         rhs = cones.back(rhs)
         for cone_sl, c, h in self.linf:
             rhs -= c * (rho0[:, cone_sl].sum(axis=1) / h)[:, np.newaxis]
-        dx = _solve_guarded(self.mat, self.ok, rhs)
+        dx, _ = cholesky_solve(self.mat, rhs, self.ok)
         dz = dx.view(complex)
         dy = cones.forward(dz)
         q = cones.per_cone(_re_dot(sc.wb1, dy))

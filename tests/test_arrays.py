@@ -328,6 +328,10 @@ def test_scenario_validation():
         Scenario(geom, soi, (), 1.0, 0, 0.0, 1)
     with pytest.raises(ValueError):
         Scenario(geom, soi, (), 1.0, 10, 120.0, 1)
+    # numpy's generators take no negative seed; 0 is one
+    with pytest.raises(ValueError, match="seed"):
+        Scenario(geom, soi, (), 1.0, 10, 0.0, 1).with_seed(-1)
+    assert Scenario(geom, soi, (), 1.0, 10, 0.0, 0).seed == 0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])

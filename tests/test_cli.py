@@ -10,6 +10,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from click.testing import CliRunner
 import caponshape
 from caponshape import evaluation
 from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector
-from caponshape.cli import _method, _method_doc, _scenario, _scenario_doc, load_run_config, main
+from caponshape.cli import _fmt, _method, _method_doc, _scenario, _scenario_doc, load_run_config, main
+from caponshape.evaluation import DB_FLOOR
 from caponshape.solver import NumericalError, SolverOptions, SolverStatus
 
 SMALL_SCENARIO = {
@@ -133,30 +135,57 @@ def test_method_entry_errors():
             _method(doc, "methods[0]")
 
 
-# one malformed field per config; each names the key it breaks
-MALFORMED = {
-    "b": {"b": 15.7},
-    "trials": {"trials": 2.5},
-    "scenario.seed": {"scenario": {**SMALL_SCENARIO, "seed": 7.9}},
-    "methods[0].tv_orders": {"methods": [{"kind": "tvm_sparse", "gamma": 0.1, "tv_orders": 2.9}]},
-    "methods[1].gamma": {"methods": [{"kind": "capon"}, {"kind": "sparse", "gamma": True}]},
-    "manifold": {"manifold": 5},
-    "methods[0]": {"methods": [5]},
-    "mismatch_list[0]": {"mismatch_list": [None]},
-    "scenario.interferers[0]": {"scenario": {**SMALL_SCENARIO, "interferers": [5]}},
-    "scenario.geometry.spacing_ratio": {"scenario": {**SMALL_SCENARIO, "geometry": {"num_sensors": 4,
-                                                                                  "spacing_ratio": math.nan}}},
-}
+# one malformed field per config, as (the key it breaks, the overrides); a
+# key may repeat
+MALFORMED = [
+    ("b", {"b": 15.7}),
+    ("trials", {"trials": 2.5}),
+    ("scenario.seed", {"scenario": {**SMALL_SCENARIO, "seed": 7.9}}),
+    ("methods[0].tv_orders", {"methods": [{"kind": "tvm_sparse", "gamma": 0.1, "tv_orders": 2.9}]}),
+    ("methods[1].gamma", {"methods": [{"kind": "capon"}, {"kind": "sparse", "gamma": True}]}),
+    ("manifold", {"manifold": 5}),
+    ("methods[0]", {"methods": [5]}),
+    ("mismatch_list[0]", {"mismatch_list": [None]}),
+    ("scenario.interferers[0]", {"scenario": {**SMALL_SCENARIO, "interferers": [5]}}),
+    ("scenario.geometry.spacing_ratio", {"scenario": {**SMALL_SCENARIO, "geometry": {"num_sensors": 4,
+                                                                                   "spacing_ratio": math.nan}}}),
+    # the gamma tuning draw is at seed - 1
+    ("scenario.seed", {"scenario": {**SMALL_SCENARIO, "seed": 0}}),
+    ("scenario.seed", {"scenario": {**SMALL_SCENARIO, "seed": -3}}),
+    # presumed 89 + mismatch 3 puts the true SOI direction off the half-plane
+    ("mismatch_list[1]", {"scenario": {**SMALL_SCENARIO, "presumed_doa_deg": 89.0}, "mismatch_list": [0.0, 3.0]}),
+]
 
 
-@pytest.mark.parametrize("key", list(MALFORMED))
-def test_malformed_config_exits_2_naming_the_key(tmp_path, key):
-    path = write_config(tmp_path, **MALFORMED[key])
+# a repeated key's later cases carry their position in the test id
+@pytest.mark.parametrize("key, overrides", MALFORMED, ids=[
+    key if all(key != other for other, _ in MALFORMED[:i]) else f"{key}-{i}" for i, (key, _) in enumerate(MALFORMED)])
+def test_malformed_config_exits_2_naming_the_key(tmp_path, key, overrides):
+    path = write_config(tmp_path, **overrides)
     for command in ("pattern", "montecarlo", "sweep"):
         result = CliRunner().invoke(main, [command, "--config", str(path)])
         assert result.exit_code == 2, (command, result.output)
         assert f"error: {key} " in result.stderr, (command, result.stderr)
         assert "Traceback" not in result.output
+        assert not (tmp_path / "out").exists()
+
+
+def test_seed_and_mismatch_flags_are_checked_before_any_solve(tmp_path):
+    # a seed below 1 would put the gamma tuning draw at a negative seed, and
+    # a mismatch may not move the true SOI direction out of [-90, 90]
+    path = write_config(tmp_path, scenario={**SMALL_SCENARIO, "presumed_doa_deg": 89.0})
+    cases = [([command, "--seed", seed], "--seed") for command in ("pattern", "montecarlo", "sweep")
+             for seed in ("0", "-3")]
+    cases.append((["montecarlo", "--mismatch", "0,3"], "--mismatch"))
+    for args, key in cases:
+        result = CliRunner().invoke(main, [*args, "--config", str(path)])
+        assert result.exit_code == 2, (args, result.output)
+        assert result.stderr.startswith(f"error: {key} "), (args, result.stderr)
+        assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="^--mismatch "):
+        load_run_config(str(path), mismatch_csv="-1,2")
+    # the flags that are in range pass
+    assert load_run_config(str(path), mismatch_csv="-1,1", seed=1).scenario.seed == 1
 
 
 def test_load_run_config_checks_types(tmp_path):
@@ -487,6 +516,23 @@ def test_sweep_warns_when_selection_hits_grid_endpoints(tmp_path):
                 assert len(named) == 1
             else:
                 assert named == []
+
+
+def test_a_mainlobe_over_the_whole_grid_leaves_no_sidelobe(tmp_path):
+    # with b = 90 the mainlobe window covers the 181-point grid: every
+    # command runs without a warning, the sweep writes the floor as each
+    # sidelobe level, and mspr stays inf
+    kinds = ["sparse", "mixed_norm", "tvm_sparse", "mspr_relaxed"]
+    path = write_config(tmp_path, b=90, methods=[{"kind": "capon"}] + [{"kind": kind, "gamma": 0.1} for kind in kinds])
+    for args in (["pattern"], ["montecarlo"], ["sweep", "--gammas", "0,0.1"]):
+        with catch_warnings():
+            simplefilter("error")
+            result = CliRunner().invoke(main, [*args, "--config", str(path)])
+        assert result.exit_code == 0, (args, result.output)
+    rows = read_rows(tmp_path / "out" / "gamma_sweep.csv")
+    assert len(rows) == 2 + 2 * len(kinds)
+    assert {row[3] for row in rows[1:]} == {_fmt(DB_FLOOR)}
+    assert {row[4] for row in rows[1:]} == {"inf"}
 
 
 def test_sweep_rejects_bad_gamma_grids(tmp_path):

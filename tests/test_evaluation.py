@@ -145,6 +145,7 @@ def test_mspr_empty_sidelobe_is_infinite():
     full_window = split_manifold(tiny, 0.0, 1)
     assert full_window.sidelobe_indices.size == 0
     assert mspr(np.ones(4), full_window) == math.inf
+    assert sidelobe_mean_db(np.ones(4), tiny, full_window) == DB_FLOOR
 
 
 def test_sidelobe_mean_db_matches_direct_computation(covariance, manifold, split, a0):

@@ -2,6 +2,7 @@
 smooth path by its secular equation."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ import numpy.testing as npt
 import pytest
 
 from caponshape import solver
-from caponshape.arrays import difference_operator, sample_covariance, snm_weighting, synthesize_snapshots
+from caponshape.arrays import (difference_operator, sample_covariance, snm_weighting, split_manifold,
+                               synthesize_snapshots)
 from caponshape.beamformers import mspr_capon
 from caponshape.cli import BENCHMARK_OPTIONS
 from caponshape.evaluation import DEFAULT_GAMMA_GRID, sinr
@@ -17,6 +19,7 @@ from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     _RHO,
     _Cones,
+    _definite,
     _eliminated,
     _max_step,
     _real_form,
@@ -427,6 +430,10 @@ def test_cholesky_solve_fails_a_slice_alone():
         for t in np.flatnonzero(ok):
             alone, _ = cholesky_solve(mats[t:t + 1], rhs[t:t + 1])
             npt.assert_array_equal(x[t], alone[0])
+        # the flags of an earlier _definite test give the same answer
+        flagged, same = cholesky_solve(mats, rhs, _definite(mats))
+        npt.assert_array_equal(flagged, x)
+        npt.assert_array_equal(same, ok)
 
 
 def test_smooth_batch_reproduces_single_solves(scenario, split, a0):
@@ -825,6 +832,27 @@ def test_cone_batch_mixes_zero_and_positive_gammas(scenario, manifold, split, a0
             expected = closed_form(spec.quadratic, a0)
             assert np.linalg.norm(got.w - expected) <= 1e-6 * np.linalg.norm(expected)
             assert got.dual_residual == 0.0
+
+
+@pytest.mark.parametrize("kind", ["mixed_norm", "tvm_sparse"])
+def test_cone_solve_passes_over_an_empty_term(scenario, manifold, a0, kind):
+    # a mainlobe window over the whole grid (b = 90) leaves the sidelobe L1
+    # term no column; such a term is inactive, so the specs that carry it
+    # solve bit for bit like the specs without it, and raise no warning
+    full_window = split_manifold(manifold, scenario.presumed_doa_deg, 90)
+    assert full_window.sidelobe_indices.size == 0
+    gammas = (0.0, CRITERION_10_GAMMAS[kind], 1.0)
+    specs = _gamma_specs(kind, _packaged_covariances(scenario, 3), gammas, manifold, full_window, a0)
+    assert specs[1].penalties[-1].operator.shape[1] == 0
+    bare = [replace(spec, penalties=spec.penalties[:-1]) for spec in specs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        carried = cone_solve(specs)
+    for got, expected in zip(carried, cone_solve(bare)):
+        assert got.status is expected.status is SolverStatus.CONVERGED
+        assert got.iterations == expected.iterations
+        npt.assert_array_equal(got.w, expected.w)
+        assert got.dual_residual == expected.dual_residual
 
 
 # mc_packaged chunks (first seed, mismatch in deg) whose batch takes a

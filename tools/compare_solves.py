@@ -4,8 +4,9 @@
 seed 0 and writes one JSON file:
 
 * ``mc_packaged`` chunks 0-11 (scenario seeds 7-306, mismatch 0 and 3 deg,
-  the criterion-10 gammas): kind, mismatch, seed, status, iterations and
-  SINR (dB) of every trial;
+  the criterion-10 gammas): kind, mismatch, seed, status, iterations,
+  SINR (dB) and certificate (``MethodSinr.subgrad_residuals``) of every
+  trial;
 * the four ``gamma_tune`` sweeps (held-out draws 6-9, 41 gammas per shaped
   method): each grid point's gamma, SINR and status, and the selected one;
 * the SHA-256 digest of every file that the CLI ``montecarlo`` writes for
@@ -17,9 +18,10 @@ seed 0 and writes one JSON file:
 
 ``diff`` reads two such files and prints, per kind, the status changes, how
 many solves changed their iterations and by how much at most, the iteration
-sums, and the largest SINR difference; then, per kind over the sweeps, the
-changed selections and the largest SINR difference at a grid point; then
-the CLI output files whose digests differ. It exits 1, and says why on its
+sums, the largest SINR difference and the largest relative certificate
+change; then, per kind over the sweeps, the changed selections and the
+largest SINR difference at a grid point; then the CLI output files whose
+digests differ. It exits 1, and says why on its
 last line, when any status (of a trial or a grid point) or any sweep
 selection changed.
 
@@ -80,10 +82,11 @@ def dump(tree: Path, out: Path) -> None:
             for mismatch, report in zip(config.mismatch_list, reports):
                 for entry in report.methods:
                     sinrs = iter(entry.per_trial_db)
-                    for t, (status, iters) in enumerate(zip(entry.statuses, entry.iterations)):
+                    for t, (status, iters, cert) in enumerate(
+                            zip(entry.statuses, entry.iterations, entry.subgrad_residuals)):
                         value = math.nan if status is SolverStatus.NUMERICAL_FAILURE else next(sinrs)
                         trials.append([entry.method.kind.value, mismatch, seed + t, status.value, int(iters),
-                                       _number(value)])
+                                       _number(value), _number(cert)])
 
         tune = WORKLOADS["gamma_tune"]
         config_path = Path(scratch) / "tune.json"
@@ -120,13 +123,19 @@ def _gap(x, y) -> float:
     return abs(x - y)
 
 
+def _relative(x, y) -> float:
+    # a certificate's change relative to the larger of the two
+    gap = _gap(x, y)
+    return gap / max(abs(x), abs(y)) if 0.0 < gap < math.inf else gap
+
+
 def diff(before: Path, after: Path) -> None:
     a, b = (json.loads(p.read_text()) for p in (before, after))
     if [t[:3] for t in a["trials"]] != [t[:3] for t in b["trials"]]:
         sys.exit("the two files do not hold the same trials")
     rows = defaultdict(lambda: {"n": 0, "status": 0, "iter_changed": 0, "iter_max": 0, "iters": [0, 0],
-                                "sinr_max": 0.0, "identical": 0})
-    for (kind, _, _, s0, i0, v0), (_, _, _, s1, i1, v1) in zip(a["trials"], b["trials"]):
+                                "sinr_max": 0.0, "cert_max": 0.0, "identical": 0})
+    for (kind, _, _, s0, i0, v0, c0), (_, _, _, s1, i1, v1, c1) in zip(a["trials"], b["trials"]):
         row = rows[kind]
         row["n"] += 1
         row["status"] += s0 != s1
@@ -135,14 +144,15 @@ def diff(before: Path, after: Path) -> None:
         row["iters"][0] += i0
         row["iters"][1] += i1
         row["sinr_max"] = max(row["sinr_max"], _gap(v0, v1))
-        row["identical"] += s0 == s1 and i0 == i1 and v0 == v1
+        row["cert_max"] = max(row["cert_max"], _relative(c0, c1))
+        row["identical"] += s0 == s1 and i0 == i1 and v0 == v1 and c0 == c1
     print("mc_packaged trials")
     print(f"{'kind':16} {'solves':>6} {'status':>6} {'iter chg':>8} {'|d iter|':>8} {'iter sums':>15} "
-          f"{'max |d SINR| dB':>15} {'identical':>9}")
+          f"{'max |d SINR| dB':>15} {'max rel d cert':>14} {'identical':>9}")
     for kind, row in rows.items():
         sums = f"{row['iters'][0]}->{row['iters'][1]}"
         print(f"{kind:16} {row['n']:6d} {row['status']:6d} {row['iter_changed']:8d} {row['iter_max']:8d} "
-              f"{sums:>15} {row['sinr_max']:15.3g} {row['identical']:9d}")
+              f"{sums:>15} {row['sinr_max']:15.3g} {row['cert_max']:14.3g} {row['identical']:9d}")
 
     if [s[:2] for s in a["sweeps"]] != [s[:2] for s in b["sweeps"]]:
         sys.exit("the two files do not hold the same sweeps")
