@@ -60,7 +60,7 @@ class ArrayGeometry:
 
     def __post_init__(self):
         if self.num_sensors < 2:
-            raise ValueError(f"need at least 2 sensors, got {self.num_sensors}")
+            raise ValueError(f"num_sensors must be >= 2, got {self.num_sensors}")
         if not (math.isfinite(self.spacing_ratio) and self.spacing_ratio > 0):
             raise ValueError(f"spacing_ratio must be finite and positive, got {self.spacing_ratio}")
 
@@ -106,7 +106,7 @@ class Scenario:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         doas = [s.doa_deg for s in self.interferers]
         if len(set(doas)) != len(doas):
-            raise ValueError(f"interferer DOAs must be distinct, got {doas}")
+            raise ValueError(f"interferers must have distinct DOAs, got {doas}")
 
     def with_soi_doa(self, doa_deg: float) -> "Scenario":
         return replace(self, soi=SourceSpec(doa_deg=doa_deg, power=self.soi.power))
@@ -186,17 +186,23 @@ def build_manifold(
 ) -> ArrayManifold:
     """Steering matrix over the regular grid min_deg, min_deg+step, ..., max_deg.
 
-    The step must divide the span exactly (to within 1e-9 of a grid count);
-    the grid then has (max-min)/step + 1 angles.
+    The grid must lie in [-90, 90]: past its ends theta and 180 - theta
+    share a steering vector, so the grid would repeat directions. The step
+    must divide the span exactly (to within 1e-9 of a grid count); the grid
+    then has (max-min)/step + 1 angles.
     """
     if step_deg <= 0:
         raise ValueError(f"step_deg must be positive, got {step_deg}")
+    if not -90.0 <= min_deg:
+        raise ValueError(f"min_deg must be >= -90, got {min_deg}")
+    if not max_deg <= 90.0:
+        raise ValueError(f"max_deg must be <= 90, got {max_deg}")
     if not min_deg < max_deg:
-        raise ValueError(f"need min_deg < max_deg, got [{min_deg}, {max_deg}]")
+        raise ValueError(f"min_deg must be < max_deg, got [{min_deg}, {max_deg}]")
     span = max_deg - min_deg
     count = span / step_deg
     if abs(count - round(count)) > 1e-9:
-        raise ValueError(f"step {step_deg} does not divide the span [{min_deg}, {max_deg}]")
+        raise ValueError(f"step_deg {step_deg} does not divide the span [{min_deg}, {max_deg}]")
     n = int(round(count)) + 1
     angles = np.linspace(min_deg, max_deg, n)
     phases = 2.0 * np.pi * geometry.spacing_ratio * np.sin(np.deg2rad(angles))
@@ -215,7 +221,7 @@ def split_manifold(manifold: ArrayManifold, presumed_doa_deg: float, b: int) -> 
     if b < 0:
         raise ValueError(f"b must be >= 0, got {b}")
     if 2 * b + 1 > n:
-        raise ValueError(f"mainlobe window 2*{b}+1 exceeds the {n}-point grid")
+        raise ValueError(f"b {b} gives a mainlobe window 2*{b}+1 wider than the {n}-point grid")
     center = int(np.argmin(np.abs(manifold.angles_deg - presumed_doa_deg)))
     lo = max(0, center - b)
     hi = min(n - 1, center + b)

@@ -97,7 +97,7 @@ class BeamformerSpec:
         if self.gamma is not None and not (math.isfinite(self.gamma) and self.gamma >= 0):
             raise ValueError(f"gamma must be a finite number >= 0, got {self.gamma}")
         if self.kind is BeamformerKind.CAPON and self.gamma not in (None, 0.0):
-            raise ValueError("CAPON takes no gamma")
+            raise ValueError(f"gamma must be 0 or auto for CAPON, got {self.gamma}")
         if self.b is not None and self.kind not in _KINDS_WITH_B:
             raise ValueError(f"b applies to MIXED_NORM/MSPR_RELAXED, not {self.kind.name}")
         if self.b is not None and self.b < 0:

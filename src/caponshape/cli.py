@@ -7,12 +7,16 @@ Three subcommands over a single JSON config:
   montecarlo  repeated-draw SINR benchmark per mismatch value
   sweep       gamma grid sweep on the held-out tuning draw
 
-This module alone reads and writes the config format; every field is typed
-and a malformed one is a configuration error that names its key. Flags
-override config fields (flag > file > built-in default). Exit codes:
-0 success, 2 configuration error, 3 numerical failure. All file outputs are
-deterministic functions of the config plus flags; floats are written with 9
-significant digits, and JSON files are strict (a non-finite value is null).
+This module alone reads the config and writes files. Every config field is
+typed, and a malformed or out-of-range one is a configuration error that
+names its key. Flags override config fields (flag > file > built-in
+default). Exit codes: 0 success, 2 configuration error, 3 numerical
+failure. All file outputs are deterministic functions of the config plus
+flags. Every CSV is written by ``_write_csv`` and every JSON file by
+``_write_json``, both with ``_fmt``'s 9 significant digits. JSON files are
+strict (a non-finite value is null) and a CSV leaves such a field empty,
+except a pattern's gain_db, floored at -300 dB, and the sweep's mspr, inf
+when there is no sidelobe power.
 
 Every subcommand solves with BENCHMARK_OPTIONS, including ``pattern``: its
 ``gamma: auto`` methods are tuned under those options, and a gamma is only
@@ -38,9 +42,11 @@ import numpy as np
 # hooks them
 from .arrays import (ArrayGeometry, Scenario, SourceSpec, build_manifold, db_to_linear, linear_to_db,  # noqa: F401
                      sample_covariance, snapshot_moments, split_manifold, steering_vector, synthesize_snapshots)
-from .beamformers import BeamformerKind, BeamformerSpec, solve_method
+from .beamformers import BeamformerKind, BeamformerSpec, resolve_split, solve_method
 from .evaluation import (  # noqa: F401
+    DB_FLOOR,
     DEFAULT_GAMMA_GRID,
+    SinrReport,
     beam_pattern,
     best_point_index,
     gamma_sweep,
@@ -49,7 +55,6 @@ from .evaluation import (  # noqa: F401
     resolve_auto_gammas,
     sidelobe_mean_db,
     sinr,
-    write_pattern_csv,
 )
 from .solver import NumericalError, SolverOptions, SolverStatus
 
@@ -128,25 +133,39 @@ def _get(doc: dict, key: str, kind: type, default=_REQUIRED, where: str = ""):
 def _linear(doc: dict, key: str, where: str) -> float:
     """The power in dB under ``key``, as a linear power."""
     try:
-        return db_to_linear(_get(doc, key, float, where=where))
+        power = db_to_linear(_get(doc, key, float, where=where))
     except OverflowError as exc:
         raise ValueError(f"{where}.{key} is too large for a linear power") from exc
+    if power == 0.0:
+        raise ValueError(f"{where}.{key} is too small for a linear power")
+    return power
+
+
+def _build(where: str, make, **fields):
+    """``make(**fields)``, whose own range checks name a field first; the
+    ValueError they raise is prefixed with ``where``, the config path of
+    the object, so that it names the config key."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{where}.{exc}") from None
 
 
 def _source(doc, where: str) -> SourceSpec:
     doc = _check(doc, dict, where)
-    return SourceSpec(_get(doc, "doa_deg", float, where=where), _linear(doc, "power_db", where))
+    return _build(where, SourceSpec, doa_deg=_get(doc, "doa_deg", float, where=where),
+                  power=_linear(doc, "power_db", where))
 
 
 def _scenario(doc: dict) -> Scenario:
     """The scenario object of a config (powers given in dB)."""
     geometry = _get(doc, "geometry", dict, where="scenario")
     interferers = _get(doc, "interferers", list, [], "scenario")
-    return Scenario(
-        geometry=ArrayGeometry(
-            num_sensors=_get(geometry, "num_sensors", int, where="scenario.geometry"),
-            spacing_ratio=_get(geometry, "spacing_ratio", float, where="scenario.geometry"),
-        ),
+    return _build(
+        "scenario", Scenario,
+        geometry=_build("scenario.geometry", ArrayGeometry,
+                        num_sensors=_get(geometry, "num_sensors", int, where="scenario.geometry"),
+                        spacing_ratio=_get(geometry, "spacing_ratio", float, where="scenario.geometry")),
         soi=_source(_get(doc, "soi", dict, where="scenario"), "scenario.soi"),
         interferers=tuple(_source(j, f"scenario.interferers[{i}]") for i, j in enumerate(interferers)),
         noise_power=_linear(doc, "noise_power_db", "scenario"),
@@ -192,7 +211,8 @@ def _method(doc, where: str) -> BeamformerSpec:
     if name.lower() not in kinds:
         raise ValueError(f"{where}.kind must be one of {', '.join(kinds)}, got {name!r}")
     gamma = doc.get("gamma", "auto")
-    return BeamformerSpec(
+    return _build(
+        where, BeamformerSpec,
         kind=kinds[name.lower()],
         gamma=None if gamma == "auto" else _check(gamma, float, f'{where}.gamma (a number or "auto")'),
         b=_get(doc, "b", int, None, where),
@@ -265,7 +285,8 @@ def load_run_config(
             key = f"mismatch_list[{i}]" if mismatch_csv is None else "--mismatch"
             raise ValueError(f"{key} moves the true SOI direction to {doa:g} deg (presumed "
                              f"{scenario.presumed_doa_deg:g} + mismatch {value:g}), outside [-90, 90]")
-        name = _report_name(value)
+        # -0.0 reads as 0.0: one direction, one report
+        name = _report_name(value + 0.0)
         if name in seen:
             raise ValueError(f"mismatch values {seen[name]!r} and {value!r} would both write {name}")
         seen[name] = value
@@ -278,15 +299,23 @@ def load_run_config(
         methods=methods,
         output_dir=output_dir if out_dir is None else str(out_dir),
         trials=file_trials if trials is None else trials,
-        mismatch_list=mismatch_list,
+        mismatch_list=tuple(value + 0.0 for value in mismatch_list),
     )
 
 
+def _fmt(x) -> str:
+    """9 significant digits; a non-finite value is an empty field, as it is
+    null in JSON."""
+    x = float(x)
+    return f"{x:.9g}" if math.isfinite(x) else ""
+
+
 def _round9(obj):
-    if isinstance(obj, bool):
-        return obj
+    """``obj`` with every float at the digits ``_fmt`` writes, and a
+    non-finite one as None (JSON null)."""
     if isinstance(obj, float):
-        return float(f"{obj:.9g}") if math.isfinite(obj) else None
+        text = _fmt(obj)
+        return float(text) if text else None
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -300,11 +329,21 @@ def _write_json(doc: dict, path: Path) -> None:
         handle.write("\n")
 
 
-def _fmt(x) -> str:
-    """9 significant digits; a non-finite value is an empty field, as it is
-    null in JSON."""
-    x = float(x)
-    return f"{x:.9g}" if math.isfinite(x) else ""
+def _write_csv(path: Path, header, rows) -> None:
+    """A CSV file of ``header`` and ``rows``; a float field is written by
+    ``_fmt``, any other field as it is."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows([_fmt(x) if isinstance(x, float) else x for x in row] for row in rows)
+
+
+def _report_doc(report: SinrReport) -> dict:
+    """The JSON document of one mismatch value's Monte Carlo report."""
+    methods = [{"kind": entry.method.kind.value, "gamma": 0.0 if entry.method.gamma is None else entry.method.gamma,
+                "mean_sinr_db": entry.mean_sinr_db, "std_db": entry.std_db, "trials": entry.trials,
+                "failures": entry.failures, "solver": entry.solver_stats()} for entry in report.methods]
+    return {"methods": methods, "mismatch_deg": report.mismatch_deg, "seed": report.seed}
 
 
 def _common_options(f):
@@ -320,13 +359,12 @@ def _common_options(f):
 
 
 def _prepare(config: RunConfig):
-    manifold = build_manifold(
-        config.scenario.geometry,
-        config.manifold_min_deg,
-        config.manifold_max_deg,
-        config.manifold_step_deg,
-    )
+    manifold = _build("manifold", build_manifold, geometry=config.scenario.geometry, min_deg=config.manifold_min_deg,
+                      max_deg=config.manifold_max_deg, step_deg=config.manifold_step_deg)
+    # b is a top-level key, which the split's errors name first
     split = split_manifold(manifold, config.scenario.presumed_doa_deg, config.b)
+    for i, method in enumerate(config.methods):
+        _build(f"methods[{i}]", resolve_split, method=method, manifold=manifold, split=split)
     a = steering_vector(config.scenario.geometry, config.scenario.presumed_doa_deg)
     return manifold, split, a
 
@@ -397,7 +435,11 @@ def pattern(config_path, out_dir, seed):
         count = used_names.get(stem, 0)
         used_names[stem] = count + 1
         name = f"{stem}.csv" if count == 0 else f"{stem}_{count + 1}.csv"
-        write_pattern_csv(pat, out / name)
+        # the gains L2-normalized as gain_db is, which is floored at DB_FLOOR
+        norm = np.linalg.norm(pat.gains)
+        unit = pat.gains / norm if norm > 0 else pat.gains
+        _write_csv(out / name, ["angle_deg", "gain_db", "gain_re", "gain_im"],
+                   zip(pat.angles_deg, np.fmax(pat.power_db, DB_FLOOR), unit.real, unit.imag))
         entry = _method_doc(method)
         entry["file"] = name
         manifest["files"].append(entry)
@@ -423,27 +465,18 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
     reports = monte_carlo(config.scenario, methods, config.trials, config.scenario.seed, config.mismatch_list,
                           manifold, config.b, BENCHMARK_OPTIONS)
 
+    # the summary rows come from the report documents, so the two agree
     summary_rows = []
     capped = [0] * len(methods)
-    for mismatch, report in zip(config.mismatch_list, reports):
-        _write_json(report.to_dict(), out / _report_name(mismatch))
-        for j, entry in enumerate(report.methods):
-            capped[j] += entry.solver_stats()[SolverStatus.MAX_ITERS.value]
-            summary_rows.append(
-                (
-                    entry.method.kind.value,
-                    0.0 if entry.method.gamma is None else entry.method.gamma,
-                    mismatch,
-                    entry.mean_sinr_db,
-                    entry.std_db,
-                    entry.failures,
-                )
-            )
-    with open(out / "sinr_summary.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "gamma", "mismatch_deg", "mean_sinr_db", "std_db", "failures"])
-        for kind, gamma, mismatch, mean, std, failures in summary_rows:
-            writer.writerow([kind, _fmt(gamma), _fmt(mismatch), _fmt(mean), _fmt(std), failures])
+    for report in reports:
+        doc = _report_doc(report)
+        _write_json(doc, out / _report_name(report.mismatch_deg))
+        for j, entry in enumerate(doc["methods"]):
+            capped[j] += entry["solver"][SolverStatus.MAX_ITERS.value]
+            summary_rows.append([entry["kind"], entry["gamma"], doc["mismatch_deg"], entry["mean_sinr_db"],
+                                 entry["std_db"], entry["failures"]])
+    _write_csv(out / "sinr_summary.csv", ["kind", "gamma", "mismatch_deg", "mean_sinr_db", "std_db", "failures"],
+               summary_rows)
     solves = config.trials * len(config.mismatch_list)
     for method, count, points in zip(methods, capped, sweeps):
         _warn(method.kind.value, count, f"{solves} solves", points)
@@ -456,8 +489,9 @@ def montecarlo(config_path, out_dir, seed, trials, mismatch_csv):
 def sweep(config_path, out_dir, seed, gammas_csv):
     """Sweep gamma for every method on the held-out tuning draw (seed - 1)."""
     config = load_run_config(config_path, out_dir, seed=seed)
-    # each gamma is checked where it becomes a BeamformerSpec
     grid = DEFAULT_GAMMA_GRID if gammas_csv is None else _float_list(gammas_csv, "--gammas")
+    if min(grid) < 0:
+        raise ValueError(f"--gammas takes gammas >= 0, got {min(grid)!r}")
     manifold, _, _ = _prepare(config)
     out = _out_path(config)
     held_out = config.scenario.with_seed(config.scenario.seed - 1)
@@ -468,23 +502,11 @@ def sweep(config_path, out_dir, seed, gammas_csv):
         points = gamma_sweep(method, held_out, manifold, config.b, method_grid, BENCHMARK_OPTIONS)
         best = best_point_index(points)
         _warn(method.kind.value, points=points)
-        for i, point in enumerate(points):
-            rows.append(
-                (
-                    method.kind.value,
-                    point.gamma,
-                    point.sinr_db,
-                    point.sidelobe_db,
-                    point.mspr,
-                    1 if i == best else 0,
-                )
-            )
-    with open(out / "gamma_sweep.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "gamma", "sinr_db", "sidelobe_mean_db", "mspr", "selected"])
-        for kind, gamma, sinr_db, side_db, ratio, selected in rows:
-            ratio_text = "inf" if math.isinf(ratio) else _fmt(ratio)
-            writer.writerow([kind, _fmt(gamma), _fmt(sinr_db), _fmt(side_db), ratio_text, selected])
+        # an mspr with no sidelobe power is written as inf, not left empty
+        rows += [[method.kind.value, point.gamma, point.sinr_db, point.sidelobe_db,
+                  "inf" if math.isinf(point.mspr) else point.mspr, int(i == best)]
+                 for i, point in enumerate(points)]
+    _write_csv(out / "gamma_sweep.csv", ["kind", "gamma", "sinr_db", "sidelobe_mean_db", "mspr", "selected"], rows)
 
 
 if __name__ == "__main__":

@@ -6,11 +6,13 @@ All quality metrics are computed against the scenario's TRUE source angles
 and powers; the beamformers themselves only ever see the presumed steering
 direction and the sample covariance, which is what makes the mismatch
 experiments meaningful.
+
+This module only computes: it opens no file. The command-line front end
+(``cli``) shapes the results into its JSON and CSV outputs and writes them.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -40,7 +42,6 @@ __all__ = [
     "SinrReport",
     "SweepPoint",
     "beam_pattern",
-    "write_pattern_csv",
     "sinr",
     "optimal_sinr",
     "mspr",
@@ -52,7 +53,8 @@ __all__ = [
     "monte_carlo",
 ]
 
-# finite stand-in for -inf when writing files
+# finite stand-in for -inf: the floor of a dB metric, and of a pattern's
+# gain_db when written
 DB_FLOOR = -300.0
 
 # 10 points per decade over [1e-3, 1e+1]
@@ -65,7 +67,7 @@ class BeamPattern:
 
     ``power_db`` is 20 log10 of the gain moduli after dividing the gain
     vector by its Euclidean norm, so the normalized gains have unit L2 norm;
-    exact zeros give -inf (floored only when serialized).
+    exact zeros give -inf (floored only when the CLI writes it).
     """
 
     angles_deg: np.ndarray
@@ -114,24 +116,6 @@ class SinrReport:
     mismatch_deg: float
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "methods": [
-                {
-                    "kind": entry.method.kind.value,
-                    "gamma": 0.0 if entry.method.gamma is None else entry.method.gamma,
-                    "mean_sinr_db": entry.mean_sinr_db,
-                    "std_db": entry.std_db,
-                    "trials": entry.trials,
-                    "failures": entry.failures,
-                    "solver": entry.solver_stats(),
-                }
-                for entry in self.methods
-            ],
-            "mismatch_deg": self.mismatch_deg,
-            "seed": self.seed,
-        }
-
 
 def beam_pattern(w: np.ndarray, manifold: ArrayManifold) -> BeamPattern:
     """Evaluate w against every manifold column and L2-normalize."""
@@ -146,23 +130,6 @@ def beam_pattern(w: np.ndarray, manifold: ArrayManifold) -> BeamPattern:
         else:
             power_db = 20.0 * np.log10(np.abs(gains) / norm)
     return BeamPattern(angles_deg=manifold.angles_deg.copy(), gains=gains, power_db=power_db)
-
-
-def write_pattern_csv(pattern: BeamPattern, path) -> None:
-    """CSV with header angle_deg,gain_db,gain_re,gain_im, one row per angle.
-
-    The complex columns hold the L2-normalized gains (consistent with
-    gain_db); floats carry 9 significant digits and -inf is floored at
-    -300 dB.
-    """
-    norm = np.linalg.norm(pattern.gains)
-    unit = pattern.gains / norm if norm > 0 else pattern.gains
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["angle_deg", "gain_db", "gain_re", "gain_im"])
-        for angle, g, db in zip(pattern.angles_deg, unit, pattern.power_db):
-            floored = DB_FLOOR if not math.isfinite(db) else max(db, DB_FLOOR)
-            writer.writerow([f"{angle:.9g}", f"{floored:.9g}", f"{g.real:.9g}", f"{g.imag:.9g}"])
 
 
 def _interference_noise_power(w: np.ndarray, scenario: Scenario) -> float:

@@ -88,6 +88,11 @@ def test_manifold_rejects_bad_grid():
         build_manifold(geom, -90.0, 90.0, -1.0)
     with pytest.raises(ValueError):
         build_manifold(geom, 0.0, 1.0, 0.3)  # step does not divide the span
+    # past +-90 the grid would repeat directions
+    with pytest.raises(ValueError, match="^min_deg "):
+        build_manifold(geom, -91.0, 90.0, 1.0)
+    with pytest.raises(ValueError, match="^max_deg "):
+        build_manifold(geom, -90.0, 91.0, 1.0)
 
 
 def test_split_manifold_benchmark_window(manifold):

@@ -19,8 +19,9 @@ from click.testing import CliRunner
 import caponshape
 from caponshape import evaluation
 from caponshape.beamformers import BeamformerKind, BeamformerSpec, WeightVector
-from caponshape.cli import _fmt, _method, _method_doc, _scenario, _scenario_doc, load_run_config, main
-from caponshape.evaluation import DB_FLOOR
+from caponshape.cli import (BENCHMARK_OPTIONS, _fmt, _method, _method_doc, _report_doc, _scenario, _scenario_doc,
+                            load_run_config, main)
+from caponshape.evaluation import DB_FLOOR, monte_carlo
 from caponshape.solver import NumericalError, SolverOptions, SolverStatus
 
 SMALL_SCENARIO = {
@@ -124,11 +125,12 @@ def test_beamformer_spec_json_round_trip():
 
 def test_method_entry_errors():
     cases = [({}, "'methods[0].kind'"), ({"kind": "unknown"}, "methods[0].kind"), ({"kind": 5}, "methods[0].kind")]
-    # numeric strings and booleans are not numbers
+    # numeric strings and booleans are not numbers, and a gamma is >= 0
     cases += [({"kind": "sparse", "gamma": bad}, "methods[0].gamma")
-              for bad in ("widest", "nan", "inf", "0.5", True, None, math.nan, math.inf)]
+              for bad in ("widest", "nan", "inf", "0.5", True, None, math.nan, math.inf, -0.5)]
     cases += [({"kind": "mixed_norm", "gamma": 0.1, "b": 3.0}, "methods[0].b"),
               ({"kind": "tvm_sparse", "gamma": 0.1, "tv_orders": "2"}, "methods[0].tv_orders"),
+              ({"kind": "capon", "gamma": 0.5}, "methods[0].gamma"),
               (5, "methods[0] must be an object")]
     for doc, key in cases:
         with pytest.raises(ValueError, match=re.escape(key)):
@@ -154,6 +156,21 @@ MALFORMED = [
     ("scenario.seed", {"scenario": {**SMALL_SCENARIO, "seed": -3}}),
     # presumed 89 + mismatch 3 puts the true SOI direction off the half-plane
     ("mismatch_list[1]", {"scenario": {**SMALL_SCENARIO, "presumed_doa_deg": 89.0}, "mismatch_list": [0.0, 3.0]}),
+    # a range error of an object names the object's key
+    ("scenario.interferers[0].doa_deg", {"scenario": {**SMALL_SCENARIO, "interferers": [{"doa_deg": 120.0,
+                                                                                          "power_db": 20.0}]}}),
+    ("scenario.geometry.num_sensors", {"scenario": {**SMALL_SCENARIO, "geometry": {"num_sensors": 1,
+                                                                                 "spacing_ratio": 0.5}}}),
+    ("scenario.num_snapshots", {"scenario": {**SMALL_SCENARIO, "num_snapshots": 0}}),
+    ("scenario.noise_power_db", {"scenario": {**SMALL_SCENARIO, "noise_power_db": -1e5}}),
+    ("methods[1].b", {"methods": [{"kind": "capon"}, {"kind": "mixed_norm", "gamma": 0.1, "b": -1}]}),
+    ("methods[1].b", {"methods": [{"kind": "capon"}, {"kind": "mixed_norm", "gamma": 0.1, "b": 200}]}),
+    ("manifold.step_deg", {"manifold": {"step_deg": 100.0}}),
+    ("b", {"b": 200}),
+    # past +-90 a ULA grid repeats directions (theta and 180 - theta share a
+    # steering vector)
+    ("manifold.min_deg", {"manifold": {"min_deg": -200.0}}),
+    ("manifold.max_deg", {"manifold": {"max_deg": 200.0}}),
 ]
 
 
@@ -214,7 +231,8 @@ def test_load_run_config_checks_types(tmp_path):
 
 def test_mismatch_values_may_not_share_a_report_file(tmp_path):
     # report names keep 6 significant digits, so these two would collide
-    for values in ("1e-7,1.0000001e-7", "0,0"):
+    # and -0 is the direction 0
+    for values in ("1e-7,1.0000001e-7", "0,0", "0,-0"):
         path = write_config(tmp_path, mismatch_list=[float(v) for v in values.split(",")])
         with pytest.raises(ValueError, match="would both write"):
             load_run_config(str(path))
@@ -240,6 +258,36 @@ def test_pattern_writes_csvs_and_manifest(tmp_path):
     assert manifest["scenario"]["geometry"]["num_sensors"] == 4
     assert [entry["file"] for entry in manifest["files"]] == ["pattern_capon.csv", "pattern_sparse.csv"]
     assert manifest["files"][1]["gamma"] == 0.1
+
+
+def test_write_pattern_csv_format(tmp_path):
+    path = write_config(tmp_path, methods=[{"kind": "capon"}])
+    result = CliRunner().invoke(main, ["pattern", "--config", str(path)])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "out" / "pattern_capon.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["angle_deg", "gain_db", "gain_re", "gain_im"]
+    assert len(rows) == 182
+    for row in rows[1:]:
+        db = float(row[1])
+        mag = math.hypot(float(row[2]), float(row[3]))
+        assert math.isclose(db, 20.0 * math.log10(mag), abs_tol=1e-4)
+
+
+def test_write_pattern_csv_floors_exact_nulls(tmp_path, monkeypatch):
+    # w = [1, -1] has a hard zero against the broadside column [1, 1]
+    def fixed_weights(*args, **kwargs):
+        return WeightVector(np.array([1.0, -1.0], dtype=complex), 0.0, SolverStatus.CONVERGED, 0)
+
+    monkeypatch.setattr("caponshape.cli.solve_method", fixed_weights)
+    scenario = {**SMALL_SCENARIO, "geometry": {"num_sensors": 2, "spacing_ratio": 0.5}}
+    result = CliRunner().invoke(main, ["pattern", "--config", str(write_config(tmp_path, scenario=scenario,
+                                                                               methods=[{"kind": "capon"}]))])
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "out" / "pattern_capon.csv", newline="") as handle:
+        rows = {float(row[0]): row for row in list(csv.reader(handle))[1:]}
+    assert float(rows[0.0][1]) == DB_FLOOR
+    assert float(rows[0.0][2]) == 0.0 and float(rows[0.0][3]) == 0.0
 
 
 def test_pattern_numbers_duplicate_kinds(tmp_path):
@@ -310,6 +358,21 @@ def test_montecarlo_writes_reports_and_summary(tmp_path):
     assert rows[0] == ["kind", "gamma", "mismatch_deg", "mean_sinr_db", "std_db", "failures"]
     assert len(rows) == 1 + 2 * 2
     assert [row[0] for row in rows[1:]] == ["capon", "sparse", "capon", "sparse"]
+
+
+def test_report_doc_schema(scenario, manifold, config):
+    report = monte_carlo(scenario, [BeamformerSpec(BeamformerKind.CAPON)], 1,
+                         scenario.seed, 1.5, manifold, config.b, BENCHMARK_OPTIONS)
+    doc = _report_doc(report)
+    assert set(doc) == {"methods", "mismatch_deg", "seed"}
+    assert doc["mismatch_deg"] == 1.5
+    assert doc["seed"] == scenario.seed
+    entry = doc["methods"][0]
+    assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures", "solver"}
+    assert entry["kind"] == "capon"
+    assert entry["solver"] == {"converged": 1, "max_iters": 0, "numerical_failure": 0,
+                               "iterations_p50": 0, "iterations_p90": 0, "iterations_max": 0,
+                               "subgrad_residual_max": 0.0}
 
 
 def test_montecarlo_writes_each_mismatch_value_as_a_run_of_its_own_would(tmp_path):
@@ -540,8 +603,9 @@ def test_sweep_rejects_bad_gamma_grids(tmp_path):
     for gammas in ("0.1,-0.5", ",", "nan", "0.1,inf"):
         result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", gammas])
         assert result.exit_code == 2, gammas
-        assert "error:" in result.stderr, gammas
+        assert result.stderr.startswith("error: --gammas "), gammas
         assert "Traceback" not in result.output, gammas
+        assert not (tmp_path / "out").exists(), gammas
 
 
 def test_sweep_warns_about_capped_grid_points(tmp_path, monkeypatch):

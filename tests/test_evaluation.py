@@ -1,6 +1,5 @@
 """Beam patterns, SINR metrics, gamma sweeps, and the Monte Carlo loop."""
 
-import csv
 import math
 from dataclasses import replace
 
@@ -32,7 +31,6 @@ from caponshape.evaluation import (
     select_gamma,
     sidelobe_mean_db,
     sinr,
-    write_pattern_csv,
 )
 from caponshape.solver import NumericalError, SolverStatus
 
@@ -53,32 +51,6 @@ def test_beam_pattern_power_is_normalized(covariance, manifold, a0):
 def test_beam_pattern_rejects_wrong_length(manifold):
     with pytest.raises(ValueError):
         beam_pattern(np.ones(5), manifold)
-
-
-def test_write_pattern_csv_format(tmp_path, covariance, manifold, a0):
-    w = capon_closed_form(covariance, a0).weights
-    path = tmp_path / "pattern.csv"
-    write_pattern_csv(beam_pattern(w, manifold), path)
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    assert rows[0] == ["angle_deg", "gain_db", "gain_re", "gain_im"]
-    assert len(rows) == 182
-    for row in rows[1:]:
-        db = float(row[1])
-        mag = math.hypot(float(row[2]), float(row[3]))
-        assert math.isclose(db, 20.0 * math.log10(mag), abs_tol=1e-4)
-
-
-def test_write_pattern_csv_floors_exact_nulls(tmp_path):
-    # w = [1, -1] has a hard zero against the broadside column [1, 1]
-    geometry = ArrayGeometry(num_sensors=2, spacing_ratio=0.5)
-    manifold = build_manifold(geometry)
-    path = tmp_path / "pattern.csv"
-    write_pattern_csv(beam_pattern(np.array([1.0, -1.0]), manifold), path)
-    with open(path, newline="") as handle:
-        rows = {float(row[0]): row for row in list(csv.reader(handle))[1:]}
-    assert float(rows[0.0][1]) == DB_FLOOR
-    assert float(rows[0.0][2]) == 0.0 and float(rows[0.0][3]) == 0.0
 
 
 def _bare_scenario(num_sensors, soi_power, noise_power):
@@ -319,18 +291,3 @@ def test_monte_carlo_admm_certificates_meet_the_tolerance(scenario, manifold, co
             stats = entry.solver_stats()
             assert stats["converged"] == entry.trials, entry.method.kind
             assert 0.0 < stats["subgrad_residual_max"] < BENCHMARK_OPTIONS.tol, entry.method.kind
-
-
-def test_sinr_report_to_dict_schema(scenario, manifold, config):
-    report = monte_carlo(scenario, [BeamformerSpec(BeamformerKind.CAPON)], 1,
-                         scenario.seed, 1.5, manifold, config.b, BENCHMARK_OPTIONS)
-    doc = report.to_dict()
-    assert set(doc) == {"methods", "mismatch_deg", "seed"}
-    assert doc["mismatch_deg"] == 1.5
-    assert doc["seed"] == scenario.seed
-    entry = doc["methods"][0]
-    assert set(entry) == {"kind", "gamma", "mean_sinr_db", "std_db", "trials", "failures", "solver"}
-    assert entry["kind"] == "capon"
-    assert entry["solver"] == {"converged": 1, "max_iters": 0, "numerical_failure": 0,
-                               "iterations_p50": 0, "iterations_p90": 0, "iterations_max": 0,
-                               "subgrad_residual_max": 0.0}
