@@ -24,16 +24,18 @@ secular equation.
 
 The batch contract, the same for all three solvers: each takes one problem,
 as a batch of one, or a batch of problems that share the constraint and the
-penalty operators, which one front end, ``_eliminated``, checks and
-eliminates; it alone reads the problems' quadratics and weights (one (T, J)
-weight matrix). Each problem runs the iteration it would run alone and
-leaves the batch when it stops; its z, iterations, certificate and status go
-into one record, ``_Outcomes``, which forms its result at w = w0 + B z. A
-problem that never starts, because its quadratic (or ADMM's z-system) is not
-positive definite, fails at w0 after 0 iterations with an infinite
-certificate. Every other problem starts where the front end puts it: at the
-unpenalized optimum, the minimizer of w^H R_eff w on the constraint (R_eff
-is R with the squared-L2 penalties folded in).
+penalty operators. One record, ``_Batch``, carries a batch from its front
+end to its results. Its front end checks and eliminates the batch and is
+the one reader of its specs: the quadratics, one (T, J) weight matrix and
+each term's per-problem column scales. Each problem runs the iteration it
+would run alone and leaves the batch when it stops; the record keeps its z,
+iterations, certificate and status, and forms its result at w = w0 + B z.
+The two iterative loops drop a stopped problem through one method of the
+record, ``leave``. A problem that never starts, because its quadratic (or
+ADMM's z-system) is not positive definite, fails at w0 after 0 iterations
+with an infinite certificate. Every other problem starts where the front end
+puts it: at the unpenalized optimum, the minimizer of w^H R_eff w on the
+constraint (R_eff is R with the squared-L2 penalties folded in).
 
 Gradients follow the real-geometry (Wirtinger, factor-2) convention: for
 f(z) = z^H M z + 2 Re(b^H z) the gradient is 2(Mz + b), which is exactly the
@@ -319,56 +321,84 @@ def _mv(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (mats @ x[..., np.newaxis])[..., 0]
 
 
-def _eliminated(spec, solver: str) -> tuple:
-    """The front end of every solver, and the one reader of a batch's
-    per-problem parameters: the specs as a list, checked to be nonempty and
-    to share the constraint vector and the penalty terms up to each term's
-    weight and column scale; the (T, J) matrix of the terms' weights; w0
-    and B of the shared constraint; the (T, M, M) stack R_eff of the
-    quadratics plus each squared-L2 term's G G^H (formed once) times its
-    weight; the z-space quadratics 2 B^H R_eff B + ridge I with ridge =
-    1e-10 * trace(R)/M per problem; lin = 2 B^H R_eff w0; and each problem's
-    start, quad z = -lin (0 where quad is not positive definite), and
-    whether its quad is. lin and z are taken problem by problem."""
-    specs = list(spec)
-    if not specs:
-        raise ValueError(f"{solver} needs at least one spec")
-    first = specs[0]
-    for other in specs[1:]:
-        if not (
-            (first.constraint_vector is other.constraint_vector
-             or np.array_equal(first.constraint_vector, other.constraint_vector))
-            and len(first.penalties) == len(other.penalties)
-            and all(x.kind is y.kind and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
-                    for x, y in zip(first.penalties, other.penalties))
-        ):
-            raise ValueError("a batch must share the constraint vector and the penalty operators")
-    weights = np.array([[t.weight for t in s.penalties] for s in specs], dtype=float)
-    w0, basis = eliminate_constraint(first.constraint_vector)
-    r_eff = np.stack([s.quadratic for s in specs])
-    ridge = 1e-10 * np.real(np.trace(r_eff, axis1=1, axis2=2)) / r_eff.shape[1]
-    for j, term in enumerate(first.penalties):
-        if term.kind is PenaltyKind.SQUARED_L2:
-            rows = weights[:, j] > 0
-            r_eff[rows] += weights[rows, j, np.newaxis, np.newaxis] * (term.operator @ term.operator.conj().T)
-    quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(basis.shape[1])
-    lin = 2.0 * _mv(basis.conj().T, _mv(r_eff, w0))
-    z, factored = cholesky_solve(quad, -lin)
-    z[~factored] = 0.0
-    return specs, weights, w0, basis, r_eff, quad, lin, z, factored
+class _Batch:
+    """A batch from its front end to its results: the one reader of the
+    batch's specs, and the record of each problem's outcome.
 
+    The front end, the constructor, takes the specs as a list, checked to be
+    nonempty and to share the constraint vector and the penalty terms up to
+    each term's weight and column scale. It keeps the shared ``terms``; the
+    (T, J) matrix of their ``weights``; ``w0`` and ``basis`` (B) of the
+    shared constraint; ``r_eff``, the (T, M, M) stack of the quadratics plus
+    each squared-L2 term's G G^H (formed once) times its weight; ``quad``,
+    the z-space quadratics 2 B^H R_eff B + ridge I with ridge = 1e-10 *
+    trace(R)/M per problem; ``lin`` = 2 B^H R_eff w0; each problem's
+    ``start``, quad z = -lin (0 where quad is not positive definite), and
+    whether its quad is (``factored``); and whether any problem gives a term
+    a column scale (``scaled``). lin and the starts are taken problem by
+    problem.
 
-class _Outcomes:
-    """The outcome of each problem of a batch of ``count``: its z (of length
-    m), iterations, certificate and status. Every problem starts out failed
-    at w0: z = 0, 0 iterations, certificate inf and NUMERICAL_FAILURE, which
-    is the outcome of a problem that is never stopped."""
+    A problem's outcome is its z, iterations, certificate and status. Every
+    problem starts out failed at w0: z = 0, 0 iterations, certificate inf
+    and NUMERICAL_FAILURE, the outcome of a problem that is never stopped."""
 
-    def __init__(self, count: int, m: int):
-        self.z = np.zeros((count, m), dtype=complex)
-        self.iterations = np.zeros(count, dtype=int)
-        self.certificate = np.full(count, math.inf)
-        self.status = np.full(count, SolverStatus.NUMERICAL_FAILURE, dtype=object)
+    def __init__(self, spec, solver: str):
+        specs = list(spec)
+        if not specs:
+            raise ValueError(f"{solver} needs at least one spec")
+        first = specs[0]
+        for other in specs[1:]:
+            if not (
+                (first.constraint_vector is other.constraint_vector
+                 or np.array_equal(first.constraint_vector, other.constraint_vector))
+                and len(first.penalties) == len(other.penalties)
+                and all(x.kind is y.kind and (x.operator is y.operator or np.array_equal(x.operator, y.operator))
+                        for x, y in zip(first.penalties, other.penalties))
+            ):
+                raise ValueError("a batch must share the constraint vector and the penalty operators")
+        self.solver, self.specs, self.terms = solver, specs, first.penalties
+        self.scaled = any(t.scale is not None for s in specs for t in s.penalties)
+        self.weights = np.array([[t.weight for t in s.penalties] for s in specs], dtype=float)
+        w0, basis = eliminate_constraint(first.constraint_vector)
+        self.w0, self.basis = w0, basis
+        r_eff = np.stack([s.quadratic for s in specs])
+        ridge = 1e-10 * np.real(np.trace(r_eff, axis1=1, axis2=2)) / r_eff.shape[1]
+        for j, term in enumerate(self.terms):
+            if term.kind is PenaltyKind.SQUARED_L2:
+                rows = self.weights[:, j] > 0
+                r_eff[rows] += self.weights[rows, j, np.newaxis, np.newaxis] * (term.operator @ term.operator.conj().T)
+        self.r_eff = r_eff
+        self.quad = 2.0 * (basis.conj().T @ r_eff @ basis) + ridge[:, np.newaxis, np.newaxis] * np.eye(basis.shape[1])
+        self.lin = 2.0 * _mv(basis.conj().T, _mv(r_eff, w0))
+        self.start, self.factored = cholesky_solve(self.quad, -self.lin)
+        self.start[~self.factored] = 0.0
+        self.z = np.zeros((len(specs), basis.shape[1]), dtype=complex)
+        self.iterations = np.zeros(len(specs), dtype=int)
+        self.certificate = np.full(len(specs), math.inf)
+        self.status = np.full(len(specs), SolverStatus.NUMERICAL_FAILURE, dtype=object)
+
+    def scale(self, j: int) -> np.ndarray:
+        """The (T, q) column scales of term j, ones for a problem that gives
+        it none."""
+        ones = np.ones(self.terms[j].operator.shape[1])
+        return np.stack([ones if s.penalties[j].scale is None else s.penalties[j].scale for s in self.specs])
+
+    def convex(self) -> tuple[list, np.ndarray]:
+        """Check that the batch holds L1, LINF, GROUP_L2 and SQUARED_L2 terms
+        only, and return the indices of the active terms (L1, LINF or
+        GROUP_L2 terms with an operator column and a positive weight in some
+        problem), in spec order, and whether each problem is left to iterate
+        on (a positive weight on one of them and a free coordinate). Every
+        other problem ends at its start after 0 iterations with certificate
+        0, or stays failed at w0 where its quad is not positive definite."""
+        if self.specs[0].is_smooth_nonconvex:
+            raise ValueError(f"{self.solver} handles convex specs only; use smooth_solve")
+        active_terms = [j for j, t in enumerate(self.terms)
+                        if t.kind in _PROX_FRIENDLY and t.operator.shape[1] and (self.weights[:, j] > 0).any()]
+        pending = (self.weights[:, active_terms] > 0).any(axis=1) & (self.basis.shape[1] > 0)
+        done = np.flatnonzero(self.factored & ~pending)
+        self.stop(done, self.start[done], 0, 0.0, SolverStatus.CONVERGED)
+        return active_terms, pending
 
     def stop(self, rows, z, iterations, certificate, status) -> None:
         """Record that the problems ``rows`` stopped at ``z``; ``status`` is
@@ -376,37 +406,23 @@ class _Outcomes:
         self.z[rows], self.iterations[rows], self.certificate[rows] = z, iterations, certificate
         self.status[rows] = status
 
-    def results(self, specs: list, w0: np.ndarray, basis: np.ndarray) -> list:
+    def leave(self, stop: np.ndarray, iterations: int, certificate, status, rows, z, *arrays) -> list:
+        """The one way a problem leaves a solver's loop: record that the
+        problems ``rows[stop]`` of the loop stopped at z[stop] after
+        ``iterations``, with their entries of ``certificate`` and ``status``
+        (one per problem of the loop), and return the rows that go on of
+        ``rows``, ``z`` and each of ``arrays``, the loop's other per-problem
+        arrays."""
+        self.stop(rows[stop], z[stop], iterations, certificate[stop], status[stop])
+        keep = ~stop
+        return [x[keep] for x in (rows, z, *arrays)]
+
+    def results(self) -> list:
         """One SolverResult per spec, at w = w0 + B z."""
-        w = w0 + _mv(basis, self.z)
+        w = self.w0 + _mv(self.basis, self.z)
         return [SolverResult(w=w[t], iterations=int(self.iterations[t]), dual_residual=float(self.certificate[t]),
                              constraint_residual=abs(w[t].conj() @ s.constraint_vector - 1.0), status=self.status[t])
-                for t, s in enumerate(specs)]
-
-
-def _convex(spec, solver: str) -> tuple:
-    """The front end of the convex solvers: the ``_eliminated`` specs, w0,
-    B, R_eff, z-space quadratics, lin, starts and factored flags of a batch,
-    checked to hold L1, LINF, GROUP_L2 and SQUARED_L2 terms only; the
-    indices of the active terms (L1, LINF or GROUP_L2 terms with an operator
-    column and a positive weight in some problem), in spec order, and their
-    columns of the weight matrix; whether each problem is left to iterate
-    on (a positive weight and a free coordinate); and the outcome record, in
-    which every other problem has ended at its unpenalized optimum after 0
-    iterations with certificate 0, or failed at w0 where quad is not
-    positive definite."""
-    specs, weights, w0, basis, r_eff, quad, lin, z, factored = _eliminated(spec, solver)
-    first = specs[0]
-    if first.is_smooth_nonconvex:
-        raise ValueError(f"{solver} handles convex specs only; use smooth_solve")
-    active_terms = [j for j, t in enumerate(first.penalties)
-                    if t.kind in _PROX_FRIENDLY and t.operator.shape[1] and (weights[:, j] > 0).any()]
-    weights = weights[:, active_terms]
-    pending = (weights > 0).any(axis=1) & (basis.shape[1] > 0)
-    out = _Outcomes(len(specs), basis.shape[1])
-    done = np.flatnonzero(factored & ~pending)
-    out.stop(done, z[done], 0, 0.0, SolverStatus.CONVERGED)
-    return specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights, pending, out
+                for t, s in enumerate(self.specs)]
 
 
 # the overall multiplier of admm_solve's splitting penalties
@@ -468,26 +484,23 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         return admm_solve([spec], opts)[0]
     # the unpenalized optimum z is the answer for a problem with no active
     # penalty, and the warm start otherwise
-    specs, w0, basis, _, quad, lin, z, _, active_terms, weights, pending, out = _convex(spec, "admm_solve")
+    batch = _Batch(spec, "admm_solve")
+    active_terms, pending = batch.convex()
     if not pending.any():
-        return out.results(specs, w0, basis)
+        return batch.results()
 
     # stacked penalty operator shared by the batch, with per-problem column
     # scales and per-block splitting penalties
-    terms = [specs[0].penalties[j] for j in active_terms]
+    terms, weights = [batch.terms[j] for j in active_terms], batch.weights[:, active_terms]
     sizes = [t.operator.shape[1] for t in terms]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     slices = [slice(offsets[i], offsets[i + 1]) for i in range(len(terms))]
-    k_mat = np.vstack([t.operator.conj().T @ basis for t in terms])
+    k_mat = np.vstack([t.operator.conj().T @ batch.basis for t in terms])
     k_conj = k_mat.conj()
-    scale = np.stack([
-        np.concatenate([np.ones(size) if s.penalties[j].scale is None else s.penalties[j].scale
-                        for j, size in zip(active_terms, sizes)])
-        for s in specs
-    ])
+    scale = np.concatenate([batch.scale(j) for j in active_terms], axis=1)
     sigmas = np.stack([np.linalg.norm(scale[:, sl, np.newaxis] * k_mat[sl], 2, axis=(1, 2)) for sl in slices],
                       axis=1)
-    c = scale * np.concatenate([t.operator.conj().T @ w0 for t in terms])
+    c = scale * np.concatenate([t.operator.conj().T @ batch.w0 for t in terms])
     block_rho = _RHO * weights * np.where(sigmas > 0, sigmas, 1.0)
     prox_ts = np.divide(weights, block_rho, out=np.zeros_like(weights), where=block_rho > 0)
     # splitting penalty per operator row, times the scale: for problem t's
@@ -495,14 +508,10 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     # its z-system takes K_t^H diag(rho_t) K_t, one m x n product at a time
     rho_k = np.repeat(block_rho, sizes, axis=1) * scale
     gram = np.stack([(k_conj.T * weight) @ k_mat for weight in rho_k * scale])
-    system = quad + gram
+    system = batch.quad + gram
     # the loop runs on the rows of the problems still active; one whose
     # z-system is not positive definite fails at w0
     active = np.flatnonzero(_definite(system) & pending)
-    inv_a = np.linalg.inv(system[active])
-    rho_a, scale_a, c_a = (x[active] for x in (rho_k, scale, c))
-    # one threshold column per term, formed once
-    ts_a = [prox_ts[active, j] for j in range(len(terms))]
     # forward(z) = S_t K z + S_t c and back(y) = K_t^H diag(rho_t) y for each
     # active problem t, as real GEMMs
     k_fwd = _real_form(k_mat.T)
@@ -514,19 +523,22 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
     def back(y):
         return _times(rho_a * y, k_back)
 
+    rho_a, scale_a, c_a = (x[active] for x in (rho_k, scale, c))
     # bv = back(v) and bu = back(u), carried in z-space (see above)
     bc_a = back(c_a)
-    lin_a = lin[active] + bc_a
-    gram_a = gram[active]
+    # the loop's per-problem arrays that no iteration changes, ending in one
+    # threshold column per term
+    fixed = [np.linalg.inv(system[active]), gram[active], batch.lin[active] + bc_a, bc_a, rho_a, scale_a, c_a,
+             *(prox_ts[active, j] for j in range(len(terms)))]
     term_slices = list(zip(terms, slices))
-    z = z[active]
+    z = batch.start[active]
     v = forward(z)
     u = np.zeros_like(v)
     bv, bu = back(v), np.zeros_like(z)
-    rd = np.full(active.size, math.inf)
     for it in range(1, opts.max_iters + 1):
         if not active.size:
             break
+        inv_a, gram_a, lin_a, bc_a, rho_a, scale_a, c_a, *ts_a = fixed
         z = _mv(inv_a, bv - bu - lin_a)
         kzc = forward(z)
         arg = kzc + u
@@ -545,24 +557,20 @@ def admm_solve(spec, opts: SolverOptions = SolverOptions()):
         # a problem can stop only when its primal residual is small
         # (converged, if the dual residual is small too) or non-finite, so the
         # dual residual bv - bv_old is taken only on an iteration where some
-        # problem's is, and on the cap iteration, whose results report it
+        # problem's is, and on the cap iteration, where every problem stops
         # (tests on lists are cheaper than on short arrays)
         primal = rp.tolist()
         if it < opts.max_iters and min(primal) >= opts.tol and math.isfinite(sum(primal)):
             continue
         rd = _row_norms(bv - bv_old)
         stopped = [d < opts.tol if p < opts.tol else not p < math.inf for p, d in zip(primal, rd.tolist())]
-        if any(stopped):
+        if it == opts.max_iters or any(stopped):
             stopped = np.array(stopped)
-            out.stop(active[stopped], z[stopped], it, rd[stopped],
-                     np.where(rp[stopped] < opts.tol, SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE))
-            going = ~stopped
-            ts_a = [t[going] for t in ts_a]
-            active, z, u, bv, bu, rd, lin_a, bc_a, gram_a, inv_a, rho_a, scale_a, c_a = (
-                x[going] for x in (active, z, u, bv, bu, rd, lin_a, bc_a, gram_a, inv_a, rho_a, scale_a, c_a)
-            )
-    out.stop(active, z, opts.max_iters, rd, SolverStatus.MAX_ITERS)
-    return out.results(specs, w0, basis)
+            status = np.where(stopped, np.where(rp < opts.tol, SolverStatus.CONVERGED, SolverStatus.NUMERICAL_FAILURE),
+                              SolverStatus.MAX_ITERS)
+            active, z, u, bv, bu, *fixed = batch.leave(stopped | (it == opts.max_iters), it, rd, status,
+                                                       active, z, u, bv, bu, *fixed)
+    return batch.results()
 
 
 # relative duality gap at which cone_solve stops a problem
@@ -890,63 +898,54 @@ def cone_solve(spec, opts: SolverOptions = SolverOptions()):
         return cone_solve([spec], opts)[0]
     # the unpenalized optimum z is the answer for a problem with no active
     # penalty, and the primal start otherwise
-    specs, w0, basis, r_eff, quad, lin, z, factored, active_terms, weights, pending, out = _convex(
-        spec, "cone_solve")
-    if any(term.scale is not None for s in specs for term in s.penalties):
+    batch = _Batch(spec, "cone_solve")
+    active_terms, pending = batch.convex()
+    if batch.scaled:
         raise ValueError("cone_solve takes no column scale")
     # the groups go last (see _Cones)
-    terms = [specs[0].penalties[j] for j in active_terms]
-    order = sorted(range(len(terms)), key=lambda i: terms[i].kind is PenaltyKind.GROUP_L2)
-    terms, weights = [terms[i] for i in order], weights[:, order]
+    active_terms.sort(key=lambda j: batch.terms[j].kind is PenaltyKind.GROUP_L2)
+    terms, weights = [batch.terms[j] for j in active_terms], batch.weights[:, active_terms]
     if ((weights > 0) != (weights > 0).any(axis=1, keepdims=True)).any():
         raise ValueError("cone_solve needs each problem's penalty weights all zero or all positive")
 
-    rows = np.flatnonzero(factored & pending)
+    rows = np.flatnonzero(batch.factored & pending)
     if rows.size:
-        cones = _Cones(terms, basis, w0)
-        const = np.real(np.einsum("i,tij,j->t", w0.conj(), r_eff[rows], w0))
-        _interior_point(cones, rows, z[rows], quad[rows], lin[rows], const, cones.cone_weights(weights[rows]),
-                        opts.max_iters, out)
-    return out.results(specs, w0, basis)
+        cones = _Cones(terms, batch.basis, batch.w0)
+        _interior_point(batch, cones, rows, cones.cone_weights(weights[rows]), opts.max_iters)
+    return batch.results()
 
 
-def _interior_point(cones: _Cones, rows, z, quad, lin, const, cone_weight, max_iters: int, out: _Outcomes) -> None:
+def _interior_point(batch: _Batch, cones: _Cones, rows, cone_weight, max_iters: int) -> None:
     """The predictor-corrector loop of ``cone_solve`` over the problems
-    ``rows``, started at their z; ``const`` is each problem's w0^H R_eff w0.
-    A problem leaves the loop when it stops, and its z, relative gap,
-    iterations and status go into the record ``out``."""
-    state = [rows, z, *cones.start(z, cone_weight), quad, _real_form(quad.transpose(0, 2, 1)), lin, const,
-             cone_weight]
-
-    def finish(stop, rel, it) -> bool:
-        # record the problems that stop and drop them; True if none is left
-        out.stop(state[0][stop], state[1][stop], it, rel[stop],
-                 np.where(rel[stop] <= _GAP_TOL, SolverStatus.CONVERGED, SolverStatus.MAX_ITERS))
-        state[:] = [x[~stop] for x in state]
-        return stop.all()
-
+    ``rows`` of ``batch``, started at their starts, with the cone costs
+    ``cone_weight``. A problem leaves the loop through ``batch.leave`` when
+    it converges, when its step stalls and at the cap."""
+    z, quad = batch.start[rows], batch.quad[rows]
+    # each problem's w0^H R_eff w0
+    const = np.real(np.einsum("i,tij,j->t", batch.w0.conj(), batch.r_eff[rows], batch.w0))
+    state = [rows, z, *cones.start(z, cone_weight), quad, _real_form(quad.transpose(0, 2, 1)), batch.lin[rows],
+             const, cone_weight]
     for it in range(max_iters + 1):
         rows, z, s0, s1, l0, l1, quad, p_real, lin, const, cone_weight = state
         cone_gap = cones.dot(s0, s1, l0, l1)
         objective = (0.5 * np.real(np.einsum("ti,tij,tj->t", z.conj(), quad, z)) + _re_dot(lin, z).sum(axis=1)
                      + const + (cone_weight * s0).sum(axis=1))
         rel = cone_gap.sum(axis=1) / objective
-        stop = rel <= _GAP_TOL
-        if it == max_iters or stop.all():
-            finish(np.ones_like(stop), rel, it)
-            return
+        stop = (rel <= _GAP_TOL) | (it == max_iters)
+        if not stop.all():
+            # the step of each problem that goes on; one whose step stalls
+            # stops and keeps its iterate
+            going = np.flatnonzero(~stop)
+            step = _step(cones, *(x[going] if stop.any() else x for x in (p_real, s0, s1, l0, l1, cone_gap)))
+            stalled = ~(step[0] > _MIN_STEP)
+            if stalled.any():
+                stop[going[stalled]] = True
+                step = [x[~stalled] for x in step]
         if stop.any():
-            finish(stop, rel, it)
-            keep = ~stop
-            rows, z, s0, s1, l0, l1, quad, p_real, lin, const, cone_weight = state
-            cone_gap, rel = cone_gap[keep], rel[keep]
-        step = _step(cones, p_real, s0, s1, l0, l1, cone_gap)
-        # a problem whose step stalls keeps its iterate
-        stalled = ~(step[0] > _MIN_STEP)
-        if stalled.any():
-            if finish(stalled, rel, it):
+            status = np.where(rel <= _GAP_TOL, SolverStatus.CONVERGED, SolverStatus.MAX_ITERS)
+            state = batch.leave(stop, it, rel, status, *state)
+            if not state[0].size:
                 return
-            step = [x[~stalled] for x in step]
         alpha = step[0][:, np.newaxis]
         for x, dx in zip(state[1:6], step[1:]):
             dx *= alpha
@@ -954,7 +953,8 @@ def _interior_point(cones: _Cones, rows, z, quad, lin, const, cone_weight, max_i
         # rounding can carry a point that the step keeps 1% inside its cone
         # out of it; such a problem keeps half of its step, then a quarter, ...
         for _ in range(_PULLBACKS):
-            outside = cones.outside(s0, s1) | cones.outside(l0, l1)
+            # state[2:4] is s and state[4:6] is lambda
+            outside = cones.outside(*state[2:4]) | cones.outside(*state[4:6])
             if not outside.any():
                 break
             for x, dx in zip(state[1:6], step[1:]):
@@ -1011,19 +1011,20 @@ def _step(cones: _Cones, p_real, s0, s1, l0, l1, gap) -> tuple:
 
 
 class _SmoothObjective:
-    """The smooth objectives of a batch, from its shared penalty terms and
-    its ``_eliminated`` weight matrix: per problem R_eff and the weight gamma
-    of the one quartic term gamma (||G^H w||^2 - 1)^2 (0 if there is none),
-    with z-gradients at the (k, M) points of the problems ``rows``."""
+    """The smooth objectives of a ``_Batch``: per problem R_eff and the
+    weight gamma of the one quartic term gamma (||G^H w||^2 - 1)^2 (0 if
+    there is none), with z-gradients in the basis ``basis`` at the (k, M)
+    points of the problems ``rows``."""
 
-    def __init__(self, terms: tuple, weights: np.ndarray, basis: np.ndarray, r_eff: np.ndarray):
+    def __init__(self, batch: _Batch, basis: np.ndarray):
+        terms, weights = batch.terms, batch.weights
         for term in terms:
             if term.kind not in (PenaltyKind.SQUARED_L2, PenaltyKind.QUARTIC_UNIT):
                 raise ValueError(f"smooth_solve accepts SQUARED_L2/QUARTIC_UNIT only, got {term.kind}")
         quartics = [j for j, t in enumerate(terms) if t.kind is PenaltyKind.QUARTIC_UNIT]
         if len(quartics) > 1:
             raise ValueError(f"smooth_solve takes at most one QUARTIC_UNIT term, got {len(quartics)}")
-        self.basis, self.r_eff = basis, r_eff
+        self.basis, self.r_eff = basis, batch.r_eff
         self.g_op = terms[quartics[0]].operator if quartics else np.zeros((basis.shape[0], 0))
         self.gamma = weights[:, quartics[0]] if quartics else np.zeros(weights.shape[0])
 
@@ -1043,8 +1044,7 @@ def smooth_gradient(spec: ProblemSpec, basis: np.ndarray, w: np.ndarray) -> np.n
     coordinate against central finite differences.
     """
     w = np.asarray(w, dtype=complex).reshape(1, -1)
-    _, weights, _, _, r_eff, *_ = _eliminated([spec], "smooth_gradient")
-    return _SmoothObjective(spec.penalties, weights, basis, r_eff).gradient(w, slice(None))[0]
+    return _SmoothObjective(_Batch([spec], "smooth_gradient"), basis).gradient(w, slice(None))[0]
 
 
 # the secular bracket ends at nu = -_POLE / max(d) where that is above
@@ -1095,23 +1095,24 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
     """
     if isinstance(spec, ProblemSpec):
         return smooth_solve([spec], opts)[0]
-    specs, weights, w0, basis, r_eff, quad, _, z, factored = _eliminated(spec, "smooth_solve")
-    smooth = _SmoothObjective(specs[0].penalties, weights, basis, r_eff)
-    out = _Outcomes(len(specs), basis.shape[1])
+    batch = _Batch(spec, "smooth_solve")
+    w0, basis = batch.w0, batch.basis
+    smooth = _SmoothObjective(batch, basis)
     if not basis.shape[1]:  # w0 is the only feasible point
-        out.stop(slice(None), z, 0, 0.0, SolverStatus.CONVERGED)
-        return out.results(specs, w0, basis)
+        batch.stop(slice(None), batch.start, 0, 0.0, SolverStatus.CONVERGED)
+        return batch.results()
 
     # a problem with no positive quartic weight ends at its start, its
     # minimizer; one whose quadratic is not positive definite fails at w0
     quartic = smooth.gamma > 0
-    done = np.flatnonzero(factored & ~quartic)
-    out.stop(done, z[done], 0, _row_norms(smooth.gradient(w0 + _mv(basis, z[done]), done)), SolverStatus.CONVERGED)
-    rows = np.flatnonzero(factored & quartic)
-    z, gamma = z[rows], smooth.gamma[rows]
+    done = np.flatnonzero(batch.factored & ~quartic)
+    z = batch.start[done]
+    batch.stop(done, z, 0, _row_norms(smooth.gradient(w0 + _mv(basis, z), done)), SolverStatus.CONVERGED)
+    rows = np.flatnonzero(batch.factored & quartic)
+    z, gamma = batch.start[rows], smooth.gamma[rows]
     # V = L^-H U: V^H quad V = I and V^H P V = diag(d), d ascending
     gz = basis.conj().T @ smooth.g_op
-    l_inv = np.linalg.inv(np.linalg.cholesky(quad[rows]))
+    l_inv = np.linalg.inv(np.linalg.cholesky(batch.quad[rows]))
     lg = l_inv @ gz
     d, u = np.linalg.eigh(2.0 * (lg @ lg.conj().transpose(0, 2, 1)))
     v = l_inv.conj().transpose(0, 2, 1) @ u
@@ -1172,6 +1173,6 @@ def smooth_solve(spec, opts: SolverOptions = SolverOptions()):
     tau = np.divide(2.0 * delta, den, out=np.zeros_like(den), where=den > 0)
     x[hard, -1] += tau * np.divide(g, g_abs, out=np.ones_like(g), where=g_abs > 0)
     z = z + _mv(v, x)
-    out.stop(rows, z, iterations, _row_norms(smooth.gradient(w0 + _mv(basis, z), rows)),
-             np.where(going, SolverStatus.MAX_ITERS, SolverStatus.CONVERGED))
-    return out.results(specs, w0, basis)
+    batch.stop(rows, z, iterations, _row_norms(smooth.gradient(w0 + _mv(basis, z), rows)),
+               np.where(going, SolverStatus.MAX_ITERS, SolverStatus.CONVERGED))
+    return batch.results()

@@ -171,6 +171,7 @@ MALFORMED = [
     # steering vector)
     ("manifold.min_deg", {"manifold": {"min_deg": -200.0}}),
     ("manifold.max_deg", {"manifold": {"max_deg": 200.0}}),
+    ("mismatch_list", {"mismatch_list": []}),
 ]
 
 
@@ -338,6 +339,23 @@ def test_pattern_exit_3_on_numerical_failure(tmp_path, monkeypatch):
     result = CliRunner().invoke(main, ["pattern", "--config", str(write_config(tmp_path))])
     assert result.exit_code == 3
     assert "numerical failure" in result.stderr
+
+
+def test_sweep_exit_3_on_a_failed_grid_point(tmp_path, monkeypatch):
+    # gamma_sweep raises on a grid point that fails numerically, and the
+    # sweep writes no partial CSV
+    solve_trials = evaluation.solve_trials
+
+    def one_fails(methods, *args, **kwargs):
+        return [WeightVector(w.weights, w.constraint_residual, SolverStatus.NUMERICAL_FAILURE, w.iterations)
+                if m.gamma == 0.1 else w for m, w in zip(methods, solve_trials(methods, *args, **kwargs))]
+
+    monkeypatch.setattr("caponshape.evaluation.solve_trials", one_fails)
+    path = write_config(tmp_path)
+    result = CliRunner().invoke(main, ["sweep", "--config", str(path), "--gammas", "0,0.1"])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "numerical failure: sparse solve failed numerically at gamma 0.1\n"
+    assert not (tmp_path / "out" / "gamma_sweep.csv").exists()
 
 
 def test_montecarlo_writes_reports_and_summary(tmp_path):

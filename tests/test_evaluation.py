@@ -167,6 +167,21 @@ def test_gamma_sweep_matches_point_by_point_solves(scenario, manifold, split, a0
         assert math.isclose(point.mspr, mspr(w, split), rel_tol=1e-9)
 
 
+def test_gamma_sweep_raises_on_a_failed_grid_point(monkeypatch, scenario, manifold, config):
+    # a grid point whose solve fails numerically has no SINR to compare, so
+    # the sweep raises, naming the method and the gamma
+    solve_trials = evaluation.solve_trials
+
+    def one_fails(methods, *args, **kwargs):
+        return [replace(w, status=SolverStatus.NUMERICAL_FAILURE) if m.gamma == 0.1 else w
+                for m, w in zip(methods, solve_trials(methods, *args, **kwargs))]
+
+    monkeypatch.setattr("caponshape.evaluation.solve_trials", one_fails)
+    with pytest.raises(NumericalError, match=r"^sparse solve failed numerically at gamma 0\.1$"):
+        gamma_sweep(BeamformerSpec(BeamformerKind.SPARSE), scenario, manifold, config.b, (0.0, 0.1, 1.0),
+                    BENCHMARK_OPTIONS)
+
+
 def test_gamma_sweep_rejects_empty_grid(scenario, manifold, config):
     with pytest.raises(ValueError):
         gamma_sweep(BeamformerSpec(BeamformerKind.SPARSE), scenario, manifold, config.b, ())

@@ -18,9 +18,9 @@ from caponshape.evaluation import DEFAULT_GAMMA_GRID, sinr
 from caponshape.prox import project_l1_ball, prox_group_l2, prox_l1
 from caponshape.solver import (
     _RHO,
+    _Batch,
     _Cones,
     _definite,
-    _eliminated,
     _max_step,
     _real_form,
     _Scaling,
@@ -344,8 +344,8 @@ def test_smooth_solve_objective_nonincreasing():
     # step 0 is the start of every solver, the unpenalized optimum
     rng = np.random.default_rng(12)
     spec = _quartic_spec(rng)
-    _, _, w0, basis, _, _, _, z, _ = _eliminated([spec], "smooth_solve")
-    objs = [objective_value(spec, w0 + basis @ z[0])]
+    batch = _Batch([spec], "smooth_solve")
+    objs = [objective_value(spec, batch.w0 + batch.basis @ batch.start[0])]
     objs += [objective_value(spec, smooth_solve(spec, SolverOptions(max_iters=k)).w) for k in range(1, 8)]
     assert objs[-1] < objs[0]
     assert np.all(np.diff(objs) <= 1e-12 * max(1.0, abs(objs[0])))
@@ -940,6 +940,23 @@ def test_cone_stall_ends_a_problem_at_its_last_iterate(monkeypatch, scenario, ma
         if got.status is SolverStatus.MAX_ITERS:
             assert 1e-9 < got.dual_residual < 1.0 and got.iterations < 5
             assert got.constraint_residual < 1e-12
+
+
+@pytest.mark.parametrize("kind", CONE_KINDS)
+def test_cone_pullback_follows_a_stall_in_the_same_iteration(monkeypatch, scenario, manifold, split, a0, kind):
+    # a full step to the cone boundary makes rounding carry points out of
+    # their cones, so the pullback runs on most iterations, and a step floor
+    # of 0.3 makes some problems stall; in an iteration with both, the
+    # pullback tests the points of the problems that go on, not those of the
+    # batch before the stalled ones left it
+    monkeypatch.setattr("caponshape.solver._MIN_STEP", 0.3)
+    monkeypatch.setattr("caponshape.solver._STEP_FRACTION", 1.0)
+    specs = _gamma_specs(kind, _packaged_covariances(scenario, 8), [CRITERION_10_GAMMAS[kind]] * 8,
+                         manifold, split, a0)
+    batch = cone_solve(specs)
+    assert SolverStatus.MAX_ITERS in [got.status for got in batch]
+    for got in batch:
+        assert np.isfinite(got.w).all() and got.constraint_residual < 1e-12
 
 
 @pytest.mark.parametrize("bad", ["indefinite", "nan"])
